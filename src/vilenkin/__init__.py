@@ -4,9 +4,7 @@ from .group import (
     Element,
     GroupSpec,
     add,
-    digits,
     generator,
-    index_of,
     interval_members,
     make_group,
     subtract,
@@ -18,12 +16,13 @@ from .kernels import (
     fejer,
     identity_residual,
     l1_profile,
+    multiplier,
     norlund_kernel,
+    synthesize,
     t_kernel,
 )
 from .means import (
     Classification,
-    MeanReport,
     WeightSequence,
     abel_weight_residual,
     binomial_sequence,
@@ -33,7 +32,6 @@ from .means import (
     parse_weights,
     passes_gate,
     t_mean,
-    t_mean_reports,
     weights,
 )
 from .points import (

@@ -16,11 +16,12 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .group import GroupSpec, parse_element, parse_group
-from .kernels import identity_residual, l1_profile
+from .kernels import _FAMILIES, identity_residual, l1_profile
 from .means import WeightSequence, abel_weight_residual, classify, parse_weights, t_mean
 from .points import convergence_profile
 from .transform import GridFunction, forward
@@ -70,7 +71,26 @@ def load_config(path: str | Path | None, overrides: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         cfg = replace(cfg, **raw)
     flags = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **flags)
+    cfg = replace(cfg, **flags)
+    hints = get_type_hints(ExperimentConfig)
+    for field in fields(ExperimentConfig):
+        value = getattr(cfg, field.name)
+        if not _has_type(value, hints[field.name]):
+            raise ConfigError(
+                f"config field {field.name!r} must be {field.type}, "
+                f"got {type(value).__name__} {value!r}"
+            )
+    return cfg
+
+
+def _has_type(value, hint) -> bool:
+    """isinstance against a field annotation; bools are not ints, ints are floats."""
+    allowed = get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in allowed
+    if float in allowed:
+        allowed += (int,)
+    return isinstance(value, allowed)
 
 
 def _fmt(x: float) -> str:
@@ -148,7 +168,7 @@ def _run_kernel_profile(cfg: ExperimentConfig, out: Path) -> int:
     spec = _build_spec(cfg)
     w = _build_weights(cfg)
     n_max = _resolve_n_max(cfg, spec)
-    if cfg.family not in ("dirichlet", "fejer", "t", "norlund"):
+    if cfg.family not in _FAMILIES:
         raise ConfigError(f"unknown kernel family {cfg.family!r}")
     if not 0 <= cfg.tail_rank <= spec.levels:
         raise ConfigError(f"tail-rank {cfg.tail_rank} outside [0, {spec.levels}]")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,14 +75,18 @@ def make_group(m: Sequence[int], levels: int | None = None) -> GroupSpec:
         levels = len(pattern)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    radices = tuple(pattern[k % len(pattern)] for k in range(levels))
+    # Every radix is >= 2, so the overflow check stops this loop within 62
+    # steps however large levels is.
+    radices = []
     places = [1]
-    for r in radices:
+    for k in range(levels):
+        r = pattern[k % len(pattern)]
         nxt = places[-1] * r
         if nxt > MAX_SIZE:
             raise ValueError(f"resolution overflow: M_N exceeds {MAX_SIZE}")
+        radices.append(r)
         places.append(nxt)
-    return GroupSpec(m=radices, M=tuple(places))
+    return GroupSpec(m=tuple(radices), M=tuple(places))
 
 
 @dataclass(frozen=True)
@@ -121,16 +125,6 @@ class Element:
 
     def __str__(self) -> str:
         return format_element(self)
-
-
-def digits(n: int, spec: GroupSpec) -> tuple[int, ...]:
-    """Digit vector of grid index n."""
-    return spec.digits(n)
-
-
-def index_of(digit_vector: Sequence[int], spec: GroupSpec) -> int:
-    """Grid index of a digit vector."""
-    return spec.index_of(digit_vector)
 
 
 def _check_same_spec(x: Element, y: Element) -> None:
@@ -172,12 +166,6 @@ def interval_members(x: Element, rank: int) -> np.ndarray:
         raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
     stride = spec.M[rank]
     return np.arange(x.index % stride, spec.size, stride, dtype=np.int64)
-
-
-def elements(spec: GroupSpec) -> Iterator[Element]:
-    """Iterate the whole grid in index order."""
-    for n in range(spec.size):
-        yield Element.from_index(spec, n)
 
 
 @lru_cache(maxsize=32)

@@ -9,9 +9,11 @@ vectors:
     norlund    (1/Q_n) sum_{k=1}^{n} q_{n-k} D_k          reversed frame
 
 Collecting the coefficient of psi_j gives closed forms (e.g. (n-j)/n for the
-Fejer kernel), so each kernel is one synthesis pass.  The identity checks in
-identity_residual() deliberately rebuild their right-hand sides from other
-kernels so that the two sides travel different numerical paths.
+Fejer kernel), returned by multiplier(), so each kernel is one synthesis pass
+and each matching mean is the same pass over the multiplied spectrum of f.
+The identity checks in identity_residual() deliberately rebuild their
+right-hand sides from other kernels so that the two sides travel different
+numerical paths.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ import numpy as np
 from .group import GroupSpec
 from .transform import GridFunction, Spectrum, character_row, inverse
 
-if TYPE_CHECKING:  # circular at runtime: means imports the kernels for convolution
+if TYPE_CHECKING:  # circular at runtime: means imports the multiplier core
     from .means import WeightSequence
 
 __all__ = [
     "KernelProfileRow",
+    "multiplier",
+    "synthesize",
     "dirichlet",
     "fejer",
     "t_kernel",
@@ -40,30 +44,60 @@ __all__ = [
 ]
 
 
-def _synthesize(spec: GroupSpec, coeffs: np.ndarray) -> GridFunction:
+_FAMILIES = ("dirichlet", "fejer", "t", "norlund")
+
+
+def multiplier(
+    family: str, n: int, spec: GroupSpec, weights: "WeightSequence | None" = None
+) -> np.ndarray:
+    """Coefficients lambda_n(j), j < n, of the order-n kernel of one family.
+
+        dirichlet  1                   (n = 0 gives the zero kernel)
+        fejer      (n - j)/n           (n = 0 gives the zero kernel)
+        t          (Q_n - Q_{j+1})/Q_n
+        norlund    Q_{n-j}/Q_n
+
+    The kernel is synthesize(spec, lambda_n) and the matching mean of f is
+    synthesize(spec, fhat[:n] * lambda_n).  The weighted families need
+    1 <= n and Q_n > 0.
+    """
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown kernel family {family!r}; expected {_FAMILIES}")
+    lowest = 0 if family in ("dirichlet", "fejer") else 1
+    if not lowest <= n <= spec.size:
+        raise ValueError(f"order {n} outside [{lowest}, {spec.size}]")
+    if family == "dirichlet":
+        return np.ones(n)
+    if family == "fejer":
+        return (n - np.arange(n)) / n
+    if weights is None:
+        raise ValueError(f"kernel family {family!r} needs weights")
+    if weights.Q(n) <= 0:
+        raise ValueError(f"Q({n}) not positive for {weights.label()}")
+    if family == "t":
+        q = weights.q_array(n)
+        suffix = np.zeros(n + 1)
+        suffix[:n] = np.cumsum(q[::-1])[::-1]
+        return suffix[1:] / weights.Q(n)
+    Q = weights.Q_array(n)
+    return Q[n:0:-1] / Q[n]
+
+
+def synthesize(spec: GroupSpec, coeffs: np.ndarray) -> GridFunction:
+    """sum_{j < len(coeffs)} coeffs[j] * psi_j: one inverse transform."""
     full = np.zeros(spec.size, dtype=np.complex128)
     full[: len(coeffs)] = coeffs
     return inverse(Spectrum(spec, full))
 
 
-def _check_order(n: int, spec: GroupSpec, lowest: int = 0) -> None:
-    if not lowest <= n <= spec.size:
-        raise ValueError(f"kernel order {n} outside [{lowest}, {spec.size}]")
-
-
 def dirichlet(n: int, spec: GroupSpec) -> GridFunction:
     """Dirichlet kernel D_n; D_0 is the zero function."""
-    _check_order(n, spec)
-    return _synthesize(spec, np.ones(n, dtype=np.complex128))
+    return synthesize(spec, multiplier("dirichlet", n, spec))
 
 
 def fejer(n: int, spec: GroupSpec) -> GridFunction:
     """Fejer kernel K_n = (1/n) sum_{k=1}^n D_k; K_0 is the zero function."""
-    _check_order(n, spec)
-    if n == 0:
-        return GridFunction.constant(spec, 0.0)
-    j = np.arange(n)
-    return _synthesize(spec, (n - j) / n)
+    return synthesize(spec, multiplier("fejer", n, spec))
 
 
 def t_kernel(w: "WeightSequence", n: int, spec: GroupSpec) -> GridFunction:
@@ -73,13 +107,7 @@ def t_kernel(w: "WeightSequence", n: int, spec: GroupSpec) -> GridFunction:
     to (Q_n - q_0)/Q_n rather than 1 whenever q_0 > 0: the k = 0 term D_0
     vanishes and takes the weight q_0 with it.
     """
-    _check_order(n, spec, lowest=1)
-    if w.Q(n) <= 0:
-        raise ValueError(f"Q({n}) not positive for {w.label()}")
-    q = w.q_array(n)
-    suffix = np.zeros(n + 1)
-    suffix[:n] = np.cumsum(q[::-1])[::-1]
-    return _synthesize(spec, suffix[1:] / w.Q(n))
+    return synthesize(spec, multiplier("t", n, spec, w))
 
 
 def norlund_kernel(w: "WeightSequence", n: int, spec: GroupSpec) -> GridFunction:
@@ -87,11 +115,7 @@ def norlund_kernel(w: "WeightSequence", n: int, spec: GroupSpec) -> GridFunction
 
     The psi_j coefficient is Q_{n-j}/Q_n; the kernel always integrates to 1.
     """
-    _check_order(n, spec, lowest=1)
-    if w.Q(n) <= 0:
-        raise ValueError(f"Q({n}) not positive for {w.label()}")
-    Q = w.Q_array(n)
-    return _synthesize(spec, Q[n:0:-1] / Q[n])
+    return synthesize(spec, multiplier("norlund", n, spec, w))
 
 
 def identity_residual(
@@ -161,9 +185,6 @@ class KernelProfileRow:
     tail: float
 
 
-_FAMILIES = ("dirichlet", "fejer", "t", "norlund")
-
-
 def l1_profile(
     family: str,
     ns: Sequence[int],
@@ -177,23 +198,12 @@ def l1_profile(
     The tail is (1/M_N) * sum over x outside the rank-tail_rank interval at 0
     of |k_n(x)|, the quantity the localization estimates bound.
     """
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown kernel family {family!r}; expected {_FAMILIES}")
-    if family in ("t", "norlund") and weights is None:
-        raise ValueError(f"kernel family {family!r} needs weights")
     if not 0 <= tail_rank <= spec.levels:
         raise ValueError(f"tail rank {tail_rank} outside [0, {spec.levels}]")
     outside = np.arange(spec.size) % spec.M[tail_rank] != 0
     rows = []
     for n in sorted(ns):
-        if family == "dirichlet":
-            g = dirichlet(n, spec)
-        elif family == "fejer":
-            g = fejer(n, spec)
-        elif family == "t":
-            g = t_kernel(weights, n, spec)
-        else:
-            g = norlund_kernel(weights, n, spec)
+        g = synthesize(spec, multiplier(family, n, spec, weights))
         mags = np.abs(g.values)
         rows.append(
             KernelProfileRow(

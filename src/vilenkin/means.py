@@ -30,6 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .kernels import multiplier, synthesize
 from .transform import GridFunction, character_row, convolve, forward
 
 _ALPHA_KINDS = frozenset({"cesaro", "inverse-cesaro", "power", "log-power"})
@@ -247,41 +248,23 @@ def passes_gate(c: Classification) -> bool:
 # --- means -------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class MeanReport:
-    """One evaluation route of a mean, kept for route-agreement checks."""
-
-    n: int
-    method: str
-    result: GridFunction
-
-
-def _check_order(f: GridFunction, w: WeightSequence, n: int) -> None:
-    if not 1 <= n <= f.spec.size:
-        raise ValueError(f"mean order {n} outside [1, {f.spec.size}]")
-    if w.Q(n) <= 0:
-        raise ValueError(f"Q({n}) = {w.Q(n)} is not positive for {w.label()}")
-
-
 def t_mean(
-    f: GridFunction, w: WeightSequence, n: int, method: str = "direct"
+    f: GridFunction, w: WeightSequence, n: int, method: str = "convolution"
 ) -> GridFunction:
     """Forward-frame mean T_n f = (1/Q_n) sum_{k<n} q_k S_k f.
 
     Three routes are kept deliberately distinct so they can cross-check each
-    other: 'direct' accumulates partial sums term by term, 'abel' rebuilds
-    T_n from Fejer means via summation by parts, and 'convolution' convolves
-    f with the forward-frame kernel.
+    other: 'convolution' convolves f with the forward-frame kernel, 'direct'
+    accumulates partial sums term by term, and 'abel' rebuilds T_n from
+    Fejer means via summation by parts.  The last two are oracles.
     """
-    _check_order(f, w, n)
+    lam = multiplier("t", n, f.spec, w)  # also validates n and Q_n for the oracles
+    if method == "convolution":
+        return convolve(f, synthesize(f.spec, lam))
     if method == "direct":
         return _t_mean_direct(f, w, n)
     if method == "abel":
         return _t_mean_abel(f, w, n)
-    if method == "convolution":
-        from .kernels import t_kernel
-
-        return convolve(f, t_kernel(w, n, f.spec))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -320,25 +303,8 @@ def _t_mean_abel(f: GridFunction, w: WeightSequence, n: int) -> GridFunction:
 
 def norlund_mean(f: GridFunction, w: WeightSequence, n: int) -> GridFunction:
     """Reversed-frame mean t_n f = (1/Q_n) sum_{k=1}^{n} q_{n-k} S_k f."""
-    _check_order(f, w, n)
-    spec = f.spec
-    fh = forward(f).coeffs
-    q = w.q_array(n)
-    S = np.zeros(spec.size, dtype=np.complex128)
-    acc = np.zeros(spec.size, dtype=np.complex128)
-    for k in range(1, n + 1):
-        S += fh[k - 1] * character_row(spec, k - 1)
-        if q[n - k]:
-            acc += q[n - k] * S
-    return GridFunction(spec, acc / w.Q(n))
-
-
-def t_mean_reports(f: GridFunction, w: WeightSequence, n: int) -> list[MeanReport]:
-    """Evaluate T_n f along all three routes for agreement checks."""
-    return [
-        MeanReport(n=n, method=m, result=t_mean(f, w, n, method=m))
-        for m in ("direct", "abel", "convolution")
-    ]
+    lam = multiplier("norlund", n, f.spec, w)
+    return synthesize(f.spec, forward(f).coeffs[:n] * lam)
 
 
 _NAMED = {

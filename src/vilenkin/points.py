@@ -10,13 +10,14 @@ quantity controlling a.e. convergence of the reversed-frame means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .group import Element, generator, interval_members, subtract
-from .means import WeightSequence, norlund_mean, t_mean
-from .transform import GridFunction, norm, partial_sum
+from .kernels import multiplier, synthesize
+from .means import WeightSequence
+from .transform import GridFunction, forward, norm
 
 __all__ = [
     "ConvergenceRow",
@@ -70,16 +71,23 @@ class ConvergenceRow:
     mode: str
 
 
-def _evaluate_mean(
-    f: GridFunction, w: WeightSequence | None, n: int, form: str
-) -> GridFunction:
-    if form == "t":
-        return t_mean(f, w, n)
-    if form == "norlund":
-        return norlund_mean(f, w, n)
-    if form == "partial":
-        return partial_sum(f, n)
-    raise ValueError(f"unknown mean form {form!r}; expected t, norlund or partial")
+_FORM_FAMILY = {"t": "t", "norlund": "norlund", "partial": "dirichlet"}
+
+
+def _means(
+    f: GridFunction, w: WeightSequence | None, ns: Iterable[int], form: str
+) -> Iterator[tuple[int, GridFunction]]:
+    """Yield (n, the order-n mean of f) for each n in ns.
+
+    f is analysed once; each order then costs one synthesis of its
+    multiplied spectrum.
+    """
+    if form not in _FORM_FAMILY:
+        raise ValueError(f"unknown mean form {form!r}; expected t, norlund or partial")
+    family = _FORM_FAMILY[form]
+    fh = forward(f).coeffs
+    for n in ns:
+        yield n, synthesize(f.spec, fh[:n] * multiplier(family, n, f.spec, w))
 
 
 def convergence_profile(
@@ -112,8 +120,7 @@ def convergence_profile(
                 raise ValueError(f"order {n} is not a block size M_r")
     mean_id = "partial" if form == "partial" else f"{w.label()}|{form}"
     rows = []
-    for n in sorted(ns):
-        g = _evaluate_mean(f, w, n, form)
+    for n, g in _means(f, w, sorted(ns), form):
         if point is not None:
             err = abs(g.values[point.index] - f.values[point.index])
         else:
@@ -136,7 +143,6 @@ def maximal_profile(
         raise ValueError(f"form {form!r} needs a weight sequence")
     start = 1 if form == "partial" else w.n0
     best = np.zeros(spec.size)
-    for n in range(start, n_max + 1):
-        g = _evaluate_mean(f, w, n, form)
+    for _, g in _means(f, w, range(start, n_max + 1), form):
         best = np.maximum(best, np.abs(g.values))
     return GridFunction(spec, best)

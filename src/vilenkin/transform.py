@@ -208,17 +208,23 @@ def _write_complex_csv(path, data: np.ndarray) -> None:
 
 def _read_complex_csv(path, expected: int) -> np.ndarray:
     out = np.zeros(expected, dtype=np.complex128)
+    seen = np.zeros(expected, dtype=bool)
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "index,re,im":
             raise ValueError(f"unexpected CSV header {header!r}")
-        count = 0
         for line in fh:
             if not line.strip():
                 continue
             i_s, re_s, im_s = line.strip().split(",")
-            out[int(i_s)] = float(re_s) + 1j * float(im_s)
-            count += 1
+            i = int(i_s)
+            if not 0 <= i < expected:
+                raise ValueError(f"row index {i} outside [0, {expected})")
+            if seen[i]:
+                raise ValueError(f"duplicate row index {i}")
+            seen[i] = True
+            out[i] = float(re_s) + 1j * float(im_s)
+    count = int(seen.sum())
     if count != expected:
         raise ValueError(f"expected {expected} rows, got {count}")
     return out

@@ -242,6 +242,35 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"levels": "3"},
+        {"levels": 3.0},
+        {"seed": True},
+        {"p": "1"},
+        {"tail_rank": "1"},
+        {"weights": None},
+    ],
+)
+def test_mistyped_config_values_exit_2(tmp_path, capsys, raw):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "x.csv"
+    code = main(["converge", "--group", "2,3", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_accepts_int_p_and_null_optionals(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"p": 2, "levels": None, "point": None, "n_max": 4}))
+    out = tmp_path / "x.csv"
+    assert main(["converge", "--group", "2,3", "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+
 def test_unknown_command_and_flags_exit_2(capsys):
     assert main(["mystery-command"]) == 2
     assert main(["kernel-profile", "--mystery"]) == 2

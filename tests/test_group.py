@@ -1,5 +1,7 @@
 """Group arithmetic, the mixed-radix digit system, and interval structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,9 @@ from vilenkin.group import (
     Element,
     add,
     digit_table,
-    digits,
     format_element,
     format_group,
     generator,
-    index_of,
     interval_members,
     make_group,
     parse_element,
@@ -45,22 +45,37 @@ def test_make_group_rejects_bad_input():
         make_group([2], 100)  # 2**100 overflows the size cap
 
 
+def test_make_group_overflow_stops_before_building_every_radix():
+    # levels far past the 62 that fit must be refused without first
+    # materialising one radix per level
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="overflow"):
+            make_group([2], 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="overflow"):
+        make_group([2, 3], 10**8)
+
+
 def test_digits_examples():
     spec = make_group([2, 3, 2])
-    assert digits(7, spec) == (1, 0, 1)
-    assert digits(0, spec) == (0, 0, 0)
-    assert digits(11, spec) == (1, 2, 1)
+    assert spec.digits(7) == (1, 0, 1)
+    assert spec.digits(0) == (0, 0, 0)
+    assert spec.digits(11) == (1, 2, 1)
     dyadic = make_group([2], 3)
-    assert digits(5, dyadic) == (1, 0, 1)
+    assert dyadic.digits(5) == (1, 0, 1)
 
 
 def test_digits_round_trip_exhaustive():
     for spec in (make_group([2, 3, 2]), make_group([2, 3, 2, 3]), make_group([2], 6)):
         seen = set()
         for n in range(spec.size):
-            d = digits(n, spec)
+            d = spec.digits(n)
             assert all(0 <= dj < mj for dj, mj in zip(d, spec.m))
-            assert index_of(d, spec) == n
+            assert spec.index_of(d) == n
             seen.add(d)
         assert len(seen) == spec.size
 
@@ -68,13 +83,13 @@ def test_digits_round_trip_exhaustive():
 def test_digits_validation():
     spec = make_group([2, 3, 2])
     with pytest.raises(ValueError):
-        digits(12, spec)
+        spec.digits(12)
     with pytest.raises(ValueError):
-        digits(-1, spec)
+        spec.digits(-1)
     with pytest.raises(ValueError):
-        index_of((2, 0, 0), spec)
+        spec.index_of((2, 0, 0))
     with pytest.raises(ValueError):
-        index_of((0, 0), spec)
+        spec.index_of((0, 0))
 
 
 def test_add_example():
@@ -165,7 +180,7 @@ def test_interval_membership_matches_shared_digits():
     for rank in range(spec.levels + 1):
         members = set(interval_members(x, rank).tolist())
         for t in range(spec.size):
-            shares = digits(t, spec)[:rank] == x.digits[:rank]
+            shares = spec.digits(t)[:rank] == x.digits[:rank]
             assert (t in members) == shares
 
 
@@ -174,7 +189,7 @@ def test_digit_table_matches_digits():
     table = digit_table(spec)
     assert table.shape == (spec.size, spec.levels)
     for n in range(spec.size):
-        assert tuple(table[n]) == digits(n, spec)
+        assert tuple(table[n]) == spec.digits(n)
     with pytest.raises(ValueError):
         table[0, 0] = 1  # read-only
 

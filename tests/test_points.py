@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from vilenkin.group import Element, digits, generator, make_group, subtract
+import vilenkin.kernels
+import vilenkin.points
+from vilenkin.group import Element, generator, make_group, subtract
 from vilenkin.means import parse_weights, weights
 from vilenkin.points import (
     convergence_profile,
@@ -25,7 +27,7 @@ def oracle_w_modulus(f, x, rank):
             for _ in range(r):
                 shifted = subtract(shifted, generator(s, spec))
             for t in range(spec.size):
-                if digits(t, spec)[:rank] == shifted.digits[:rank]:
+                if spec.digits(t)[:rank] == shifted.digits[:rank]:
                     total += spec.M[s] * abs(f.values[t] - fx) / spec.size
     return total
 
@@ -198,3 +200,32 @@ def test_partial_sum_sup_error_collapses_at_block():
     spec = make_group([2, 3, 2])
     f = GridFunction.random(spec, seed=35, rank=1)
     assert norm(partial_sum(f, spec.M[1]) - f, math.inf) < 1e-13
+
+
+def test_profiles_analyse_once_and_synthesize_once_per_order(monkeypatch):
+    # counts, not timings: a return to per-order analysis shows on any machine
+    calls = {"forward": 0, "inverse": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(vilenkin.points, "forward")
+    counted(vilenkin.kernels, "inverse")
+    spec = make_group([2, 3, 2, 3])
+    f = GridFunction.random(spec, seed=36)
+    w = parse_weights("riesz")
+    ns = list(range(2, spec.size + 1))
+    for form in ("t", "norlund", "partial"):
+        calls.update(forward=0, inverse=0)
+        convergence_profile(f, w, ns, form=form, p=1)
+        assert calls == {"forward": 1, "inverse": len(ns)}
+        calls.update(forward=0, inverse=0)
+        maximal_profile(f, w, spec.size, form=form)
+        start = 1 if form == "partial" else w.n0
+        assert calls == {"forward": 1, "inverse": spec.size - start + 1}

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from vilenkin.group import Element, digits, make_group, subtract
+from vilenkin.group import Element, make_group, subtract
 from vilenkin.transform import (
     GridFunction,
     Spectrum,
@@ -30,7 +30,7 @@ from vilenkin.transform import (
 def oracle_psi(spec, n, x):
     """Character value straight from the digit definition, no shared tables."""
     total = 1.0 + 0.0j
-    for nk, xk, mk in zip(digits(n, spec), digits(x, spec), spec.m):
+    for nk, xk, mk in zip(spec.digits(n), spec.digits(x), spec.m):
         total *= cmath.exp(2j * cmath.pi * nk * xk / mk)
     return total
 
@@ -301,3 +301,28 @@ def test_csv_round_trips(tmp_path):
     assert np.array_equal(sback.coeffs, s.coeffs)
     with pytest.raises(ValueError):
         GridFunction.from_csv(make_group([2, 3, 2, 3]), path)
+
+
+def _write_rows(path, indices):
+    path.write_text("index,re,im\n" + "".join(f"{i},{i}.5,0\n" for i in indices))
+
+
+def test_csv_rejects_negative_index(tmp_path):
+    path = tmp_path / "f.csv"
+    _write_rows(path, [0, 1, 2, -1])
+    with pytest.raises(ValueError, match="outside"):
+        GridFunction.from_csv(make_group([2, 2]), path)
+
+
+def test_csv_rejects_out_of_range_index(tmp_path):
+    path = tmp_path / "f.csv"
+    _write_rows(path, [0, 1, 2, 4])
+    with pytest.raises(ValueError, match="outside"):
+        GridFunction.from_csv(make_group([2, 2]), path)
+
+
+def test_csv_rejects_duplicate_index(tmp_path):
+    path = tmp_path / "f.csv"
+    _write_rows(path, [0, 0, 2, 3])
+    with pytest.raises(ValueError, match="duplicate"):
+        GridFunction.from_csv(make_group([2, 2]), path)
