@@ -11,6 +11,7 @@ from .group import (
 )
 from .kernels import (
     KernelProfileRow,
+    abel_kernel_residuals,
     dirichlet,
     domination_constant,
     fejer,
@@ -18,6 +19,7 @@ from .kernels import (
     l1_profile,
     multiplier,
     norlund_kernel,
+    reflection_residuals,
     synthesize,
     t_kernel,
 )
@@ -32,6 +34,7 @@ from .means import (
     parse_weights,
     passes_gate,
     t_mean,
+    t_mean_oracles,
     weights,
 )
 from .points import (

@@ -11,7 +11,6 @@ indices congruent to it mod M_n, i.e. an arithmetic progression of stride M_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -166,17 +165,6 @@ def interval_members(x: Element, rank: int) -> np.ndarray:
         raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
     stride = spec.M[rank]
     return np.arange(x.index % stride, spec.size, stride, dtype=np.int64)
-
-
-@lru_cache(maxsize=32)
-def digit_table(spec: GroupSpec) -> np.ndarray:
-    """(M_N, N) int64 array: row n holds the digit vector of index n."""
-    idx = np.arange(spec.size, dtype=np.int64)
-    table = np.empty((spec.size, spec.levels), dtype=np.int64)
-    for j in range(spec.levels):
-        table[:, j] = (idx // spec.M[j]) % spec.m[j]
-    table.setflags(write=False)
-    return table
 
 
 # --- plain-text round trips used by the CLI ---------------------------------

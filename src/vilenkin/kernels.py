@@ -13,14 +13,15 @@ Fejer kernel), returned by multiplier(), so each kernel is one synthesis pass
 and each matching mean is the same pass over the multiplied spectrum of f.
 The identity checks in identity_residual() deliberately rebuild their
 right-hand sides from other kernels so that the two sides travel different
-numerical paths.
+numerical paths; reflection_residuals() and abel_kernel_residuals() run the
+same checks over every case in one pass, synthesizing each kernel once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +40,8 @@ __all__ = [
     "t_kernel",
     "norlund_kernel",
     "identity_residual",
+    "reflection_residuals",
+    "abel_kernel_residuals",
     "l1_profile",
     "domination_constant",
 ]
@@ -136,6 +139,10 @@ def identity_residual(
                            + q_{n-1} (n-1) K_{n-1}
     kind='block' (takes weights and rank, with Q(M_rank) > 0):
         t_kernel_{M_r} = D_{M_r} - psi_{M_r - 1} * conj(norlund_kernel_{M_r})
+
+    The sweeps reflection_residuals() and abel_kernel_residuals() evaluate
+    the first two identities with these same formulas, in the same
+    floating-point order, over every case at once.
     """
     if kind == "reflection":
         if rank is None or j is None:
@@ -145,22 +152,17 @@ def identity_residual(
         block = spec.M[rank]
         if not 0 <= j < block:
             raise ValueError(f"offset {j} outside [0, {block})")
-        lhs = dirichlet(block - j, spec).values
-        rhs = dirichlet(block, spec).values
-        if j:
-            rhs = rhs - character_row(spec, block - 1) * dirichlet(j, spec).values.conj()
-        return float(np.max(np.abs(lhs - rhs)))
+        full = dirichlet(block, spec).values
+        if not j:
+            return _reflection_gap(full, full)
+        row = character_row(spec, block - 1)
+        return _reflection_gap(
+            dirichlet(block - j, spec).values, full, row, dirichlet(j, spec).values
+        )
     if kind == "abel-kernel":
         if weights is None or n is None:
             raise ValueError("abel-kernel residual needs weights and n")
-        lhs = t_kernel(weights, n, spec).values
-        q = weights.q_array(n)
-        rhs = np.zeros(spec.size, dtype=np.complex128)
-        for i in range(1, n - 1):
-            rhs += (q[i] - q[i + 1]) * i * fejer(i, spec).values
-        if n >= 2:
-            rhs += q[n - 1] * (n - 1) * fejer(n - 1, spec).values
-        return float(np.max(np.abs(lhs - rhs / weights.Q(n))))
+        return next(abel_kernel_residuals(spec, weights, [n]))[1]
     if kind == "block":
         if weights is None or rank is None:
             raise ValueError("block residual needs weights and rank")
@@ -173,6 +175,72 @@ def identity_residual(
         ) * norlund_kernel(weights, block, spec).values.conj()
         return float(np.max(np.abs(lhs - rhs)))
     raise ValueError(f"unknown identity kind {kind!r}")
+
+
+def _reflection_gap(
+    lhs: np.ndarray,
+    full: np.ndarray,
+    row: np.ndarray | None = None,
+    low: np.ndarray | None = None,
+) -> float:
+    """max |D_{M-j} - (D_M - psi_{M-1} conj(D_j))|; row and low are absent at j = 0."""
+    rhs = full if low is None else full - row * low.conj()
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
+    """(rank, j, residual) of the reflection identity for every rank and j < M_rank.
+
+    Offsets j and M_r - j need the same two Dirichlet kernels, so each rank
+    synthesizes D_1, ..., D_{M_r} once and psi_{M_r - 1} once: sum_r M_r
+    syntheses in all, and O(M_N) working memory.
+    """
+    for rank in range(spec.levels + 1):
+        block = spec.M[rank]
+        full = dirichlet(block, spec).values
+        yield rank, 0, _reflection_gap(full, full)
+        if block == 1:
+            continue
+        row = character_row(spec, block - 1)
+        for j in range(1, block // 2 + 1):
+            low = dirichlet(j, spec).values
+            high = low if 2 * j == block else dirichlet(block - j, spec).values
+            yield rank, j, _reflection_gap(high, full, row, low)
+            if 2 * j != block:
+                yield rank, block - j, _reflection_gap(low, full, row, high)
+
+
+def abel_kernel_residuals(
+    spec: GroupSpec, weights: "WeightSequence", ns: Sequence[int]
+) -> Iterator[tuple[int, float]]:
+    """(n, residual) of the abel-kernel identity for each order of ascending ns.
+
+    The right-hand side is kept as a running sum over i of
+    (q_i - q_{i+1}) i K_i, added in increasing i, so every K_i with
+    i < max(ns) is synthesized once and each order costs one t_kernel on top.
+    """
+    partial = np.zeros(spec.size, dtype=np.complex128)  # the terms i = 1..done
+    done = 0
+    kernel = None  # K_{done + 1} once synthesized
+    previous = 0
+    for n in ns:
+        if n < previous:
+            raise ValueError(f"orders must ascend, got {n} after {previous}")
+        previous = n
+        lhs = t_kernel(weights, n, spec).values  # also validates n and Q_n
+        q = weights.q_array(n)
+        while done < n - 2:
+            done += 1
+            if kernel is None:
+                kernel = fejer(done, spec).values
+            partial += (q[done] - q[done + 1]) * done * kernel
+            kernel = None
+        rhs = partial
+        if n >= 2:
+            if kernel is None:
+                kernel = fejer(n - 1, spec).values
+            rhs = partial + q[n - 1] * (n - 1) * kernel
+        yield n, float(np.max(np.abs(lhs - rhs / weights.Q(n))))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -256,49 +257,55 @@ def t_mean(
     Three routes are kept deliberately distinct so they can cross-check each
     other: 'convolution' convolves f with the forward-frame kernel, 'direct'
     accumulates partial sums term by term, and 'abel' rebuilds T_n from
-    Fejer means via summation by parts.  The last two are oracles.
+    Fejer means via summation by parts.  The last two are oracles, computed
+    by one order of the t_mean_oracles() pass.
     """
-    lam = multiplier("t", n, f.spec, w)  # also validates n and Q_n for the oracles
     if method == "convolution":
-        return convolve(f, synthesize(f.spec, lam))
-    if method == "direct":
-        return _t_mean_direct(f, w, n)
-    if method == "abel":
-        return _t_mean_abel(f, w, n)
-    raise ValueError(f"unknown method {method!r}")
+        return convolve(f, synthesize(f.spec, multiplier("t", n, f.spec, w)))
+    if method not in ("direct", "abel"):
+        raise ValueError(f"unknown method {method!r}")
+    _, direct, abel = next(t_mean_oracles(f, w, [n]))
+    return direct if method == "direct" else abel
 
 
-def _t_mean_direct(f: GridFunction, w: WeightSequence, n: int) -> GridFunction:
+def t_mean_oracles(
+    f: GridFunction, w: WeightSequence, ns: Sequence[int]
+) -> Iterator[tuple[int, GridFunction, GridFunction]]:
+    """(n, direct T_n f, abel T_n f) for each order of ascending ns, in one pass.
+
+    With S_k = sum_{i<k} fhat(i) psi_i and R_k = S_1 + ... + S_k (so that
+    R_k = k sigma_k f), the two oracle routes are
+
+        direct  Q_n T_n f = sum_{k<n} q_k S_k
+        abel    Q_n T_n f = sum_{j=1}^{n-2} (q_j - q_{j+1}) R_j + q_{n-1} R_{n-1}
+
+    Both are running sums in k, so one forward(f) and one character row per
+    k < max(ns) - 1 serve every order, in O(M_N) working memory.
+    """
     spec = f.spec
     fh = forward(f).coeffs
-    q = w.q_array(n)
-    S = np.zeros(spec.size, dtype=np.complex128)
-    acc = np.zeros(spec.size, dtype=np.complex128)
-    for k in range(n):
-        if q[k]:
-            acc += q[k] * S
-        S += fh[k] * character_row(spec, k)
-    return GridFunction(spec, acc / w.Q(n))
-
-
-def _t_mean_abel(f: GridFunction, w: WeightSequence, n: int) -> GridFunction:
-    # T_n f = (1/Q_n) [ sum_{j=1}^{n-2} (q_j - q_{j+1}) j sigma_j f
-    #                   + q_{n-1} (n-1) sigma_{n-1} f ]
-    # where j sigma_j f = S_1 f + ... + S_j f.
-    spec = f.spec
-    fh = forward(f).coeffs
-    q = w.q_array(n)
-    S = np.zeros(spec.size, dtype=np.complex128)
-    running = np.zeros(spec.size, dtype=np.complex128)
-    acc = np.zeros(spec.size, dtype=np.complex128)
-    for j in range(1, n):
-        S += fh[j - 1] * character_row(spec, j - 1)
-        running += S
-        if j <= n - 2:
-            acc += (q[j] - q[j + 1]) * running
-        else:
-            acc += q[n - 1] * running
-    return GridFunction(spec, acc / w.Q(n))
+    S = np.zeros(spec.size, dtype=np.complex128)  # S_n
+    running = np.zeros(spec.size, dtype=np.complex128)  # R_{n-1}
+    direct = np.zeros(spec.size, dtype=np.complex128)  # sum_{k<n} q_k S_k
+    abel = np.zeros(spec.size, dtype=np.complex128)  # the terms j <= n-2
+    n = 0  # the order the sums above have reached
+    for target in ns:
+        if target < n:
+            raise ValueError(f"orders must ascend, got {target} after {n}")
+        multiplier("t", target, spec, w)  # validates the order and Q_n
+        q = w.q_array(target)
+        while n < target:
+            if n:
+                S += fh[n - 1] * character_row(spec, n - 1)
+                if n >= 2:
+                    abel += (q[n - 1] - q[n]) * running
+                running += S
+            if q[n]:
+                direct += q[n] * S
+            n += 1
+        last = q[n - 1] * running if n >= 2 else 0.0
+        Q = w.Q(n)
+        yield n, GridFunction(spec, direct / Q), GridFunction(spec, (abel + last) / Q)
 
 
 def norlund_mean(f: GridFunction, w: WeightSequence, n: int) -> GridFunction:

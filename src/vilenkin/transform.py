@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .group import Element, GroupSpec, digit_table
+from .group import Element, GroupSpec
 
 __all__ = [
     "GridFunction",
@@ -50,14 +50,22 @@ def _roots(spec: GroupSpec) -> np.ndarray:
 def _phase_rows(spec: GroupSpec, ns: np.ndarray) -> np.ndarray:
     """Integer phase matrix P[i, x] with psi_{ns[i]}(x) = roots[P[i, x]].
 
-    The phase of psi_n at x is sum_k n_k * x_k / m_k (mod 1), an integer
-    multiple of 1/L; the matrix holds that integer mod L.
+    The phase of psi_n at x is sum_k n_k * x_k * (L / m_k) (mod L).  Over the
+    grid reshaped in C order to (m_{N-1}, ..., m_0), coordinate k runs along
+    one axis only, so the phase is a broadcast sum of one length-m_k vector
+    per coordinate: O(M_N) work per row and no (M_N x N) digit table.
     """
-    table = digit_table(spec)
     L = len(_roots(spec))
-    scale = np.array([L // r for r in spec.m], dtype=np.int64)
-    phases = (table[ns] * scale) @ table.T
-    return phases % L
+    ns = np.asarray(ns, dtype=np.int64)
+    phases = np.zeros((len(ns),), dtype=np.int64)
+    for k in reversed(range(spec.levels)):
+        r = spec.m[k]
+        digit = (ns // spec.M[k]) % r
+        step = digit[:, None] * (L // r) * np.arange(r)
+        phases = phases[..., None] + step.reshape(len(ns), *(1,) * (phases.ndim - 1), r)
+    phases = phases.reshape(len(ns), spec.size)
+    phases %= L
+    return phases
 
 
 def character_row(spec: GroupSpec, n: int) -> np.ndarray:

@@ -1,11 +1,21 @@
 """End-to-end runs of the command-line drivers."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vilenkin.cli import ExperimentConfig, load_config, main, run
+import vilenkin
+import vilenkin.cli
+import vilenkin.kernels
+import vilenkin.means
+from vilenkin.cli import FAST_REPEATS, ExperimentConfig, load_config, main, run
+from vilenkin.group import make_group
+from vilenkin.means import parse_weights
 
 
 def read_csv(path):
@@ -43,6 +53,74 @@ def test_identity_check_clean_run(tmp_path, capsys):
     assert all(float(r["residual"]) <= 1e-12 for r in rows)
     text = capsys.readouterr().out
     assert text.count("-> ok") == 5
+
+
+@pytest.mark.parametrize("family", ["riesz", "constant"])
+def test_identity_check_cost_is_linear_in_blocks_and_orders(tmp_path, monkeypatch, family):
+    # Counts, not timings.  With M = (M_0, ..., M_N), orders n0..n_max and
+    # B = #{r : Q(M_r) > 0} block ranks, one identity-check run makes
+    #   inverse:       sum_r M_r    reflection: D_1..D_{M_r} once per rank
+    #                  + orders     abel-kernel: one t_kernel per order
+    #                  + n_max - 1  abel-kernel: K_1..K_{n_max-1} once each
+    #                  + 3 B        block: t, Dirichlet and Norlund kernels
+    #   fejer:         n_max - 1
+    #   character_row: N            reflection: psi_{M_r - 1} once per rank r >= 1
+    #                  + B          block: psi_{M_r - 1}
+    #                  + n_max - 1  abel-mean: psi_k for k <= n_max - 2, shared
+    #                               by the direct and abel running sums
+    #   forward:       1            abel-mean
+    # On 2,3 x 3 (M = 1, 2, 6, 12, n_max = 12) riesz gives 52 / 11 / 17 / 1
+    # and constant (n0 = 1, B = 4) gives 56 / 11 / 18 / 1.
+    calls = dict.fromkeys(["inverse", "fejer", "character_row", "forward"], 0)
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("inverse", "fejer", "character_row"):
+        counted(vilenkin.kernels, name)
+    counted(vilenkin.means, "character_row")
+    counted(vilenkin.means, "forward")
+    args = ["--group", "2,3", "--levels", "3", "--weights", family]
+    assert main(["identity-check", *args, "--out", str(tmp_path / "i.csv")]) == 0
+    spec, w = make_group([2, 3], 3), parse_weights(family)
+    n_max = spec.size
+    orders = n_max - w.n0 + 1
+    blocks = sum(1 for b in spec.M if w.Q(b) > 0)
+    assert calls == {
+        "inverse": sum(spec.M) + orders + (n_max - 1) + 3 * blocks,
+        "fejer": n_max - 1,
+        "character_row": spec.levels + blocks + (n_max - 1),
+        "forward": 1,
+    }
+
+
+def test_closed_stdout_keeps_csv_and_exit_status(tmp_path):
+    # exit 1 is reserved for a failed check, so a reader that goes away early
+    # (`vilenkin identity-check ... | head -1`) must cost neither the CSV nor
+    # the status, and must print no traceback
+    out, err = tmp_path / "piped.csv", tmp_path / "stderr.txt"
+    path = [str(Path(vilenkin.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    args = ["identity-check", "--group", "2,3", "--levels", "3", "--out"]
+    with open(err, "wb") as err_fh:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vilenkin", *args, str(out)],
+            stdout=subprocess.PIPE,
+            stderr=err_fh,
+            env=env,
+        )
+        proc.stdout.close()  # before the child has written its first line
+        code = proc.wait(timeout=120)
+    assert err.read_text() == ""
+    assert code == 0
+    assert main([*args, str(tmp_path / "direct.csv")]) == 0
+    assert out.read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
 def test_kernel_profile_fejer_hand_row(tmp_path):
@@ -180,6 +258,22 @@ def test_bench_transform_agrees(tmp_path):
     _, rows = read_csv(out)
     assert [r["method"] for r in rows] == ["naive", "fast"]
     assert all(float(r["max_abs_diff"]) <= 1e-10 for r in rows)
+
+
+def test_bench_transform_warms_up_and_repeats_fast_route(tmp_path, monkeypatch):
+    # the first call fills the root and stage-matrix caches, so the timed
+    # runs measure the transform alone; the fast time is a median
+    methods = []
+    real = vilenkin.cli.forward
+
+    def counted(f, method="fast"):
+        methods.append(method)
+        return real(f, method)
+
+    monkeypatch.setattr(vilenkin.cli, "forward", counted)
+    out = tmp_path / "bench.csv"
+    assert main(["bench-transform", "--group", "2,3", "--levels", "3", "--out", str(out)]) == 0
+    assert methods == ["fast", "naive"] + ["fast"] * FAST_REPEATS
 
 
 def test_json_config_with_flag_override(tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from vilenkin.group import (
     Element,
     add,
-    digit_table,
     format_element,
     format_group,
     generator,
@@ -182,16 +181,6 @@ def test_interval_membership_matches_shared_digits():
         for t in range(spec.size):
             shares = spec.digits(t)[:rank] == x.digits[:rank]
             assert (t in members) == shares
-
-
-def test_digit_table_matches_digits():
-    spec = make_group([2, 3, 2, 3])
-    table = digit_table(spec)
-    assert table.shape == (spec.size, spec.levels)
-    for n in range(spec.size):
-        assert tuple(table[n]) == spec.digits(n)
-    with pytest.raises(ValueError):
-        table[0, 0] = 1  # read-only
 
 
 def test_serialization_round_trips():

@@ -1,8 +1,10 @@
-"""Property tests of the multiplier core over random radix sequences.
+"""Property tests of the multiplier core and the identity sweeps over random radix sequences.
 
 Each mean computed as one synthesis of fhat * lambda_n must agree to 1e-12
 with routes that never touch the multiplier: the direct and Abel
-accumulations of t_mean, and the q-weighted expansion in partial sums.
+accumulations of t_mean, and the q-weighted expansion in partial sums.  The
+kernel identities hold to 1e-12, and every sweep returns, order by order, the
+very value of the single-case call.
 """
 
 import math
@@ -12,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vilenkin.group import Element, make_group
-from vilenkin.means import norlund_mean, parse_weights, t_mean
+from vilenkin.kernels import abel_kernel_residuals, identity_residual, reflection_residuals
+from vilenkin.means import norlund_mean, parse_weights, t_mean, t_mean_oracles
 from vilenkin.points import convergence_profile
 from vilenkin.transform import GridFunction, norm, partial_sum
 
@@ -76,3 +79,27 @@ def test_norlund_and_partial_match_partial_sum_expansion(case):
         assert np.max(np.abs(norlund_mean(f, w, n).values - expansion[n])) < TOL
     _assert_profile_matches(f, w, ns, x, "norlund", {n: [expansion[n]] for n in ns})
     _assert_profile_matches(f, None, ns, x, "partial", {n: [sums[n]] for n in ns})
+
+
+@settings(max_examples=25, deadline=None)
+@given(cases())
+def test_identity_sweeps_hold_and_equal_single_cases(case):
+    spec, w, ns, f, x = case
+    for rank, j, r in reflection_residuals(spec):
+        assert r < TOL
+        if j in (0, 1, spec.M[rank] // 2, spec.M[rank] - 1):
+            assert r == identity_residual("reflection", spec, rank=rank, j=j)
+    swept = list(abel_kernel_residuals(spec, w, ns))
+    assert [n for n, _ in swept] == ns
+    for n, r in swept:
+        assert r < TOL
+        assert r == identity_residual("abel-kernel", spec, weights=w, n=n)
+    for rank in range(spec.levels + 1):
+        # the block kernels reach sup |D_{M_r}| = M_r, and at M_r = 960 the
+        # residual is already 1.8e-12, so this one is relative to that scale
+        if w.Q(spec.M[rank]) > 0:
+            assert identity_residual("block", spec, weights=w, rank=rank) < TOL * spec.M[rank]
+    for n, direct, abel in t_mean_oracles(f, w, ns):
+        assert np.max(np.abs(direct.values - abel.values)) < TOL
+        assert np.array_equal(direct.values, t_mean(f, w, n, method="direct").values)
+        assert np.array_equal(abel.values, t_mean(f, w, n, method="abel").values)

@@ -7,6 +7,7 @@ by the defining double sum.  The production code must agree with them.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,21 @@ def test_character_row_matches_psi():
             assert row[x] == psi(n, Element.from_index(spec, x))
     with pytest.raises(ValueError):
         character_row(spec, spec.size)
+
+
+def test_character_row_memory_is_linear_in_grid_size():
+    # the phases are a broadcast sum over the grid reshaped to m[::-1]; an
+    # (M_N x N) int64 digit table would be 160 B per cell here (168 MB)
+    spec = make_group([2], 20)
+    tracemalloc.start()
+    try:
+        row = character_row(spec, spec.size - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * spec.size  # the complex row is 16 B per cell
+    x = Element.from_index(spec, 3)
+    assert row[x.index] == psi(spec.size - 1, x) == 1.0
 
 
 def test_orthonormality_gram():
