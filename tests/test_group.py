@@ -79,6 +79,18 @@ def test_digits_round_trip_exhaustive():
         assert len(seen) == spec.size
 
 
+def test_digit_table_matches_digits():
+    # The characters build their phases from the grid reshaped in C order to
+    # (m_{N-1}, ..., m_0): the multi-index of n there is spec.digits(n) reversed,
+    # and digit k is (n // M_k) % m_k.
+    spec = make_group([2, 3, 2, 3])
+    grid = np.arange(spec.size).reshape(spec.m[::-1])
+    for n in range(spec.size):
+        d = spec.digits(n)
+        assert grid[d[::-1]] == n
+        assert d == tuple((n // spec.M[k]) % spec.m[k] for k in range(spec.levels))
+
+
 def test_digits_validation():
     spec = make_group([2, 3, 2])
     with pytest.raises(ValueError):
