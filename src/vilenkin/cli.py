@@ -225,17 +225,20 @@ def _run_identity_check(cfg: ExperimentConfig, out: Path) -> int:
     n_max = _resolve_n_max(cfg, spec)
     f = _build_function(cfg, spec)
     rows: list[list[str]] = []
-    failures = 0
+    failures: dict[str, int] = {}
 
-    def record(check: str, n: int, j: int | None, residual: float) -> None:
-        nonlocal failures
-        if residual > CHECK_TOL:
-            failures += 1
+    def record(
+        check: str, n: int, j: int | None, residual: float, scale: int = 1
+    ) -> None:
+        # the reflection and block kernels reach sup |D_{M_r}| = M_r, so
+        # their rounding grows with M_r and their tolerance is CHECK_TOL * M_r
+        if residual > CHECK_TOL * scale:
+            failures[check] = failures.get(check, 0) + 1
         rows.append([check, str(n), "" if j is None else str(j), _fmt(residual)])
 
     def summarize(check: str, residuals: list[float]) -> None:
         worst = max(residuals) if residuals else 0.0
-        status = "ok" if worst <= CHECK_TOL else "FAIL"
+        status = "FAIL" if failures.get(check) else "ok"
         _say(
             f"identity-check {check}: max residual {worst:.3e} "
             f"over {len(residuals)} cases -> {status}"
@@ -243,7 +246,7 @@ def _run_identity_check(cfg: ExperimentConfig, out: Path) -> int:
 
     got: list[float] = []
     for rank, j, r in reflection_residuals(spec):
-        record("reflection", rank, j, r)
+        record("reflection", rank, j, r, spec.M[rank])
         got.append(r)
     summarize("reflection", got)
 
@@ -273,7 +276,7 @@ def _run_identity_check(cfg: ExperimentConfig, out: Path) -> int:
         if w.Q(spec.M[rank]) <= 0:
             continue
         r = identity_residual("block", spec, weights=w, rank=rank)
-        record("block", rank, None, r)
+        record("block", rank, None, r, spec.M[rank])
         got.append(r)
     summarize("block", got)
 
@@ -440,7 +443,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("kernel-profile", "L1 norms, integrals and tails of a kernel family"),
-        ("identity-check", "run the algebraic identity suite at tolerance 1e-12"),
+        (
+            "identity-check",
+            "run the algebraic identity suite at tolerance 1e-12 (x M_r on blocks)",
+        ),
         ("converge", "pointwise or L_p error profile of a summability mean"),
         ("classify-weights", "monotonicity and sup statistics of a weight family"),
         ("bench-transform", "time the naive vs fast transform and check agreement"),

@@ -25,6 +25,7 @@ exact for every family.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -32,7 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .kernels import multiplier, synthesize
-from .transform import GridFunction, character_row, convolve, forward
+from .transform import GridFunction, _analyse, character_row, convolve, forward
 
 _ALPHA_KINDS = frozenset({"cesaro", "inverse-cesaro", "power", "log-power"})
 _PLAIN_KINDS = frozenset({"constant", "riesz-log", "norlund-log"})
@@ -85,8 +86,15 @@ class WeightSequence:
             raise ValueError(f"{self.kind} takes no alpha")
 
     def q_array(self, count: int) -> np.ndarray:
-        """Weights q_0 .. q_{count-1} as a read-only vector."""
-        return _q_cache(self, count)
+        """Weights q_0 .. q_{count-1} as a read-only vector.
+
+        A prefix of one cached array per power-of-two size class (Q_array
+        likewise), so a sweep over orders up to n keeps O(n) values alive,
+        not one array per order.  Every entry is computed elementwise or by a
+        sequential cumulative product or sum, so a prefix equals the array
+        computed at its own length.
+        """
+        return _q_cache(self, _capacity(count))[:count]
 
     def q(self, k: int) -> float:
         if k < 0:
@@ -95,7 +103,7 @@ class WeightSequence:
 
     def Q_array(self, n: int) -> np.ndarray:
         """Cumulative sums Q_0 .. Q_n as a read-only vector of length n+1."""
-        return _Q_cache(self, n)
+        return _Q_cache(self, _capacity(n))[: n + 1]
 
     def Q(self, n: int) -> float:
         return float(self.Q_array(n)[n])
@@ -112,10 +120,16 @@ class WeightSequence:
         return f"{short}:{self.alpha:g}"
 
 
-@lru_cache(maxsize=512)
-def _q_cache(w: WeightSequence, count: int) -> np.ndarray:
+def _capacity(count: int) -> int:
+    """The power of two above count: the cached length serving it."""
+    count = operator.index(count)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    return 1 << count.bit_length()
+
+
+@lru_cache(maxsize=512)
+def _q_cache(w: WeightSequence, count: int) -> np.ndarray:
     k = np.arange(count, dtype=np.float64)
     if w.kind == "constant":
         q = np.ones(count)
@@ -280,7 +294,9 @@ def t_mean_oracles(
         abel    Q_n T_n f = sum_{j=1}^{n-2} (q_j - q_{j+1}) R_j + q_{n-1} R_{n-1}
 
     Both are running sums in k, so one forward(f) and one character row per
-    k < max(ns) - 1 serve every order, in O(M_N) working memory.
+    k < max(ns) - 1 serve every order, in O(M_N) working memory.  The full
+    forward(f), not an analysis up to max(ns), keeps every order's value
+    independent of the other orders in ns.
     """
     spec = f.spec
     fh = forward(f).coeffs
@@ -311,7 +327,7 @@ def t_mean_oracles(
 def norlund_mean(f: GridFunction, w: WeightSequence, n: int) -> GridFunction:
     """Reversed-frame mean t_n f = (1/Q_n) sum_{k=1}^{n} q_{n-k} S_k f."""
     lam = multiplier("norlund", n, f.spec, w)
-    return synthesize(f.spec, forward(f).coeffs[:n] * lam)
+    return synthesize(f.spec, _analyse(f, n) * lam)
 
 
 _NAMED = {

@@ -17,7 +17,7 @@ import numpy as np
 from .group import Element, generator, interval_members, subtract
 from .kernels import multiplier, synthesize
 from .means import WeightSequence
-from .transform import GridFunction, forward, norm
+from .transform import GridFunction, _analyse, norm
 
 __all__ = [
     "ConvergenceRow",
@@ -79,13 +79,15 @@ def _means(
 ) -> Iterator[tuple[int, GridFunction]]:
     """Yield (n, the order-n mean of f) for each n in ns.
 
-    f is analysed once; each order then costs one synthesis of its
+    f is analysed once, up to the largest order, since an order-n mean
+    reads only fhat[:n]; each order then costs one synthesis of its
     multiplied spectrum.
     """
     if form not in _FORM_FAMILY:
         raise ValueError(f"unknown mean form {form!r}; expected t, norlund or partial")
     family = _FORM_FAMILY[form]
-    fh = forward(f).coeffs
+    ns = list(ns)
+    fh = _analyse(f, max(ns, default=0))
     for n in ns:
         yield n, synthesize(f.spec, fh[:n] * multiplier(family, n, f.spec, w))
 

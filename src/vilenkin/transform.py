@@ -15,6 +15,7 @@ instead of accumulating independent rounding.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -36,6 +37,10 @@ __all__ = [
     "norm",
     "weak_norm",
 ]
+
+# Cells (rows x M_N) per chunk of the naive transform: about 10 MB of
+# working memory at any M_N.
+_NAIVE_CHUNK_CELLS = 2**18
 
 
 @lru_cache(maxsize=32)
@@ -154,8 +159,7 @@ class GridFunction:
         rng = np.random.default_rng(seed)
         stride = spec.M[rank]
         base = rng.standard_normal(stride) + 1j * rng.standard_normal(stride)
-        idx = np.arange(spec.size, dtype=np.int64)
-        return cls(spec, base[idx % stride])
+        return cls(spec, np.tile(base, spec.size // stride))
 
     def at(self, x: Element) -> complex:
         return complex(self.values[x.index])
@@ -250,26 +254,55 @@ def _dft_matrix(spec: GroupSpec, k: int, inverse: bool) -> np.ndarray:
 
 
 def _apply_stages(spec: GroupSpec, data: np.ndarray, inverse: bool) -> np.ndarray:
-    """Run the mixed-radix butterfly over every coordinate.
+    """Run the first s radix stages of the butterfly on a length-M_s vector.
 
-    The length-M_N vector reshapes in C order to (m_{N-1}, ..., m_0), which
-    puts coordinate k on axis N-1-k; each stage contracts one axis with its
-    radix-m_k character matrix, for a total cost of O(M_N * sum_k m_k).
+    The vector reshapes in C order to (m_{s-1}, ..., m_0), which puts
+    coordinate k on axis s-1-k; each stage contracts one axis with its
+    radix-m_k character matrix, for a total cost of O(M_s * sum_{k<s} m_k).
+    With s = N this is the whole transform.
     """
-    arr = data.reshape(spec.m[::-1])
-    for k in range(spec.levels):
-        axis = spec.levels - 1 - k
+    s = spec.M.index(len(data))
+    arr = data.reshape(spec.m[:s][::-1])
+    for k in range(s):
+        axis = s - 1 - k
         mat = _dft_matrix(spec, k, inverse)
         arr = np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
     return arr.reshape(-1)
 
 
+def _band(spec: GroupSpec, count: int) -> int:
+    """M_s for the smallest rank s with count <= M_s (count is at most M_N)."""
+    return spec.M[bisect_left(spec.M, count)]
+
+
+def _analyse(f: GridFunction, count: int) -> np.ndarray:
+    """The first count Fourier coefficients fhat(0), ..., fhat(count - 1) of f.
+
+    A character psi_n with n < M_s depends only on the first s digits of x,
+    i.e. on x mod M_s.  So the coefficients below M_s are the s-stage
+    transform of the sums of f over the fibres of x mod M_s (which is
+    E_s f up to the factor M_N / M_s), at O(M_s * sum_{k<s} m_k + M_N)
+    cost.  count = M_N is the full transform, with no fibre sum.
+    """
+    spec = f.spec
+    block = _band(spec, min(count, spec.size))
+    values = f.values
+    if block < spec.size:
+        values = values.reshape(-1, block).sum(axis=0)
+    return _apply_stages(spec, values, inverse=False)[:count] / spec.size
+
+
 def _forward_naive(f: GridFunction) -> np.ndarray:
-    """Direct quadratic-cost analysis: one conjugated character row per n."""
+    """Direct quadratic-cost analysis: one conjugated character row per n.
+
+    Each chunk holds its phases, rows and their conjugate, about 40 bytes
+    per row and cell, so the rows per chunk shrink as M_N grows to keep a
+    chunk near _NAIVE_CHUNK_CELLS cells.
+    """
     spec = f.spec
     out = np.empty(spec.size, dtype=np.complex128)
     roots = _roots(spec)
-    chunk = 512
+    chunk = max(1, _NAIVE_CHUNK_CELLS // spec.size)
     for start in range(0, spec.size, chunk):
         ns = np.arange(start, min(start + chunk, spec.size), dtype=np.int64)
         rows = roots[_phase_rows(spec, ns)]
@@ -285,15 +318,27 @@ def forward(f: GridFunction, method: str = "fast") -> Spectrum:
     fhat(n) = (1/M_N) * sum_x f(x) * conj(psi_n(x)).
     """
     if method == "fast":
-        return Spectrum(f.spec, _apply_stages(f.spec, f.values, inverse=False) / f.spec.size)
+        return Spectrum(f.spec, _analyse(f, f.spec.size))
     if method == "naive":
         return Spectrum(f.spec, _forward_naive(f))
     raise ValueError(f"unknown method {method!r}; expected 'fast' or 'naive'")
 
 
 def inverse(s: Spectrum) -> GridFunction:
-    """Synthesis transform: f(x) = sum_n coeffs[n] * psi_n(x)."""
-    return GridFunction(s.spec, _apply_stages(s.spec, s.coeffs, inverse=True))
+    """Synthesis transform: f(x) = sum_n coeffs[n] * psi_n(x).
+
+    A spectrum supported below M_s synthesizes to a function of x mod M_s,
+    so only s stages run, on coeffs[:M_s], and the result is tiled
+    M_N / M_s times.
+    """
+    spec = s.spec
+    nonzero = s.coeffs != 0
+    count = len(nonzero) - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
+    block = _band(spec, count)
+    values = _apply_stages(spec, s.coeffs[:block], inverse=True)
+    if block < spec.size:
+        values = np.tile(values, spec.size // block)
+    return GridFunction(spec, values)
 
 
 def partial_sum(f: GridFunction, n: int) -> GridFunction:
@@ -301,8 +346,8 @@ def partial_sum(f: GridFunction, n: int) -> GridFunction:
     spec = f.spec
     if not 0 <= n <= spec.size:
         raise ValueError(f"partial sum order {n} outside [0, {spec.size}]")
-    coeffs = forward(f).coeffs.copy()
-    coeffs[n:] = 0.0
+    coeffs = np.zeros(spec.size, dtype=np.complex128)
+    coeffs[:n] = _analyse(f, n)
     return inverse(Spectrum(spec, coeffs))
 
 
@@ -347,5 +392,4 @@ def lift_step(spec: GroupSpec, rank: int, base: Sequence[complex]) -> GridFuncti
     base_arr = np.asarray(base, dtype=np.complex128)
     if base_arr.shape != (stride,):
         raise ValueError(f"expected {stride} cell values, got {base_arr.shape}")
-    idx = np.arange(spec.size, dtype=np.int64)
-    return GridFunction(spec, base_arr[idx % stride])
+    return GridFunction(spec, np.tile(base_arr, spec.size // stride))

@@ -55,6 +55,47 @@ def test_identity_check_clean_run(tmp_path, capsys):
     assert text.count("-> ok") == 5
 
 
+def test_identity_check_passes_correct_identities_on_large_blocks(tmp_path, capsys):
+    # The block kernels at M_9 = 3888 reach sup |D_{M_r}| = M_r, and a
+    # correct identity left a 1.5e-12 block residual that an absolute 1e-12
+    # tolerance turned into exit 1.
+    args = ["--group", "2,3", "--levels", "9", "--weights", "riesz", "--n-max", "20"]
+    assert main(["identity-check", *args, "--out", str(tmp_path / "i.csv")]) == 0
+    assert capsys.readouterr().out.count("-> ok") == 5
+
+
+@pytest.mark.parametrize(
+    "name, check, factor, status",
+    [
+        ("reflection_residuals", "reflection", 0.9, 0),
+        ("reflection_residuals", "reflection", 1.1, 1),
+        ("identity_residual", "block", 0.9, 0),
+        ("identity_residual", "block", 1.1, 1),
+        ("abel_weight_residual", "weight-sum", 0.9, 0),
+        ("abel_weight_residual", "weight-sum", 2.0, 1),
+    ],
+)
+def test_identity_check_tolerance_scales_with_block_size_only_for_block_kernels(
+    tmp_path, capsys, monkeypatch, name, check, factor, status
+):
+    # Reflection and block are held to 1e-12 * M_r, every other check to an
+    # absolute 1e-12: a weight-sum residual of 2e-12 fails although it is
+    # below 1e-12 * M_r for every rank r >= 1.
+    if name == "reflection_residuals":
+        fake = lambda spec: ((r, 0, factor * 1e-12 * spec.M[r]) for r in range(4))
+    elif name == "identity_residual":
+        fake = lambda kind, spec, weights, rank: factor * 1e-12 * spec.M[rank]
+    else:
+        fake = lambda w, n: factor * 1e-12
+    monkeypatch.setattr(vilenkin.cli, name, fake)
+    args = ["--group", "2,3", "--levels", "3", "--weights", "riesz"]
+    assert main(["identity-check", *args, "--out", str(tmp_path / "i.csv")]) == status
+    lines = capsys.readouterr().out.splitlines()
+    verdict = "FAIL" if status else "ok"
+    assert [line for line in lines if f" {check}:" in line][0].endswith(verdict)
+    assert sum(line.endswith("FAIL") for line in lines) == status
+
+
 @pytest.mark.parametrize("family", ["riesz", "constant"])
 def test_identity_check_cost_is_linear_in_blocks_and_orders(tmp_path, monkeypatch, family):
     # Counts, not timings.  With M = (M_0, ..., M_N), orders n0..n_max and

@@ -1,6 +1,7 @@
 """Weight families, classification gates, and the summability means."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from vilenkin.group import make_group
 from vilenkin.kernels import norlund_kernel
 from vilenkin.means import (
     WeightSequence,
+    _q_cache,
     abel_weight_residual,
     binomial_sequence,
     classify,
@@ -303,3 +305,31 @@ def test_weight_sequence_is_hashable_and_frozen():
     arr = w.q_array(5)
     with pytest.raises(ValueError):
         arr[0] = 9.9
+
+
+@pytest.mark.parametrize("label", ALL_FAMILIES)
+def test_weight_arrays_of_an_order_sweep_share_one_cache_entry_per_size_class(label):
+    # A sweep asks for q_array(n) and Q_array(n) at every order n; one
+    # cached array per order kept O(n_max^2) values alive (1.7 MB for the
+    # 431-order converge sweep).  Each prefix must equal the array computed
+    # at its own length.
+    w = parse_weights(label)
+    n_max = 2000
+    tracemalloc.start()
+    try:
+        for n in range(n_max + 1):
+            w.q_array(n), w.Q_array(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 8 * n_max
+    for n in (0, 1, 2, 7, 8, 9, 1000, 1024, n_max):
+        own = _q_cache.__wrapped__(w, n)  # computed at length n, uncached
+        q = w.q_array(n)
+        assert q.shape == (n,) and np.array_equal(q, own)
+        assert np.array_equal(w.Q_array(n), np.concatenate([[0.0], np.cumsum(own)]))
+        assert not q.flags.writeable
+    with pytest.raises(ValueError):
+        w.q_array(-1)
+    with pytest.raises(ValueError):
+        w.Q_array(-1)

@@ -5,6 +5,7 @@ import pytest
 
 import vilenkin.kernels
 import vilenkin.points
+import vilenkin.transform
 from vilenkin.group import Element, generator, make_group, subtract
 from vilenkin.means import parse_weights, weights
 from vilenkin.points import (
@@ -204,7 +205,7 @@ def test_partial_sum_sup_error_collapses_at_block():
 
 def test_profiles_analyse_once_and_synthesize_once_per_order(monkeypatch):
     # counts, not timings: a return to per-order analysis shows on any machine
-    calls = {"forward": 0, "inverse": 0}
+    calls = {"_analyse": 0, "inverse": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -215,17 +216,42 @@ def test_profiles_analyse_once_and_synthesize_once_per_order(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(vilenkin.points, "forward")
+    counted(vilenkin.points, "_analyse")
     counted(vilenkin.kernels, "inverse")
     spec = make_group([2, 3, 2, 3])
     f = GridFunction.random(spec, seed=36)
     w = parse_weights("riesz")
     ns = list(range(2, spec.size + 1))
     for form in ("t", "norlund", "partial"):
-        calls.update(forward=0, inverse=0)
+        calls.update(_analyse=0, inverse=0)
         convergence_profile(f, w, ns, form=form, p=1)
-        assert calls == {"forward": 1, "inverse": len(ns)}
-        calls.update(forward=0, inverse=0)
+        assert calls == {"_analyse": 1, "inverse": len(ns)}
+        calls.update(_analyse=0, inverse=0)
         maximal_profile(f, w, spec.size, form=form)
         start = 1 if form == "partial" else w.n0
-        assert calls == {"forward": 1, "inverse": spec.size - start + 1}
+        assert calls == {"_analyse": 1, "inverse": spec.size - start + 1}
+
+
+def test_low_order_profiles_transform_only_the_band_they_read(monkeypatch):
+    # Orders up to 6 read fhat[:6], and psi_n for n < 8 = M_3 is a function
+    # of x mod 8, so on the 4096-cell dyadic grid every butterfly runs on at
+    # most 8 cells: the analysis on exactly 8, each synthesis on the
+    # smallest M_s covering its spectrum.  Lengths, not timings: a return to
+    # full-grid transforms fails on any machine.
+    lengths = []
+    stages = vilenkin.transform._apply_stages
+
+    def recorded(spec, data, inverse):
+        lengths.append(len(data))
+        return stages(spec, data, inverse)
+
+    monkeypatch.setattr(vilenkin.transform, "_apply_stages", recorded)
+    spec = make_group([2], 12)
+    f = GridFunction.random(spec, seed=37)
+    w = parse_weights("riesz")
+    for form in ("t", "norlund", "partial"):
+        lengths.clear()
+        convergence_profile(f, w, range(2, 7), form=form, p=1)
+        assert len(lengths) == 6 and lengths[0] == 8 and max(lengths) == 8
+    # partial sums keep every coefficient below n: bands 2, 4, 4, 8, 8
+    assert lengths == [8, 2, 4, 4, 8, 8]

@@ -1,13 +1,17 @@
-"""Property tests of the multiplier core and the identity sweeps over random radix sequences.
+"""Property tests of the multiplier core, the identity sweeps and the
+band-limited transforms over random radix sequences.
 
 Each mean computed as one synthesis of fhat * lambda_n must agree to 1e-12
 with routes that never touch the multiplier: the direct and Abel
 accumulations of t_mean, and the q-weighted expansion in partial sums.  The
 kernel identities hold to 1e-12, and every sweep returns, order by order, the
-very value of the single-case call.
+very value of the single-case call.  A spectrum below M_s synthesizes, and
+an analysis up to M_s runs, on M_s cells only; both must agree with the
+definitions (character rows, the naive transform) to 1e-12.
 """
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,7 +21,16 @@ from vilenkin.group import Element, make_group
 from vilenkin.kernels import abel_kernel_residuals, identity_residual, reflection_residuals
 from vilenkin.means import norlund_mean, parse_weights, t_mean, t_mean_oracles
 from vilenkin.points import convergence_profile
-from vilenkin.transform import GridFunction, norm, partial_sum
+from vilenkin.transform import (
+    GridFunction,
+    Spectrum,
+    _analyse,
+    character_row,
+    forward,
+    inverse,
+    norm,
+    partial_sum,
+)
 
 FAMILIES = ("constant", "cesaro:0.5", "icesaro:0.5", "power:0.5", "riesz", "nlog", "logpow:0.5")
 MAX_POINTS = 2**10
@@ -103,3 +116,35 @@ def test_identity_sweeps_hold_and_equal_single_cases(case):
         assert np.max(np.abs(direct.values - abel.values)) < TOL
         assert np.array_equal(direct.values, t_mean(f, w, n, method="direct").values)
         assert np.array_equal(abel.values, t_mean(f, w, n, method="abel").values)
+
+
+@st.composite
+def bands(draw):
+    """A random group, a band limit c <= M_N and a seed."""
+    spec = make_group(draw(st.lists(st.integers(2, 7), min_size=1, max_size=10).map(_fit)))
+    return spec, draw(st.integers(0, spec.size)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(bands())
+def test_band_limited_synthesis_is_the_character_sum_and_periodic(case):
+    spec, c, seed = case
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(spec.size, dtype=complex)
+    coeffs[:c] = rng.standard_normal(c) + 1j * rng.standard_normal(c)
+    got = inverse(Spectrum(spec, coeffs)).values
+    want = sum((coeffs[n] * character_row(spec, n) for n in range(c)), np.zeros(spec.size))
+    assert np.max(np.abs(got - want)) < TOL
+    block = spec.M[bisect_left(spec.M, c)]  # the smallest M_s >= c
+    periods = got.reshape(-1, block)
+    assert (periods == periods[0]).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(bands())
+def test_truncated_analysis_matches_naive_transform(case):
+    spec, count, seed = case
+    f = GridFunction.random(spec, seed)
+    got = _analyse(f, count)
+    assert got.shape == (count,)
+    assert np.max(np.abs(got - forward(f, method="naive").coeffs[:count]), initial=0.0) < TOL

@@ -128,6 +128,22 @@ def test_forward_naive_matches_oracle():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_naive_transform_works_in_bounded_chunks():
+    # a chunk holds its phases, rows and their conjugate, about 40 B per row
+    # and cell, so its row count must shrink as M_N grows: a fixed 512-row
+    # chunk would take 84 MB here
+    spec = make_group([2], 12)
+    f = GridFunction.random(spec, seed=43)
+    tracemalloc.start()
+    try:
+        naive = forward(f, method="naive").coeffs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.max(np.abs(naive - forward(f).coeffs)) < 1e-12
+
+
 def test_forward_of_constant_and_character():
     spec = make_group([2, 3, 2, 3])
     c = forward(GridFunction.constant(spec)).coeffs
