@@ -46,6 +46,9 @@ MAX_CLI_SIZE = 1 << 22
 # bench-transform reports the fast route as the median of this many runs (an
 # odd count); the O(M_N^2) naive route is timed once.
 FAST_REPEATS = 5
+# The naive route takes about 2.3 s at 2^13 points and grows as M_N^2 (about
+# 10 h at 2^20), so bench-transform refuses grids above this size.
+MAX_NAIVE_SIZE = 1 << 15
 
 
 class ConfigError(ValueError):
@@ -364,6 +367,12 @@ def _run_classify_weights(cfg: ExperimentConfig, out: Path) -> int:
 
 def _run_bench_transform(cfg: ExperimentConfig, out: Path) -> int:
     spec = _build_spec(cfg)
+    if spec.size > MAX_NAIVE_SIZE:
+        raise ConfigError(
+            f"bench-transform: the naive transform at M_N = {spec.size} needs "
+            f"M_N^2 = {spec.size**2:.3g} cell products; the limit is "
+            f"M_N <= {MAX_NAIVE_SIZE}"
+        )
     f = _build_function(cfg, spec)
 
     forward(f, method="fast")  # fills the per-spec root and stage-matrix caches

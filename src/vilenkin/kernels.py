@@ -21,12 +21,17 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .group import GroupSpec
-from .transform import GridFunction, Spectrum, character_row, inverse
+from .transform import (
+    _SYNTH_CHUNK_CELLS,
+    GridFunction,
+    _synthesize_rows,
+    character_row,
+)
 
 if TYPE_CHECKING:  # circular at runtime: means imports the multiplier core
     from .means import WeightSequence
@@ -87,10 +92,22 @@ def multiplier(
 
 
 def synthesize(spec: GroupSpec, coeffs: np.ndarray) -> GridFunction:
-    """sum_{j < len(coeffs)} coeffs[j] * psi_j: one inverse transform."""
-    full = np.zeros(spec.size, dtype=np.complex128)
-    full[: len(coeffs)] = coeffs
-    return inverse(Spectrum(spec, full))
+    """sum_{j < len(coeffs)} coeffs[j] * psi_j: one inverse transform.
+
+    The one-row case of the batched synthesis the sweeps below use, so a
+    swept kernel equals its single call exactly.
+    """
+    return next(_synthesize_rows(spec, [coeffs]))
+
+
+def _kernels(
+    family: str,
+    ns: Iterable[int],
+    spec: GroupSpec,
+    weights: "WeightSequence | None" = None,
+) -> Iterator[GridFunction]:
+    """The order-n kernel of one family for each n in ns, batched over orders."""
+    return _synthesize_rows(spec, (multiplier(family, n, spec, weights) for n in ns))
 
 
 def dirichlet(n: int, spec: GroupSpec) -> GridFunction:
@@ -193,8 +210,11 @@ def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
 
     Offsets j and M_r - j need the same two Dirichlet kernels, so each rank
     synthesizes D_1, ..., D_{M_r} once and psi_{M_r - 1} once: sum_r M_r
-    syntheses in all, and O(M_N) working memory.
+    syntheses in all.  They run in chunks of pairs (D_j, D_{M_r - j}) whose
+    kernels together fill at most _SYNTH_CHUNK_CELLS grid cells, so the
+    working memory stays O(M_N).
     """
+    pairs = max(1, _SYNTH_CHUNK_CELLS // (2 * spec.size))
     for rank in range(spec.levels + 1):
         block = spec.M[rank]
         full = dirichlet(block, spec).values
@@ -202,12 +222,20 @@ def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
         if block == 1:
             continue
         row = character_row(spec, block - 1)
-        for j in range(1, block // 2 + 1):
-            low = dirichlet(j, spec).values
-            high = low if 2 * j == block else dirichlet(block - j, spec).values
-            yield rank, j, _reflection_gap(high, full, row, low)
-            if 2 * j != block:
-                yield rank, block - j, _reflection_gap(low, full, row, high)
+        half = block // 2
+        for start in range(1, half + 1, pairs):
+            js = range(start, min(start + pairs, half + 1))
+            # D_j, then D_{M_r - j}, each in ascending order, so that rows of
+            # one band stay adjacent
+            orders = [*js, *(block - j for j in reversed(js) if 2 * j != block)]
+            kernel = {
+                n: g.values for n, g in zip(orders, _kernels("dirichlet", orders, spec))
+            }
+            for j in js:
+                low, high = kernel[j], kernel[block - j]
+                yield rank, j, _reflection_gap(high, full, row, low)
+                if 2 * j != block:
+                    yield rank, block - j, _reflection_gap(low, full, row, high)
 
 
 def abel_kernel_residuals(
@@ -217,30 +245,32 @@ def abel_kernel_residuals(
 
     The right-hand side is kept as a running sum over i of
     (q_i - q_{i+1}) i K_i, added in increasing i, so every K_i with
-    i < max(ns) is synthesized once and each order costs one t_kernel on top.
+    i < max(ns) is synthesized once and each order costs one t kernel on
+    top; the K_i and the t kernels run as two batched sweeps.
     """
+    ns = list(ns)
+    for previous, n in zip(ns, ns[1:]):
+        if n < previous:
+            raise ValueError(f"orders must ascend, got {n} after {previous}")
+    lhs_kernels = _kernels("t", ns, spec, weights)  # also validates n and Q_n
+    fejer_kernels = _kernels("fejer", range(1, max(ns, default=0)), spec)
     partial = np.zeros(spec.size, dtype=np.complex128)  # the terms i = 1..done
     done = 0
     kernel = None  # K_{done + 1} once synthesized
-    previous = 0
-    for n in ns:
-        if n < previous:
-            raise ValueError(f"orders must ascend, got {n} after {previous}")
-        previous = n
-        lhs = t_kernel(weights, n, spec).values  # also validates n and Q_n
+    for n, lhs in zip(ns, lhs_kernels):
         q = weights.q_array(n)
         while done < n - 2:
             done += 1
             if kernel is None:
-                kernel = fejer(done, spec).values
+                kernel = next(fejer_kernels).values
             partial += (q[done] - q[done + 1]) * done * kernel
             kernel = None
         rhs = partial
         if n >= 2:
             if kernel is None:
-                kernel = fejer(n - 1, spec).values
+                kernel = next(fejer_kernels).values
             rhs = partial + q[n - 1] * (n - 1) * kernel
-        yield n, float(np.max(np.abs(lhs - rhs / weights.Q(n))))
+        yield n, float(np.max(np.abs(lhs.values - rhs / weights.Q(n))))
 
 
 @dataclass(frozen=True)
@@ -270,8 +300,8 @@ def l1_profile(
         raise ValueError(f"tail rank {tail_rank} outside [0, {spec.levels}]")
     outside = np.arange(spec.size) % spec.M[tail_rank] != 0
     rows = []
-    for n in sorted(ns):
-        g = synthesize(spec, multiplier(family, n, spec, weights))
+    ns = sorted(ns)
+    for n, g in zip(ns, _kernels(family, ns, spec, weights)):
         mags = np.abs(g.values)
         rows.append(
             KernelProfileRow(
@@ -301,13 +331,15 @@ def domination_constant(ns: Sequence[int], spec: GroupSpec) -> float:
     if len(ns) == 0:
         raise ValueError("need at least one n")
     top = max(_leading_position(n, spec) for n in ns)
-    block_mags = [np.abs(fejer(spec.M[el], spec).values) for el in range(top + 1)]
+    blocks = spec.M[: top + 1]
     denoms = np.cumsum(
-        [spec.M[el] * block_mags[el] for el in range(top + 1)], axis=0
+        [M * np.abs(g.values) for M, g in zip(blocks, _kernels("fejer", blocks, spec))],
+        axis=0,
     )
     best = 0.0
-    for n in sorted(ns):
-        num = n * np.abs(fejer(n, spec).values)
+    ns = sorted(ns)
+    for n, g in zip(ns, _kernels("fejer", ns, spec)):
+        num = n * np.abs(g.values)
         den = denoms[_leading_position(n, spec)]
         ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
         best = max(best, float(ratio.max()))

@@ -15,9 +15,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .group import Element, generator, interval_members, subtract
-from .kernels import multiplier, synthesize
+from .kernels import multiplier
 from .means import WeightSequence
-from .transform import GridFunction, _analyse, norm
+from .transform import GridFunction, _analyse, _synthesize_rows, norm
 
 __all__ = [
     "ConvergenceRow",
@@ -80,16 +80,16 @@ def _means(
     """Yield (n, the order-n mean of f) for each n in ns.
 
     f is analysed once, up to the largest order, since an order-n mean
-    reads only fhat[:n]; each order then costs one synthesis of its
-    multiplied spectrum.
+    reads only fhat[:n]; the multiplied spectra of all orders then run
+    through one batched synthesis, a stacked butterfly per chunk of orders.
     """
     if form not in _FORM_FAMILY:
         raise ValueError(f"unknown mean form {form!r}; expected t, norlund or partial")
     family = _FORM_FAMILY[form]
     ns = list(ns)
     fh = _analyse(f, max(ns, default=0))
-    for n in ns:
-        yield n, synthesize(f.spec, fh[:n] * multiplier(family, n, f.spec, w))
+    rows = (fh[:n] * multiplier(family, n, f.spec, w) for n in ns)
+    yield from zip(ns, _synthesize_rows(f.spec, rows))
 
 
 def convergence_profile(

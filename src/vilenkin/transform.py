@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +41,9 @@ __all__ = [
 # Cells (rows x M_N) per chunk of the naive transform: about 10 MB of
 # working memory at any M_N.
 _NAIVE_CHUNK_CELLS = 2**18
+# Cells (rows x M_s) per butterfly call of a batched synthesis: a sweep over
+# many orders runs one stacked butterfly per chunk of rows sharing a band.
+_SYNTH_CHUNK_CELLS = 2**12
 
 
 @lru_cache(maxsize=32)
@@ -111,13 +114,19 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=np.complex128)
-        if v.shape != (self.spec.size,):
-            raise ValueError(
-                f"values must have shape ({self.spec.size},), got {v.shape}"
-            )
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(self.spec, self.values, copy=True))
+
+    @classmethod
+    def _own(cls, spec: GroupSpec, values: np.ndarray) -> "GridFunction":
+        """Wrap an array the library has just created, freezing it instead of copying.
+
+        The caller must hold no other writable reference to the array; the
+        public constructor copies, so arrays passed in by users stay theirs.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "values", _frozen(spec, values, copy=None))
+        return self
 
     @property
     def integral(self) -> complex:
@@ -126,7 +135,7 @@ class GridFunction:
 
     @classmethod
     def constant(cls, spec: GroupSpec, value: complex = 1.0) -> "GridFunction":
-        return cls(spec, np.full(spec.size, value, dtype=np.complex128))
+        return cls._own(spec, np.full(spec.size, value, dtype=np.complex128))
 
     @classmethod
     def character(cls, spec: GroupSpec, n: int) -> "GridFunction":
@@ -145,7 +154,7 @@ class GridFunction:
         if not 0 <= cell < spec.size:
             raise ValueError(f"cell {cell} outside [0, {spec.size})")
         idx = np.arange(spec.size, dtype=np.int64)
-        return cls(spec, (idx % stride == cell % stride).astype(np.complex128))
+        return cls._own(spec, (idx % stride == cell % stride).astype(np.complex128))
 
     @classmethod
     def random(
@@ -159,7 +168,7 @@ class GridFunction:
         rng = np.random.default_rng(seed)
         stride = spec.M[rank]
         base = rng.standard_normal(stride) + 1j * rng.standard_normal(stride)
-        return cls(spec, np.tile(base, spec.size // stride))
+        return cls._own(spec, np.tile(base, spec.size // stride))
 
     def at(self, x: Element) -> complex:
         return complex(self.values[x.index])
@@ -167,15 +176,15 @@ class GridFunction:
     def __add__(self, other: "GridFunction") -> "GridFunction":
         if self.spec != other.spec:
             raise ValueError("grid functions belong to different groups")
-        return GridFunction(self.spec, self.values + other.values)
+        return GridFunction._own(self.spec, self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         if self.spec != other.spec:
             raise ValueError("grid functions belong to different groups")
-        return GridFunction(self.spec, self.values - other.values)
+        return GridFunction._own(self.spec, self.values - other.values)
 
     def __mul__(self, scalar: complex) -> "GridFunction":
-        return GridFunction(self.spec, self.values * scalar)
+        return GridFunction._own(self.spec, self.values * scalar)
 
     __rmul__ = __mul__
 
@@ -195,13 +204,9 @@ class Spectrum:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.array(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.spec.size,):
-            raise ValueError(
-                f"coeffs must have shape ({self.spec.size},), got {c.shape}"
-            )
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(
+            self, "coeffs", _frozen(self.spec, self.coeffs, copy=True, name="coeffs")
+        )
 
     def to_csv(self, path) -> None:
         _write_complex_csv(path, self.coeffs)
@@ -209,6 +214,17 @@ class Spectrum:
     @classmethod
     def from_csv(cls, spec: GroupSpec, path) -> "Spectrum":
         return cls(spec, _read_complex_csv(path, spec.size))
+
+
+def _frozen(
+    spec: GroupSpec, data, *, copy: bool | None, name: str = "values"
+) -> np.ndarray:
+    """data as a read-only complex128 vector of length M_N (copy=None: only if needed)."""
+    arr = np.array(data, dtype=np.complex128, copy=copy)
+    if arr.shape != (spec.size,):
+        raise ValueError(f"{name} must have shape ({spec.size},), got {arr.shape}")
+    arr.setflags(write=False)
+    return arr
 
 
 def _write_complex_csv(path, data: np.ndarray) -> None:
@@ -254,20 +270,45 @@ def _dft_matrix(spec: GroupSpec, k: int, inverse: bool) -> np.ndarray:
 
 
 def _apply_stages(spec: GroupSpec, data: np.ndarray, inverse: bool) -> np.ndarray:
-    """Run the first s radix stages of the butterfly on a length-M_s vector.
+    """Run the first s radix stages of the butterfly on each length-M_s row of data.
 
-    The vector reshapes in C order to (m_{s-1}, ..., m_0), which puts
-    coordinate k on axis s-1-k; each stage contracts one axis with its
-    radix-m_k character matrix, for a total cost of O(M_s * sum_{k<s} m_k).
-    With s = N this is the whole transform.
+    data is one vector or a (B, M_s) stack of rows; it serves as scratch
+    space and is overwritten, and the result is a new array of its shape.
+    A row reshapes in C order to (m_{s-1}, ..., m_0), which puts coordinate
+    k on its own axis.  Stage k gathers that axis to the front of each row,
+    the other coordinates following in their natural order, and runs one
+    matmul of the radix-m_k character matrix stacked over the B rows; the
+    next stage gathers straight from the product, and a last gather
+    restores the natural order.  Each row's gemm has the one-row shape
+    m_k x (M_s / m_k), columns in the same order, so its values do not
+    depend on B or on its place in the stack.  Two arrays of data's size
+    are live at a time, and the cost is O(M_s * sum_{k<s} m_k) per row;
+    with s = N this is the whole transform.
     """
-    s = spec.M.index(len(data))
-    arr = data.reshape(spec.m[:s][::-1])
+    data = np.ascontiguousarray(data)  # the products are written through views
+    s = spec.M.index(data.shape[-1])
+    natural = range(s - 1, -1, -1)  # coordinates in the C order of a row
+    arr = data.reshape(-1, *spec.m[:s][::-1])
+    axes = list(natural)  # the coordinate on each row axis of arr
+    gathered_cols = np.empty_like(data)
     for k in range(s):
-        axis = s - 1 - k
-        mat = _dft_matrix(spec, k, inverse)
-        arr = np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
-    return arr.reshape(-1)
+        gathered = [k, *(j for j in natural if j != k)]
+        cols = arr.transpose(0, *(1 + axes.index(j) for j in gathered))
+        np.copyto(gathered_cols.reshape(cols.shape), cols)
+        stage = (len(arr), spec.m[k], -1)
+        np.matmul(
+            _dft_matrix(spec, k, inverse),
+            gathered_cols.reshape(stage),
+            out=data.reshape(stage),
+        )
+        arr = data.reshape(cols.shape)
+        axes = gathered
+    out = gathered_cols
+    np.copyto(
+        out.reshape(arr.shape[0], *spec.m[:s][::-1]),
+        arr.transpose(0, *(1 + axes.index(j) for j in natural)),
+    )
+    return out
 
 
 def _band(spec: GroupSpec, count: int) -> int:
@@ -286,9 +327,10 @@ def _analyse(f: GridFunction, count: int) -> np.ndarray:
     """
     spec = f.spec
     block = _band(spec, min(count, spec.size))
-    values = f.values
     if block < spec.size:
-        values = values.reshape(-1, block).sum(axis=0)
+        values = f.values.reshape(-1, block).sum(axis=0)
+    else:
+        values = f.values.copy()  # the butterfly overwrites its input
     return _apply_stages(spec, values, inverse=False)[:count] / spec.size
 
 
@@ -329,16 +371,58 @@ def inverse(s: Spectrum) -> GridFunction:
 
     A spectrum supported below M_s synthesizes to a function of x mod M_s,
     so only s stages run, on coeffs[:M_s], and the result is tiled
-    M_N / M_s times.
+    M_N / M_s times.  This is the one-row case of _synthesize_rows().
     """
-    spec = s.spec
-    nonzero = s.coeffs != 0
-    count = len(nonzero) - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
-    block = _band(spec, count)
-    values = _apply_stages(spec, s.coeffs[:block], inverse=True)
-    if block < spec.size:
-        values = np.tile(values, spec.size // block)
-    return GridFunction(spec, values)
+    return next(_synthesize_rows(s.spec, [s.coeffs]))
+
+
+def _synthesize_rows(spec: GroupSpec, rows: Iterable) -> Iterator[GridFunction]:
+    """sum_j row[j] * psi_j for each coefficient row (length <= M_N), in input order.
+
+    A row's band is M_s for the smallest s with M_s above its last nonzero
+    coefficient, the rule inverse() applies to a whole spectrum.  Consecutive
+    rows with one band run as one stacked butterfly of at most
+    _SYNTH_CHUNK_CELLS cells (one row if M_s is larger), and each result is
+    tiled once to M_N.  The rows are read lazily, a chunk at a time, so a
+    sweep holds O(_SYNTH_CHUNK_CELLS + M_N) cells at a time.
+    """
+    pending: list[np.ndarray] = []  # rows of one band, emptied by each butterfly
+    band = 0
+    for row in rows:
+        row = np.asarray(row)
+        if row.ndim != 1 or len(row) > spec.size:
+            raise ValueError(
+                f"coefficient row of shape {row.shape} does not fit M_N = {spec.size}"
+            )
+        nonzero = row != 0
+        count = len(row) - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
+        row_band = _band(spec, count)
+        if pending and (
+            row_band != band or len(pending) == max(1, _SYNTH_CHUNK_CELLS // band)
+        ):
+            yield from _synthesize_chunk(spec, pending, band)
+        pending.append(row[:row_band])
+        band = row_band
+    if pending:
+        yield from _synthesize_chunk(spec, pending, band)
+
+
+def _synthesize_chunk(
+    spec: GroupSpec, rows: list[np.ndarray], band: int
+) -> Iterator[GridFunction]:
+    """One butterfly over rows supported below band, each result tiled to M_N.
+
+    The rows are taken out of the list, and the stacked input is dropped
+    once the butterfly has run, so a paused sweep holds only its results.
+    """
+    data = np.zeros((len(rows), band), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        data[i, : len(row)] = row
+    rows.clear()
+    out = _apply_stages(spec, data, inverse=True)
+    del data
+    for values in out:
+        yield GridFunction._own(spec, np.tile(values, spec.size // band))
 
 
 def partial_sum(f: GridFunction, n: int) -> GridFunction:
@@ -346,9 +430,7 @@ def partial_sum(f: GridFunction, n: int) -> GridFunction:
     spec = f.spec
     if not 0 <= n <= spec.size:
         raise ValueError(f"partial sum order {n} outside [0, {spec.size}]")
-    coeffs = np.zeros(spec.size, dtype=np.complex128)
-    coeffs[:n] = _analyse(f, n)
-    return inverse(Spectrum(spec, coeffs))
+    return next(_synthesize_rows(spec, [_analyse(f, n)]))
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -392,4 +474,4 @@ def lift_step(spec: GroupSpec, rank: int, base: Sequence[complex]) -> GridFuncti
     base_arr = np.asarray(base, dtype=np.complex128)
     if base_arr.shape != (stride,):
         raise ValueError(f"expected {stride} cell values, got {base_arr.shape}")
-    return GridFunction(spec, np.tile(base_arr, spec.size // stride))
+    return GridFunction._own(spec, np.tile(base_arr, spec.size // stride))

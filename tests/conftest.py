@@ -24,3 +24,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def butterflies(monkeypatch):
+    """Record (inverse, rows, M_s) of every butterfly call; a vector is one row."""
+    import vilenkin.transform
+
+    calls = []
+    stages = vilenkin.transform._apply_stages
+
+    def recorded(spec, data, inverse):
+        calls.append((inverse, data.size // data.shape[-1], data.shape[-1]))
+        return stages(spec, data, inverse)
+
+    monkeypatch.setattr(vilenkin.transform, "_apply_stages", recorded)
+    return calls

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+from bisect import bisect_left
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import vilenkin
 import vilenkin.cli
 import vilenkin.kernels
 import vilenkin.means
+import vilenkin.transform
 from vilenkin.cli import FAST_REPEATS, ExperimentConfig, load_config, main, run
 from vilenkin.group import make_group
 from vilenkin.means import parse_weights
@@ -97,22 +100,31 @@ def test_identity_check_tolerance_scales_with_block_size_only_for_block_kernels(
 
 
 @pytest.mark.parametrize("family", ["riesz", "constant"])
-def test_identity_check_cost_is_linear_in_blocks_and_orders(tmp_path, monkeypatch, family):
+def test_identity_check_cost_is_linear_in_blocks_and_orders(
+    tmp_path, monkeypatch, butterflies, family
+):
     # Counts, not timings.  With M = (M_0, ..., M_N), orders n0..n_max and
     # B = #{r : Q(M_r) > 0} block ranks, one identity-check run makes
-    #   inverse:       sum_r M_r    reflection: D_1..D_{M_r} once per rank
-    #                  + orders     abel-kernel: one t_kernel per order
-    #                  + n_max - 1  abel-kernel: K_1..K_{n_max-1} once each
-    #                  + 3 B        block: t, Dirichlet and Norlund kernels
-    #   fejer:         n_max - 1
-    #   character_row: N            reflection: psi_{M_r - 1} once per rank r >= 1
-    #                  + B          block: psi_{M_r - 1}
-    #                  + n_max - 1  abel-mean: psi_k for k <= n_max - 2, shared
-    #                               by the direct and abel running sums
-    #   forward:       1            abel-mean
-    # On 2,3 x 3 (M = 1, 2, 6, 12, n_max = 12) riesz gives 52 / 11 / 17 / 1
-    # and constant (n0 = 1, B = 4) gives 56 / 11 / 18 / 1.
-    calls = dict.fromkeys(["inverse", "fejer", "character_row", "forward"], 0)
+    #   rows synthesized: sum_r M_r    reflection: D_1..D_{M_r} once per rank
+    #                     + orders     abel-kernel: one t kernel per order
+    #                     + n_max - 1  abel-kernel: K_1..K_{n_max-1} once each
+    #                     + 3 B        block: t, Dirichlet and Norlund kernels
+    #   character_row:    N            reflection: psi_{M_r - 1} once per rank r >= 1
+    #                     + B          block: psi_{M_r - 1}
+    #                     + n_max - 1  abel-mean: psi_k for k <= n_max - 2, shared
+    #                                  by the direct and abel running sums
+    #   forward:          1            abel-mean
+    # On 2,3 x 3 (M = 1, 2, 6, 12, n_max = 12) riesz gives 52 / 17 / 1 and
+    # constant (n0 = 1, B = 4) gives 56 / 18 / 1.  A row runs on the band of
+    # its last nonzero coefficient: D_n and K_n have n of them, the order-n
+    # t kernel n - 1 (its multiplier vanishes at j = n - 1), and the Norlund
+    # kernel n - 1 when q_0 = 0, else n.  Each sweep hands its rows over in
+    # ascending order and 12 cells fit one 2^12-cell chunk, so the
+    # butterflies are at most one per band and sweep:
+    #   reflection, rank r: D_{M_r}, then D_j and D_{M_r - j}   1 + 2 (r + 1)
+    #   abel-kernel: t kernels, then K_i                        2 (N + 1)
+    #   block: one per kernel                                   3 B
+    calls = dict.fromkeys(["character_row", "forward"], 0)
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -123,22 +135,34 @@ def test_identity_check_cost_is_linear_in_blocks_and_orders(tmp_path, monkeypatc
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("inverse", "fejer", "character_row"):
-        counted(vilenkin.kernels, name)
+    counted(vilenkin.kernels, "character_row")
     counted(vilenkin.means, "character_row")
     counted(vilenkin.means, "forward")
     args = ["--group", "2,3", "--levels", "3", "--weights", family]
     assert main(["identity-check", *args, "--out", str(tmp_path / "i.csv")]) == 0
     spec, w = make_group([2, 3], 3), parse_weights(family)
     n_max = spec.size
-    orders = n_max - w.n0 + 1
-    blocks = sum(1 for b in spec.M if w.Q(b) > 0)
+    orders = range(w.n0, n_max + 1)
+    blocks = [b for b in spec.M if w.Q(b) > 0]
     assert calls == {
-        "inverse": sum(spec.M) + orders + (n_max - 1) + 3 * blocks,
-        "fejer": n_max - 1,
-        "character_row": spec.levels + blocks + (n_max - 1),
+        "character_row": spec.levels + len(blocks) + (n_max - 1),
         "forward": 1,
     }
+
+    def band(count):
+        return spec.M[bisect_left(spec.M, count)]
+
+    want = Counter(band(n) for b in spec.M for n in range(1, b + 1))
+    want += Counter(band(n - 1) for n in orders)
+    want += Counter(band(i) for i in range(1, n_max))
+    for b in blocks:
+        want += Counter([band(b - 1), band(b), band(b - (w.q(0) == 0))])
+    rows = [band for inverse, count, band in butterflies if inverse for _ in range(count)]
+    assert len(rows) == sum(spec.M) + len(orders) + (n_max - 1) + 3 * len(blocks)
+    assert Counter(rows) == want
+    synthesis_calls = sum(1 for inverse, _, _ in butterflies if inverse)
+    ranks = range(spec.levels + 1)
+    assert synthesis_calls <= sum(1 + 2 * (r + 1) for r in ranks) + 2 * len(ranks) + 3 * len(blocks)
 
 
 def test_closed_stdout_keeps_csv_and_exit_status(tmp_path):
@@ -315,6 +339,23 @@ def test_bench_transform_warms_up_and_repeats_fast_route(tmp_path, monkeypatch):
     out = tmp_path / "bench.csv"
     assert main(["bench-transform", "--group", "2,3", "--levels", "3", "--out", str(out)]) == 0
     assert methods == ["fast", "naive"] + ["fast"] * FAST_REPEATS
+
+
+def test_bench_transform_refuses_hour_long_naive_runs(tmp_path, monkeypatch, capsys):
+    # the naive route is O(M_N^2): refused with exit 2 before any transform
+    # runs, with the grid size and the cell-product estimate in the message
+    def refused(*args, **kwargs):
+        raise AssertionError("no transform may run on a refused grid")
+
+    monkeypatch.setattr(vilenkin.transform, "_forward_naive", refused)
+    monkeypatch.setattr(vilenkin.cli, "forward", refused)
+    out = tmp_path / "bench.csv"
+    args = ["bench-transform", "--group", "2", "--levels", "16", "--out", str(out)]
+    assert vilenkin.cli.MAX_NAIVE_SIZE < 2**16
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "M_N = 65536" in err and "4.29e+09" in err
+    assert not out.exists()
 
 
 def test_json_config_with_flag_override(tmp_path):

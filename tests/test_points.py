@@ -1,11 +1,14 @@
 """Oscillation moduli and convergence/maximal profiles at grid points."""
 
+import itertools
+import math
+import tracemalloc
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 
-import vilenkin.kernels
 import vilenkin.points
-import vilenkin.transform
 from vilenkin.group import Element, generator, make_group, subtract
 from vilenkin.means import parse_weights, weights
 from vilenkin.points import (
@@ -14,7 +17,14 @@ from vilenkin.points import (
     maximal_profile,
     w_modulus,
 )
-from vilenkin.transform import GridFunction, lift_step, norm, partial_sum, weak_norm
+from vilenkin.transform import (
+    _SYNTH_CHUNK_CELLS,
+    GridFunction,
+    lift_step,
+    norm,
+    partial_sum,
+    weak_norm,
+)
 
 
 def oracle_w_modulus(f, x, rank):
@@ -203,55 +213,90 @@ def test_partial_sum_sup_error_collapses_at_block():
     assert norm(partial_sum(f, spec.M[1]) - f, math.inf) < 1e-13
 
 
-def test_profiles_analyse_once_and_synthesize_once_per_order(monkeypatch):
-    # counts, not timings: a return to per-order analysis shows on any machine
-    calls = {"_analyse": 0, "inverse": 0}
+def _chunk_bound(bands):
+    """Butterfly calls allowed for rows of these bands, in order: one per run
+    of equal bands and per _SYNTH_CHUNK_CELLS cells of it."""
+    return sum(
+        math.ceil(len(list(run)) / max(1, _SYNTH_CHUNK_CELLS // band))
+        for band, run in itertools.groupby(bands)
+    )
 
-    def counted(module, name):
-        fn = getattr(module, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+def test_profiles_analyse_once_and_synthesize_once_per_order(monkeypatch, butterflies):
+    # Counts, not timings: a return to per-order analysis or to one butterfly
+    # per order shows on any machine.  Riesz weights have q_0 = 0, so the t
+    # and Norlund multipliers vanish at j = n - 1 and an order-n row reaches
+    # the band of n - 1 coefficients; a partial sum keeps all n of them.
+    calls = {"_analyse": 0}
+    analyse = vilenkin.points._analyse
 
-        monkeypatch.setattr(module, name, wrapper)
+    def counted(*args, **kwargs):
+        calls["_analyse"] += 1
+        return analyse(*args, **kwargs)
 
-    counted(vilenkin.points, "_analyse")
-    counted(vilenkin.kernels, "inverse")
+    monkeypatch.setattr(vilenkin.points, "_analyse", counted)
     spec = make_group([2, 3, 2, 3])
     f = GridFunction.random(spec, seed=36)
     w = parse_weights("riesz")
-    ns = list(range(2, spec.size + 1))
+
+    def band(count):
+        return spec.M[bisect_left(spec.M, count)]
+
     for form in ("t", "norlund", "partial"):
-        calls.update(_analyse=0, inverse=0)
-        convergence_profile(f, w, ns, form=form, p=1)
-        assert calls == {"_analyse": 1, "inverse": len(ns)}
-        calls.update(_analyse=0, inverse=0)
-        maximal_profile(f, w, spec.size, form=form)
+        reach = 0 if form == "partial" else 1
         start = 1 if form == "partial" else w.n0
-        assert calls == {"_analyse": 1, "inverse": spec.size - start + 1}
+        ns = list(range(2, spec.size + 1))
+        for run, orders in (
+            (lambda: convergence_profile(f, w, ns, form=form, p=1), ns),
+            (lambda: maximal_profile(f, w, spec.size, form=form), range(start, spec.size + 1)),
+        ):
+            calls["_analyse"] = 0
+            butterflies.clear()
+            run()
+            assert calls["_analyse"] == 1
+            assert [inverse for inverse, _, _ in butterflies].count(False) == 1
+            bands = [band(n - reach) for n in orders]  # one row per order
+            synthesized = [(rows, m) for inverse, rows, m in butterflies if inverse]
+            assert [m for rows, m in synthesized for _ in range(rows)] == bands
+            assert len(synthesized) <= _chunk_bound(bands)
+            assert _chunk_bound(bands) <= spec.levels + 1  # 36 cells: a chunk per band
 
 
-def test_low_order_profiles_transform_only_the_band_they_read(monkeypatch):
+def test_order_sweep_synthesizes_in_bounded_chunks():
+    # 431 orders at M_N = 432 run in butterflies of at most 2^12 cells (9
+    # rows at the full band): about 0.23 MB traced.  Chunks of 2^14 cells
+    # already peak at 0.61 MB, and one butterfly per band at 3 MB.
+    spec = make_group([2, 3], 7)
+    f = GridFunction.random(spec, seed=38)
+    w = parse_weights("riesz")
+    ns = range(2, spec.size + 1)
+    convergence_profile(f, w, ns, form="t", p=1)  # fills the weight and stage caches
+    tracemalloc.start()
+    try:
+        rows = convergence_profile(f, w, ns, form="t", p=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 431
+    assert peak < 500_000
+
+
+def test_low_order_profiles_transform_only_the_band_they_read(butterflies):
     # Orders up to 6 read fhat[:6], and psi_n for n < 8 = M_3 is a function
     # of x mod 8, so on the 4096-cell dyadic grid every butterfly runs on at
-    # most 8 cells: the analysis on exactly 8, each synthesis on the
+    # most 8 cells: the analysis on exactly 8, each synthesized row on the
     # smallest M_s covering its spectrum.  Lengths, not timings: a return to
     # full-grid transforms fails on any machine.
-    lengths = []
-    stages = vilenkin.transform._apply_stages
-
-    def recorded(spec, data, inverse):
-        lengths.append(len(data))
-        return stages(spec, data, inverse)
-
-    monkeypatch.setattr(vilenkin.transform, "_apply_stages", recorded)
     spec = make_group([2], 12)
     f = GridFunction.random(spec, seed=37)
     w = parse_weights("riesz")
     for form in ("t", "norlund", "partial"):
-        lengths.clear()
+        butterflies.clear()
         convergence_profile(f, w, range(2, 7), form=form, p=1)
+        lengths = [band for _, rows, band in butterflies for _ in range(rows)]
         assert len(lengths) == 6 and lengths[0] == 8 and max(lengths) == 8
-    # partial sums keep every coefficient below n: bands 2, 4, 4, 8, 8
+        assert len(butterflies) <= 1 + _chunk_bound(lengths[1:])
+    # partial sums keep every coefficient below n: bands 2, 4, 4, 8, 8, in
+    # one butterfly per band after the analysis
     assert lengths == [8, 2, 4, 4, 8, 8]
+    assert [band for _, _, band in butterflies] == [8, 2, 4, 8]

@@ -7,7 +7,9 @@ accumulations of t_mean, and the q-weighted expansion in partial sums.  The
 kernel identities hold to 1e-12, and every sweep returns, order by order, the
 very value of the single-case call.  A spectrum below M_s synthesizes, and
 an analysis up to M_s runs, on M_s cells only; both must agree with the
-definitions (character rows, the naive transform) to 1e-12.
+definitions (character rows, the naive transform) to 1e-12.  A batched
+synthesis returns every row bitwise equal to its one-row synthesis, whatever
+the batch size and the row's place in it.
 """
 
 import math
@@ -18,13 +20,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vilenkin.group import Element, make_group
-from vilenkin.kernels import abel_kernel_residuals, identity_residual, reflection_residuals
+from vilenkin.kernels import (
+    _FAMILIES,
+    _kernels,
+    abel_kernel_residuals,
+    identity_residual,
+    multiplier,
+    reflection_residuals,
+    synthesize,
+)
 from vilenkin.means import norlund_mean, parse_weights, t_mean, t_mean_oracles
-from vilenkin.points import convergence_profile
+from vilenkin.points import _FORM_FAMILY, _means, convergence_profile
 from vilenkin.transform import (
     GridFunction,
     Spectrum,
     _analyse,
+    _synthesize_rows,
     character_row,
     forward,
     inverse,
@@ -148,3 +159,52 @@ def test_truncated_analysis_matches_naive_transform(case):
     got = _analyse(f, count)
     assert got.shape == (count,)
     assert np.max(np.abs(got - forward(f, method="naive").coeffs[:count]), initial=0.0) < TOL
+
+
+@st.composite
+def row_batches(draw):
+    """A random group and up to 16 coefficient rows of random support and length.
+
+    Sorting the supports half of the time puts rows of one band next to each
+    other, so that chunks of several rows occur at every band.
+    """
+    spec = make_group(draw(st.lists(st.integers(2, 7), min_size=1, max_size=10).map(_fit)))
+    counts = draw(st.lists(st.integers(0, spec.size), min_size=1, max_size=16))
+    if draw(st.booleans()):
+        counts.sort()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for count in counts:
+        row = np.zeros(draw(st.integers(count, spec.size)), dtype=complex)  # trailing zeros
+        row[:count] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        rows.append(row)
+    return spec, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_batches())
+def test_batched_rows_equal_one_row_inverse(case):
+    spec, rows = case
+    batched = list(_synthesize_rows(spec, rows))
+    assert len(batched) == len(rows)
+    for row, got in zip(rows, batched):
+        full = np.zeros(spec.size, dtype=complex)
+        full[: len(row)] = row
+        assert np.array_equal(got.values, inverse(Spectrum(spec, full)).values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cases(), st.lists(st.integers(1, MAX_POINTS), min_size=1, max_size=40))
+def test_batched_kernels_and_means_equal_single_syntheses(case, more):
+    spec, w, ns, f, x = case
+    ns = sorted({*ns, *(min(spec.size, max(w.n0, n)) for n in more)})
+    for family in _FAMILIES:
+        batched = _kernels(family, ns, spec, w)
+        for n, got in zip(ns, batched, strict=True):
+            want = synthesize(spec, multiplier(family, n, spec, w))
+            assert np.array_equal(got.values, want.values)
+    fh = _analyse(f, ns[-1])
+    for form, family in _FORM_FAMILY.items():
+        for n, got in _means(f, w, ns, form):
+            want = synthesize(spec, fh[:n] * multiplier(family, n, spec, w))
+            assert np.array_equal(got.values, want.values)

@@ -113,6 +113,23 @@ def test_character_row_memory_is_linear_in_grid_size():
     assert row[x.index] == psi(spec.size - 1, x) == 1.0
 
 
+def test_constructors_copy_caller_arrays_and_results_are_frozen():
+    # the public constructors copy, so a caller's array stays writable and
+    # unshared; arrays the library creates itself are frozen, not copied
+    spec = make_group([2, 3])
+    mine = np.arange(spec.size, dtype=complex)
+    f = GridFunction(spec, mine)
+    assert mine.flags.writeable and not np.shares_memory(mine, f.values)
+    s = Spectrum(spec, mine)
+    assert mine.flags.writeable and not np.shares_memory(mine, s.coeffs)
+    g = GridFunction.random(spec, seed=7, rank=1)
+    for h in (f + g, f - g, f * 2j, 2j * f, g, inverse(s), partial_sum(f, 3)):
+        assert not h.values.flags.writeable
+        assert h.values.shape == (spec.size,) and h.values.dtype == np.complex128
+    with pytest.raises(ValueError):
+        f * np.ones((2, spec.size))  # not a grid function's shape
+
+
 def test_orthonormality_gram():
     for spec in (make_group([2, 3, 2]), make_group([3, 4, 2])):
         rows = np.array([character_row(spec, n) for n in range(spec.size)])
