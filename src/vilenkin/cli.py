@@ -190,8 +190,13 @@ def _resolve_n_max(cfg: ExperimentConfig, spec: GroupSpec) -> int:
 
 def _orders(start: int, n_max: int, spec: GroupSpec, mode: str) -> list[int]:
     if mode == "block":
-        return [b for b in spec.M if start <= b <= n_max]
-    return list(range(start, n_max + 1))
+        ns = [b for b in spec.M if start <= b <= n_max]
+    else:
+        ns = list(range(start, n_max + 1))
+    if not ns:
+        what = "block sizes M_r" if mode == "block" else "orders"
+        raise ConfigError(f"no {what} in [{start}, {n_max}]; raise --n-max")
+    return ns
 
 
 # --- subcommands -------------------------------------------------------------
@@ -302,7 +307,7 @@ def _run_converge(cfg: ExperimentConfig, out: Path) -> int:
             raise ConfigError(str(exc)) from None
     if cfg.form not in ("t", "norlund", "partial"):
         raise ConfigError(f"unknown mean form {cfg.form!r}")
-    if point is None and cfg.p < 1:
+    if point is None and not cfg.p >= 1:  # also refuses NaN
         raise ConfigError(f"p must be >= 1, got {cfg.p}")
     start = 1 if cfg.form == "partial" else w.n0
     ns = _orders(start, n_max, spec, cfg.mode)

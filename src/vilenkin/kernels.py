@@ -29,6 +29,8 @@ from .group import GroupSpec
 from .transform import (
     _SYNTH_CHUNK_CELLS,
     GridFunction,
+    _band,
+    _synthesize_bands,
     _synthesize_rows,
     character_row,
 )
@@ -105,9 +107,13 @@ def _kernels(
     ns: Iterable[int],
     spec: GroupSpec,
     weights: "WeightSequence | None" = None,
-) -> Iterator[GridFunction]:
-    """The order-n kernel of one family for each n in ns, batched over orders."""
-    return _synthesize_rows(spec, (multiplier(family, n, spec, weights) for n in ns))
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(M_s, the order-n kernel on the cells x < M_s) for each n in ns, batched.
+
+    A kernel of band M_s is a function of x mod M_s, so the sweeps below
+    reduce it on those M_s cells (or on a larger band that nests it).
+    """
+    return _synthesize_bands(spec, (multiplier(family, n, spec, weights) for n in ns))
 
 
 def dirichlet(n: int, spec: GroupSpec) -> GridFunction:
@@ -210,18 +216,19 @@ def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
 
     Offsets j and M_r - j need the same two Dirichlet kernels, so each rank
     synthesizes D_1, ..., D_{M_r} once and psi_{M_r - 1} once: sum_r M_r
-    syntheses in all.  They run in chunks of pairs (D_j, D_{M_r - j}) whose
-    kernels together fill at most _SYNTH_CHUNK_CELLS grid cells, so the
-    working memory stays O(M_N).
+    syntheses in all.  Every term is a function of x mod M_r, so the
+    residuals are taken on the M_r cells x < M_r, kernels of a lower band
+    broadcast over them.  The kernels run in chunks of pairs
+    (D_j, D_{M_r - j}) that together fill at most _SYNTH_CHUNK_CELLS cells.
     """
-    pairs = max(1, _SYNTH_CHUNK_CELLS // (2 * spec.size))
     for rank in range(spec.levels + 1):
         block = spec.M[rank]
-        full = dirichlet(block, spec).values
+        _, full = next(_kernels("dirichlet", [block], spec))
         yield rank, 0, _reflection_gap(full, full)
         if block == 1:
             continue
-        row = character_row(spec, block - 1)
+        row = character_row(spec, block - 1)[:block]
+        pairs = max(1, _SYNTH_CHUNK_CELLS // (2 * block))
         half = block // 2
         for start in range(1, half + 1, pairs):
             js = range(start, min(start + pairs, half + 1))
@@ -229,7 +236,8 @@ def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
             # one band stay adjacent
             orders = [*js, *(block - j for j in reversed(js) if 2 * j != block)]
             kernel = {
-                n: g.values for n, g in zip(orders, _kernels("dirichlet", orders, spec))
+                n: np.tile(values, block // band)
+                for n, (band, values) in zip(orders, _kernels("dirichlet", orders, spec))
             }
             for j in js:
                 low, high = kernel[j], kernel[block - j]
@@ -246,7 +254,9 @@ def abel_kernel_residuals(
     The right-hand side is kept as a running sum over i of
     (q_i - q_{i+1}) i K_i, added in increasing i, so every K_i with
     i < max(ns) is synthesized once and each order costs one t kernel on
-    top; the K_i and the t kernels run as two batched sweeps.
+    top; the K_i and the t kernels run as two batched sweeps.  Every kernel
+    involved lives on a band nested in that of max(ns), and the running sum
+    is kept on that band's cells.
     """
     ns = list(ns)
     for previous, n in zip(ns, ns[1:]):
@@ -254,23 +264,25 @@ def abel_kernel_residuals(
             raise ValueError(f"orders must ascend, got {n} after {previous}")
     lhs_kernels = _kernels("t", ns, spec, weights)  # also validates n and Q_n
     fejer_kernels = _kernels("fejer", range(1, max(ns, default=0)), spec)
-    partial = np.zeros(spec.size, dtype=np.complex128)  # the terms i = 1..done
+    cells = _band(spec, min(max(ns, default=0), spec.size))
+    partial = np.zeros(cells, dtype=np.complex128)  # the terms i = 1..done
     done = 0
-    kernel = None  # K_{done + 1} once synthesized
-    for n, lhs in zip(ns, lhs_kernels):
+    kernel = None  # (M_s, K_{done + 1}) once synthesized
+    for n, (lhs_band, lhs) in zip(ns, lhs_kernels):
         q = weights.q_array(n)
         while done < n - 2:
             done += 1
-            if kernel is None:
-                kernel = next(fejer_kernels).values
-            partial += (q[done] - q[done + 1]) * done * kernel
+            band, values = kernel or next(fejer_kernels)
+            fibres = partial.reshape(-1, band)
+            fibres += (q[done] - q[done + 1]) * done * values
             kernel = None
         rhs = partial
         if n >= 2:
-            if kernel is None:
-                kernel = next(fejer_kernels).values
-            rhs = partial + q[n - 1] * (n - 1) * kernel
-        yield n, float(np.max(np.abs(lhs.values - rhs / weights.Q(n))))
+            kernel = kernel or next(fejer_kernels)
+            band, values = kernel
+            rhs = (partial.reshape(-1, band) + q[n - 1] * (n - 1) * values).reshape(-1)
+        gap = lhs - (rhs / weights.Q(n)).reshape(-1, lhs_band)
+        yield n, float(np.max(np.abs(gap)))
 
 
 @dataclass(frozen=True)
@@ -298,17 +310,21 @@ def l1_profile(
     """
     if not 0 <= tail_rank <= spec.levels:
         raise ValueError(f"tail rank {tail_rank} outside [0, {spec.levels}]")
-    outside = np.arange(spec.size) % spec.M[tail_rank] != 0
+    tail_block = spec.M[tail_rank]
     rows = []
     ns = sorted(ns)
-    for n, g in zip(ns, _kernels(family, ns, spec, weights)):
-        mags = np.abs(g.values)
+    for n, (band, values) in zip(ns, _kernels(family, ns, spec, weights)):
+        # |k_n| and the outside of I_tail_rank(0) both have period
+        # max(M_s, M_tail_rank), so the averages over M_N cells are
+        # averages over that many
+        cells = max(band, tail_block)
+        mags = np.tile(np.abs(values), cells // band)
         rows.append(
             KernelProfileRow(
                 n=n,
                 l1=float(mags.mean()),
-                integral=g.integral,
-                tail=float(mags[outside].sum() / spec.size),
+                integral=complex(values.mean()),
+                tail=float(mags.reshape(-1, tail_block)[:, 1:].sum() / cells),
             )
         )
     return rows
@@ -332,15 +348,22 @@ def domination_constant(ns: Sequence[int], spec: GroupSpec) -> float:
         raise ValueError("need at least one n")
     top = max(_leading_position(n, spec) for n in ns)
     blocks = spec.M[: top + 1]
+    # the denominators live on the band M_top of K_{M_top}, which nests the
+    # bands of the others; each ratio is taken on the larger of that band
+    # and its numerator's
     denoms = np.cumsum(
-        [M * np.abs(g.values) for M, g in zip(blocks, _kernels("fejer", blocks, spec))],
+        [
+            M * np.tile(np.abs(values), blocks[-1] // band)
+            for M, (band, values) in zip(blocks, _kernels("fejer", blocks, spec))
+        ],
         axis=0,
     )
     best = 0.0
     ns = sorted(ns)
-    for n, g in zip(ns, _kernels("fejer", ns, spec)):
-        num = n * np.abs(g.values)
-        den = denoms[_leading_position(n, spec)]
+    for n, (band, values) in zip(ns, _kernels("fejer", ns, spec)):
+        cells = max(band, blocks[-1])
+        num = np.tile(n * np.abs(values), cells // band)
+        den = np.tile(denoms[_leading_position(n, spec)], cells // blocks[-1])
         ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
         best = max(best, float(ratio.max()))
     return best

@@ -9,6 +9,7 @@ quantity controlling a.e. convergence of the reversed-frame means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 from .group import Element, generator, interval_members, subtract
 from .kernels import multiplier
 from .means import WeightSequence
-from .transform import GridFunction, _analyse, _synthesize_rows, norm
+from .transform import GridFunction, _analyse, _synthesize_bands
 
 __all__ = [
     "ConvergenceRow",
@@ -26,6 +27,10 @@ __all__ = [
     "convergence_profile",
     "maximal_profile",
 ]
+
+# Cells of f per chunk of an L_p error: besides the M_N-float buffer the
+# mean runs over, a chunk's complex difference is the only temporary.
+_ERROR_CHUNK_CELLS = 2**14
 
 
 def lebesgue_modulus(f: GridFunction, x: Element, rank: int) -> float:
@@ -76,12 +81,13 @@ _FORM_FAMILY = {"t": "t", "norlund": "norlund", "partial": "dirichlet"}
 
 def _means(
     f: GridFunction, w: WeightSequence | None, ns: Iterable[int], form: str
-) -> Iterator[tuple[int, GridFunction]]:
-    """Yield (n, the order-n mean of f) for each n in ns.
+) -> Iterator[tuple[int, tuple[int, np.ndarray]]]:
+    """Yield (n, (M_s, the order-n mean of f on the cells x < M_s)) for each n in ns.
 
     f is analysed once, up to the largest order, since an order-n mean
     reads only fhat[:n]; the multiplied spectra of all orders then run
     through one batched synthesis, a stacked butterfly per chunk of orders.
+    The mean is a function of x mod M_s, so it is left on its band.
     """
     if form not in _FORM_FAMILY:
         raise ValueError(f"unknown mean form {form!r}; expected t, norlund or partial")
@@ -89,7 +95,27 @@ def _means(
     ns = list(ns)
     fh = _analyse(f, max(ns, default=0))
     rows = (fh[:n] * multiplier(family, n, f.spec, w) for n in ns)
-    yield from zip(ns, _synthesize_rows(f.spec, rows))
+    yield from zip(ns, _synthesize_bands(f.spec, rows))
+
+
+def _lp_error(
+    f: GridFunction, band: int, values: np.ndarray, p: float, buf: np.ndarray
+) -> float:
+    """norm(g - f, p) for the M_s-periodic g given by its values on x < M_s.
+
+    |g - f|^p is written, a chunk of fibres of x mod M_s at a time, into
+    buf (M_N floats), and the mean runs over buf as norm() runs over its
+    own array, so the result is bitwise norm()'s without tiling g.
+    """
+    fibres = f.values.reshape(-1, band)
+    out = buf.reshape(-1, band)
+    step = max(1, _ERROR_CHUNK_CELLS // band)
+    for start in range(0, len(fibres), step):
+        chunk = out[start : start + step]
+        np.abs(values - fibres[start : start + step], out=chunk)
+        if p != math.inf:
+            chunk **= p
+    return float(buf.max() if p == math.inf else np.mean(buf) ** (1.0 / p))
 
 
 def convergence_profile(
@@ -113,6 +139,8 @@ def convergence_profile(
         raise ValueError("give exactly one of point= and p=")
     if mode not in ("all", "block"):
         raise ValueError(f"unknown mode {mode!r}")
+    if p is not None and not p >= 1:  # also refuses NaN
+        raise ValueError(f"L_p error needs p >= 1, got {p}")
     if form != "partial" and w is None:
         raise ValueError(f"form {form!r} needs a weight sequence")
     spec = f.spec
@@ -122,11 +150,12 @@ def convergence_profile(
                 raise ValueError(f"order {n} is not a block size M_r")
     mean_id = "partial" if form == "partial" else f"{w.label()}|{form}"
     rows = []
-    for n, g in _means(f, w, sorted(ns), form):
+    buf = np.empty(spec.size) if point is None else None  # reused by every order
+    for n, (band, values) in _means(f, w, sorted(ns), form):
         if point is not None:
-            err = abs(g.values[point.index] - f.values[point.index])
+            err = abs(values[point.index % band] - f.values[point.index])
         else:
-            err = norm(g - f, p)
+            err = _lp_error(f, band, values, p, buf)
         rows.append(ConvergenceRow(n=n, err=float(err), mean_id=mean_id, mode=mode))
     return rows
 
@@ -144,7 +173,10 @@ def maximal_profile(
     if form != "partial" and w is None:
         raise ValueError(f"form {form!r} needs a weight sequence")
     start = 1 if form == "partial" else w.n0
-    best = np.zeros(spec.size)
-    for _, g in _means(f, w, range(start, n_max + 1), form):
-        best = np.maximum(best, np.abs(g.values))
-    return GridFunction(spec, best)
+    best = np.zeros(1)  # on the largest band so far; the bands M_s nest
+    for _, (band, values) in _means(f, w, range(start, n_max + 1), form):
+        if band > len(best):
+            best = np.tile(best, band // len(best))
+        fibres = best.reshape(-1, band)
+        np.maximum(fibres, np.abs(values), out=fibres)
+    return GridFunction._own(spec, np.tile(best, spec.size // len(best)))

@@ -379,12 +379,25 @@ def inverse(s: Spectrum) -> GridFunction:
 def _synthesize_rows(spec: GroupSpec, rows: Iterable) -> Iterator[GridFunction]:
     """sum_j row[j] * psi_j for each coefficient row (length <= M_N), in input order.
 
+    The public face of _synthesize_bands(): each band result is tiled once
+    to M_N, so a sweep holds O(_SYNTH_CHUNK_CELLS + M_N) cells at a time.
+    """
+    for band, values in _synthesize_bands(spec, rows):
+        yield GridFunction._own(spec, np.tile(values, spec.size // band))
+
+
+def _synthesize_bands(
+    spec: GroupSpec, rows: Iterable
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(M_s, the row's synthesis on the M_s cells x < M_s) for each row, in input order.
+
     A row's band is M_s for the smallest s with M_s above its last nonzero
-    coefficient, the rule inverse() applies to a whole spectrum.  Consecutive
-    rows with one band run as one stacked butterfly of at most
-    _SYNTH_CHUNK_CELLS cells (one row if M_s is larger), and each result is
-    tiled once to M_N.  The rows are read lazily, a chunk at a time, so a
-    sweep holds O(_SYNTH_CHUNK_CELLS + M_N) cells at a time.
+    coefficient, the rule inverse() applies to a whole spectrum; its
+    synthesis is a function of x mod M_s, so these M_s values tile to the
+    full grid.  Consecutive rows with one band run as one stacked butterfly
+    of at most _SYNTH_CHUNK_CELLS cells (one row if M_s is larger).  The
+    rows are read lazily, a chunk at a time, so a sweep that reduces each
+    row on its band holds O(_SYNTH_CHUNK_CELLS + M_s) cells at a time.
     """
     pending: list[np.ndarray] = []  # rows of one band, emptied by each butterfly
     band = 0
@@ -409,11 +422,13 @@ def _synthesize_rows(spec: GroupSpec, rows: Iterable) -> Iterator[GridFunction]:
 
 def _synthesize_chunk(
     spec: GroupSpec, rows: list[np.ndarray], band: int
-) -> Iterator[GridFunction]:
-    """One butterfly over rows supported below band, each result tiled to M_N.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """One butterfly over rows supported below band, yielding (band, values).
 
     The rows are taken out of the list, and the stacked input is dropped
     once the butterfly has run, so a paused sweep holds only its results.
+    A row of a stacked chunk is yielded as its own copy, so a consumer that
+    keeps it while the next chunk runs holds M_s cells, not the chunk.
     """
     data = np.zeros((len(rows), band), dtype=np.complex128)
     for i, row in enumerate(rows):
@@ -422,7 +437,7 @@ def _synthesize_chunk(
     out = _apply_stages(spec, data, inverse=True)
     del data
     for values in out:
-        yield GridFunction._own(spec, np.tile(values, spec.size // band))
+        yield band, values.copy() if len(out) > 1 else values
 
 
 def partial_sum(f: GridFunction, n: int) -> GridFunction:
@@ -449,7 +464,7 @@ def norm(f: GridFunction, p: float) -> float:
     """Strong L_p norm under normalized Haar measure; p may be math.inf."""
     if p == math.inf:
         return float(np.abs(f.values).max())
-    if p < 1:
+    if not p >= 1:  # also refuses NaN
         raise ValueError(f"strong norm needs p >= 1, got {p}")
     return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
 

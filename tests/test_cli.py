@@ -419,6 +419,41 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["converge", "--weights", "riesz"], "no orders in [2, 1]"),
+        (["converge", "--weights", "riesz", "--block"], "no block sizes M_r in [2, 1]"),
+        (["kernel-profile", "--weights", "riesz", "--family", "t"], "no orders in [2, 1]"),
+        (
+            ["kernel-profile", "--weights", "riesz", "--family", "t", "--block"],
+            "no block sizes M_r in [2, 1]",
+        ),
+    ],
+)
+def test_empty_order_range_exits_2_and_names_it(tmp_path, capsys, argv, message):
+    # riesz weights start at n0 = 2, so --n-max 1 leaves no order to run
+    out = tmp_path / "x.csv"
+    code = main([*argv, "--group", "2,3", "--levels", "4", "--n-max", "1", "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nan_p_exits_2_from_flag_and_config(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["converge", "--group", "2,3", "--levels", "3", "--out", str(out)]
+    assert main([*argv, "--p", "nan"]) == 2
+    assert "p must be >= 1, got nan" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"p": float("nan")}))  # written as NaN
+    assert main([*argv, "--config", str(cfg_path)]) == 2
+    assert "p must be >= 1, got nan" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--p", "inf"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
     "raw",
     [
         {"levels": "3"},

@@ -5,6 +5,8 @@ below rebuild them instead as literal weighted sums of Dirichlet kernels,
 which is the defining formula.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,24 @@ def test_l1_profile_validation():
         l1_profile("t", [2], spec)  # weights required
     with pytest.raises(ValueError):
         l1_profile("fejer", [1], spec, tail_rank=9)
+
+
+def test_low_order_l1_profile_memory_is_independent_of_grid_size():
+    # Fejer kernels of order <= 200 live on at most 256 cells, and so do
+    # their rank-1 tails, so the profile is reduced on those cells at any
+    # M_N.  Tiling every kernel to M_N took 41 MiB traced at 2^20, and 3.5 s.
+    profiles, peaks = [], []
+    for levels in (16, 20):
+        spec = make_group([2], levels)
+        l1_profile("fejer", range(1, 201), spec)  # fills the stage caches
+        tracemalloc.start()
+        try:
+            profiles.append(l1_profile("fejer", range(1, 201), spec))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert profiles[0] == profiles[1]
+    assert max(peaks) < 512_000
 
 
 def test_l1_profile_t_family_tails_shrink():

@@ -167,6 +167,9 @@ def test_convergence_profile_validation():
         convergence_profile(f, w, [2], p=1, form="mystery")
     with pytest.raises(ValueError):
         convergence_profile(f, None, [2], p=1, form="t")
+    for p in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            convergence_profile(f, w, [2], p=p)
 
 
 def test_maximal_profile_character():
@@ -279,6 +282,25 @@ def test_order_sweep_synthesizes_in_bounded_chunks():
         tracemalloc.stop()
     assert len(rows) == 431
     assert peak < 500_000
+
+
+def test_low_order_l1_error_on_a_large_grid_needs_no_tiled_means():
+    # Orders 2..6 of a 2^20-cell function live on 8 cells.  Their L1 errors
+    # against f need one M_N-float buffer (8 MiB) plus a bounded chunk of
+    # fibres, 8.4 MiB traced; tiling each mean and forming g - f, |g - f|
+    # and |g - f|^p took 48 MiB.
+    spec = make_group([2], 20)
+    f = GridFunction.random(spec, seed=39)
+    w = parse_weights("riesz")
+    convergence_profile(f, w, range(2, 7), p=1)  # fills the weight and stage caches
+    tracemalloc.start()
+    try:
+        rows = convergence_profile(f, w, range(2, 7), p=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.n for r in rows] == [2, 3, 4, 5, 6]
+    assert peak < 12 * 2**20
 
 
 def test_low_order_profiles_transform_only_the_band_they_read(butterflies):

@@ -9,7 +9,11 @@ very value of the single-case call.  A spectrum below M_s synthesizes, and
 an analysis up to M_s runs, on M_s cells only; both must agree with the
 definitions (character rows, the naive transform) to 1e-12.  A batched
 synthesis returns every row bitwise equal to its one-row synthesis, whatever
-the batch size and the row's place in it.
+the batch size and the row's place in it.  The sweeps that reduce a mean or a
+kernel on its band M_s instead of the whole grid return the very errors,
+maxima and residuals of the tiled full-grid route (the L1 profile, a sum in
+another order, to 1e-12).  The group laws, the character homomorphism,
+inverse(forward(f)) = f and Parseval hold on every random group.
 """
 
 import math
@@ -19,18 +23,23 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vilenkin.group import Element, make_group
+from vilenkin.group import Element, add, generator, make_group, subtract
 from vilenkin.kernels import (
     _FAMILIES,
     _kernels,
+    _leading_position,
     abel_kernel_residuals,
+    domination_constant,
+    fejer,
     identity_residual,
+    l1_profile,
     multiplier,
     reflection_residuals,
     synthesize,
+    t_kernel,
 )
 from vilenkin.means import norlund_mean, parse_weights, t_mean, t_mean_oracles
-from vilenkin.points import _FORM_FAMILY, _means, convergence_profile
+from vilenkin.points import _FORM_FAMILY, _means, convergence_profile, maximal_profile
 from vilenkin.transform import (
     GridFunction,
     Spectrum,
@@ -41,18 +50,20 @@ from vilenkin.transform import (
     inverse,
     norm,
     partial_sum,
+    psi,
 )
 
 FAMILIES = ("constant", "cesaro:0.5", "icesaro:0.5", "power:0.5", "riesz", "nlog", "logpow:0.5")
 MAX_POINTS = 2**10
+MAX_QUOTIENT_POINTS = 2**12
 TOL = 1e-12
 
 
-def _fit(radices):
-    """Longest prefix of the radices with M_N <= MAX_POINTS."""
+def _fit(radices, limit=MAX_POINTS):
+    """Longest prefix of the radices with M_N <= limit."""
     kept, size = [], 1
     for r in radices:
-        if size * r > MAX_POINTS:
+        if size * r > limit:
             break
         kept.append(r)
         size *= r
@@ -198,13 +209,150 @@ def test_batched_rows_equal_one_row_inverse(case):
 def test_batched_kernels_and_means_equal_single_syntheses(case, more):
     spec, w, ns, f, x = case
     ns = sorted({*ns, *(min(spec.size, max(w.n0, n)) for n in more)})
+    # the sweeps leave each row on its band M_s; tiled, it is the public result
     for family in _FAMILIES:
         batched = _kernels(family, ns, spec, w)
-        for n, got in zip(ns, batched, strict=True):
+        for n, (band, got) in zip(ns, batched, strict=True):
             want = synthesize(spec, multiplier(family, n, spec, w))
-            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(np.tile(got, spec.size // band), want.values)
     fh = _analyse(f, ns[-1])
     for form, family in _FORM_FAMILY.items():
-        for n, got in _means(f, w, ns, form):
+        for n, (band, got) in _means(f, w, ns, form):
             want = synthesize(spec, fh[:n] * multiplier(family, n, spec, w))
-            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(np.tile(got, spec.size // band), want.values)
+
+
+@st.composite
+def quotient_cases(draw):
+    """A random group with M_N <= 2^12, weights, a function, orders, a point, a tail rank.
+
+    The orders stay below 2^9, so on the larger groups every band is a
+    proper quotient of the grid.
+    """
+    radices = draw(st.lists(st.integers(2, 7), min_size=1, max_size=12))
+    spec = make_group(_fit(radices, MAX_QUOTIENT_POINTS))
+    w = parse_weights(draw(st.sampled_from(FAMILIES)))
+    orders = st.integers(w.n0, min(spec.size, 2**9))  # n0 <= 2 <= M_N
+    ns = sorted(draw(st.lists(orders, min_size=1, max_size=6, unique=True)))
+    rank = draw(st.none() | st.integers(0, spec.levels))
+    f = GridFunction.random(spec, draw(st.integers(0, 2**32 - 1)), rank)
+    x = draw(st.integers(0, spec.size - 1))
+    return spec, w, ns, f, x, draw(st.integers(0, spec.levels))
+
+
+def _tiled_means(f, w, orders, family):
+    """(n, the order-n mean tiled to M_N), the full-grid route of the sweeps."""
+    fh = _analyse(f, orders[-1])
+    rows = (fh[:n] * multiplier(family, n, f.spec, w) for n in orders)
+    return zip(orders, _synthesize_rows(f.spec, rows))
+
+
+@settings(max_examples=30, deadline=None)
+@given(quotient_cases())
+def test_quotient_errors_and_maximal_profile_equal_the_tiled_route(case):
+    spec, w, ns, f, x, _ = case
+    point = Element.from_index(spec, x)
+    for form, family in _FORM_FAMILY.items():
+        means = dict(_tiled_means(f, w, ns, family))
+        for p in (1, 1.5, 2, math.inf):
+            got = convergence_profile(f, w, ns, form=form, p=p)
+            assert [r.err for r in got] == [norm(means[n] - f, p) for n in ns]
+        got = convergence_profile(f, w, ns, form=form, point=point)
+        assert [r.err for r in got] == [abs(means[n].values[x] - f.values[x]) for n in ns]
+        start = 1 if form == "partial" else w.n0
+        best = np.zeros(spec.size)
+        for _, g in _tiled_means(f, w, list(range(start, ns[-1] + 1)), family):
+            best = np.maximum(best, np.abs(g.values))
+        assert np.array_equal(maximal_profile(f, w, ns[-1], form=form).values, best)
+
+
+def _abel_on_grid(spec, w, ns):
+    """The abel-kernel residuals with every kernel synthesized on the whole grid."""
+    partial = np.zeros(spec.size, dtype=complex)
+    done = 0
+    for n in ns:
+        q = w.q_array(n)
+        while done < n - 2:
+            done += 1
+            partial += (q[done] - q[done + 1]) * done * fejer(done, spec).values
+        rhs = partial
+        if n >= 2:
+            rhs = partial + q[n - 1] * (n - 1) * fejer(n - 1, spec).values
+        yield n, float(np.max(np.abs(t_kernel(w, n, spec).values - rhs / w.Q(n))))
+
+
+def _domination_on_grid(ns, spec):
+    top = max(_leading_position(n, spec) for n in ns)
+    denoms = np.cumsum([M * np.abs(fejer(M, spec).values) for M in spec.M[: top + 1]], axis=0)
+    best = 0.0
+    for n in ns:
+        num = n * np.abs(fejer(n, spec).values)
+        den = denoms[_leading_position(n, spec)]
+        ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        best = max(best, float(ratio.max()))
+    return best
+
+
+@settings(max_examples=20, deadline=None)
+@given(quotient_cases())
+def test_quotient_kernel_sweeps_equal_the_tiled_route(case):
+    spec, w, ns, _, _, tail_rank = case
+    swept = {(rank, j): r for rank, j, r in reflection_residuals(spec)}
+    assert len(swept) == sum(spec.M)
+    for rank, block in enumerate(spec.M):
+        for j in {0, 1 % block, block // 2, block - 1}:
+            assert swept[rank, j] == identity_residual("reflection", spec, rank=rank, j=j)
+    assert list(abel_kernel_residuals(spec, w, ns)) == list(_abel_on_grid(spec, w, ns))
+    assert domination_constant(ns, spec) == _domination_on_grid(ns, spec)
+    outside = np.arange(spec.size) % spec.M[tail_rank] != 0
+    for family in _FAMILIES:
+        rows = l1_profile(family, ns, spec, weights=w, tail_rank=tail_rank)
+        for n, row in zip(ns, rows, strict=True):
+            g = synthesize(spec, multiplier(family, n, spec, w))
+            mags = np.abs(g.values)
+            assert abs(row.l1 - mags.mean()) < TOL
+            assert abs(row.integral - g.integral) < TOL
+            assert abs(row.tail - mags[outside].sum() / spec.size) < TOL
+
+
+@st.composite
+def groups_and_seeds(draw):
+    """A random group with M_N <= 2^12 and a seed."""
+    radices = draw(st.lists(st.integers(2, 7), min_size=1, max_size=12))
+    return make_group(_fit(radices, MAX_QUOTIENT_POINTS)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups_and_seeds())
+def test_group_laws_and_characters_are_homomorphisms(case):
+    spec, seed = case
+    rng = np.random.default_rng(seed)
+    x, y, z = (Element.from_index(spec, int(i)) for i in rng.integers(0, spec.size, 3))
+    zero = Element.zero(spec)
+    assert add(add(x, y), z) == add(x, add(y, z))
+    assert add(x, y) == add(y, x)
+    assert add(x, zero) == x and subtract(x, x) == zero
+    assert add(subtract(x, y), y) == x
+    assert add(x, subtract(zero, x)) == zero
+    for s in range(spec.levels):
+        multiple = zero
+        for _ in range(spec.m[s]):
+            multiple = add(multiple, generator(s, spec))
+        assert multiple == zero  # e_s has order m_s
+    for n in rng.integers(0, spec.size, 3):
+        n = int(n)
+        assert abs(psi(n, add(x, y)) - psi(n, x) * psi(n, y)) < TOL
+        assert abs(psi(n, subtract(x, y)) - psi(n, x) * psi(n, y).conjugate()) < TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups_and_seeds())
+def test_inverse_of_forward_is_identity_and_parseval_holds(case):
+    spec, seed = case
+    rank = int(np.random.default_rng(seed).integers(0, spec.levels + 1))
+    for f in (GridFunction.random(spec, seed), GridFunction.random(spec, seed, rank)):
+        fhat = forward(f)
+        assert np.max(np.abs(inverse(fhat).values - f.values)) < TOL
+        assert np.max(np.abs(forward(inverse(fhat)).coeffs - fhat.coeffs)) < TOL
+        energy = np.mean(np.abs(f.values) ** 2)
+        assert abs(energy - np.sum(np.abs(fhat.coeffs) ** 2)) < TOL * max(1.0, energy)

@@ -282,8 +282,9 @@ def test_norm_examples():
     chi = GridFunction.character(spec, 5)
     for p in (1.0, 2.0, math.inf):
         assert norm(chi, p) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        norm(f, 0.5)
+    for p in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            norm(f, p)
 
 
 def test_parseval():
