@@ -231,67 +231,53 @@ def _run_identity_check(cfg: ExperimentConfig, out: Path) -> int:
     spec = _build_spec(cfg)
     w = _build_weights(cfg)
     n_max = _resolve_n_max(cfg, spec)
+    ns = _orders(w.n0, n_max, spec, "all")
     f = _build_function(cfg, spec)
+    blocks = [rank for rank in range(spec.levels + 1) if w.Q(spec.M[rank]) > 0]
+    # (check, tolerance scaled by M_n, rows of (n, j, residual)): the
+    # reflection and block kernels reach sup |D_{M_r}| = M_r, so their
+    # rounding grows with M_r and their tolerance is CHECK_TOL * M_r
+    checks = [
+        ("reflection", True, reflection_residuals(spec)),
+        ("weight-sum", False, ((n, None, abel_weight_residual(w, n)) for n in ns)),
+        (
+            "abel-kernel",
+            False,
+            ((n, None, r) for n, r in abel_kernel_residuals(spec, w, ns)),
+        ),
+        (
+            "abel-mean",
+            False,
+            (
+                (n, None, float(np.max(np.abs(direct.values - abel.values))))
+                for n, direct, abel in t_mean_oracles(f, w, ns)
+            ),
+        ),
+        (
+            "block",
+            True,
+            ((r, None, identity_residual("block", spec, weights=w, rank=r)) for r in blocks),
+        ),
+    ]
     rows: list[list[str]] = []
-    failures: dict[str, int] = {}
-
-    def record(
-        check: str, n: int, j: int | None, residual: float, scale: int = 1
-    ) -> None:
-        # the reflection and block kernels reach sup |D_{M_r}| = M_r, so
-        # their rounding grows with M_r and their tolerance is CHECK_TOL * M_r
-        if residual > CHECK_TOL * scale:
-            failures[check] = failures.get(check, 0) + 1
-        rows.append([check, str(n), "" if j is None else str(j), _fmt(residual)])
-
-    def summarize(check: str, residuals: list[float]) -> None:
-        worst = max(residuals) if residuals else 0.0
-        status = "FAIL" if failures.get(check) else "ok"
+    failed: set[str] = set()
+    for check, scaled, cases in checks:
+        got: list[float] = []
+        for n, j, residual in cases:
+            if residual > CHECK_TOL * (spec.M[n] if scaled else 1):
+                failed.add(check)
+            rows.append([check, str(n), "" if j is None else str(j), _fmt(residual)])
+            got.append(residual)
+        status = "FAIL" if check in failed else "ok"
         _say(
-            f"identity-check {check}: max residual {worst:.3e} "
-            f"over {len(residuals)} cases -> {status}"
+            f"identity-check {check}: max residual {max(got, default=0.0):.3e} "
+            f"over {len(got)} cases -> {status}"
         )
-
-    got: list[float] = []
-    for rank, j, r in reflection_residuals(spec):
-        record("reflection", rank, j, r, spec.M[rank])
-        got.append(r)
-    summarize("reflection", got)
-
-    ns = list(range(w.n0, n_max + 1))
-    got = []
-    for n in ns:
-        r = abel_weight_residual(w, n)
-        record("weight-sum", n, None, r)
-        got.append(r)
-    summarize("weight-sum", got)
-
-    got = []
-    for n, r in abel_kernel_residuals(spec, w, ns):
-        record("abel-kernel", n, None, r)
-        got.append(r)
-    summarize("abel-kernel", got)
-
-    got = []
-    for n, direct, abel in t_mean_oracles(f, w, ns):
-        r = float(np.max(np.abs(direct.values - abel.values)))
-        record("abel-mean", n, None, r)
-        got.append(r)
-    summarize("abel-mean", got)
-
-    got = []
-    for rank in range(spec.levels + 1):
-        if w.Q(spec.M[rank]) <= 0:
-            continue
-        r = identity_residual("block", spec, weights=w, rank=rank)
-        record("block", rank, None, r, spec.M[rank])
-        got.append(r)
-    summarize("block", got)
 
     rows.sort(key=lambda row: (row[0], int(row[1]), int(row[2] or -1)))
     _write_csv(out, ["check", "n", "j", "residual"], rows)
     _say(f"wrote {out}")
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
 def _run_converge(cfg: ExperimentConfig, out: Path) -> int:

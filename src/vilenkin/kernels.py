@@ -107,8 +107,8 @@ def _kernels(
     ns: Iterable[int],
     spec: GroupSpec,
     weights: "WeightSequence | None" = None,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(M_s, the order-n kernel on the cells x < M_s) for each n in ns, batched.
+) -> Iterator[np.ndarray]:
+    """The order-n kernel on the M_s cells of its band, for each n in ns, batched.
 
     A kernel of band M_s is a function of x mod M_s, so the sweeps below
     reduce it on those M_s cells (or on a larger band that nests it).
@@ -191,13 +191,20 @@ def identity_residual(
             raise ValueError("block residual needs weights and rank")
         if not 0 <= rank <= spec.levels:
             raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
+        # every term is a function of x mod M_r, so the residual is taken
+        # on the M_r cells x < M_r, with the reflection identity's formula
         block = spec.M[rank]
-        lhs = t_kernel(weights, block, spec).values
-        rhs = dirichlet(block, spec).values - character_row(
-            spec, block - 1
-        ) * norlund_kernel(weights, block, spec).values.conj()
-        return float(np.max(np.abs(lhs - rhs)))
+        lhs, full, low = (
+            _on_cells(next(_kernels(family, [block], spec, weights)), block)
+            for family in ("t", "dirichlet", "norlund")
+        )
+        return _reflection_gap(lhs, full, character_row(spec, block - 1)[:block], low)
     raise ValueError(f"unknown identity kind {kind!r}")
+
+
+def _on_cells(values: np.ndarray, cells: int) -> np.ndarray:
+    """A kernel given on its band, repeated out to a nesting band of cells cells."""
+    return values if len(values) == cells else np.tile(values, cells // len(values))
 
 
 def _reflection_gap(
@@ -206,9 +213,18 @@ def _reflection_gap(
     row: np.ndarray | None = None,
     low: np.ndarray | None = None,
 ) -> float:
-    """max |D_{M-j} - (D_M - psi_{M-1} conj(D_j))|; row and low are absent at j = 0."""
-    rhs = full if low is None else full - row * low.conj()
-    return float(np.max(np.abs(lhs - rhs)))
+    """max |D_{M-j} - (D_M - psi_{M-1} conj(D_j))|; row and low are absent at j = 0.
+
+    The terms after the first are computed in place, in the order of that
+    formula, so one array of lhs's size is allocated besides the magnitudes.
+    """
+    if low is None:
+        return float(np.max(np.abs(lhs - full)))
+    gap = np.conjugate(low)
+    np.multiply(row, gap, out=gap)
+    np.subtract(full, gap, out=gap)
+    np.subtract(lhs, gap, out=gap)
+    return float(np.max(np.abs(gap)))
 
 
 def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
@@ -223,7 +239,7 @@ def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
     """
     for rank in range(spec.levels + 1):
         block = spec.M[rank]
-        _, full = next(_kernels("dirichlet", [block], spec))
+        full = next(_kernels("dirichlet", [block], spec))
         yield rank, 0, _reflection_gap(full, full)
         if block == 1:
             continue
@@ -236,8 +252,8 @@ def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
             # one band stay adjacent
             orders = [*js, *(block - j for j in reversed(js) if 2 * j != block)]
             kernel = {
-                n: np.tile(values, block // band)
-                for n, (band, values) in zip(orders, _kernels("dirichlet", orders, spec))
+                n: _on_cells(values, block)
+                for n, values in zip(orders, _kernels("dirichlet", orders, spec))
             }
             for j in js:
                 low, high = kernel[j], kernel[block - j]
@@ -267,21 +283,21 @@ def abel_kernel_residuals(
     cells = _band(spec, min(max(ns, default=0), spec.size))
     partial = np.zeros(cells, dtype=np.complex128)  # the terms i = 1..done
     done = 0
-    kernel = None  # (M_s, K_{done + 1}) once synthesized
-    for n, (lhs_band, lhs) in zip(ns, lhs_kernels):
+    kernel = None  # K_{done + 1} on its band, once synthesized
+    for n, lhs in zip(ns, lhs_kernels):
         q = weights.q_array(n)
         while done < n - 2:
             done += 1
-            band, values = kernel or next(fejer_kernels)
-            fibres = partial.reshape(-1, band)
+            values = next(fejer_kernels) if kernel is None else kernel
+            fibres = partial.reshape(-1, len(values))
             fibres += (q[done] - q[done + 1]) * done * values
             kernel = None
         rhs = partial
         if n >= 2:
-            kernel = kernel or next(fejer_kernels)
-            band, values = kernel
-            rhs = (partial.reshape(-1, band) + q[n - 1] * (n - 1) * values).reshape(-1)
-        gap = lhs - (rhs / weights.Q(n)).reshape(-1, lhs_band)
+            kernel = next(fejer_kernels) if kernel is None else kernel
+            rhs = partial.reshape(-1, len(kernel)) + q[n - 1] * (n - 1) * kernel
+            rhs = rhs.reshape(-1)
+        gap = lhs - (rhs / weights.Q(n)).reshape(-1, len(lhs))
         yield n, float(np.max(np.abs(gap)))
 
 
@@ -313,12 +329,12 @@ def l1_profile(
     tail_block = spec.M[tail_rank]
     rows = []
     ns = sorted(ns)
-    for n, (band, values) in zip(ns, _kernels(family, ns, spec, weights)):
+    for n, values in zip(ns, _kernels(family, ns, spec, weights)):
         # |k_n| and the outside of I_tail_rank(0) both have period
         # max(M_s, M_tail_rank), so the averages over M_N cells are
         # averages over that many
-        cells = max(band, tail_block)
-        mags = np.tile(np.abs(values), cells // band)
+        cells = max(len(values), tail_block)
+        mags = np.tile(np.abs(values), cells // len(values))
         rows.append(
             KernelProfileRow(
                 n=n,
@@ -353,16 +369,16 @@ def domination_constant(ns: Sequence[int], spec: GroupSpec) -> float:
     # and its numerator's
     denoms = np.cumsum(
         [
-            M * np.tile(np.abs(values), blocks[-1] // band)
-            for M, (band, values) in zip(blocks, _kernels("fejer", blocks, spec))
+            M * np.tile(np.abs(values), blocks[-1] // len(values))
+            for M, values in zip(blocks, _kernels("fejer", blocks, spec))
         ],
         axis=0,
     )
     best = 0.0
     ns = sorted(ns)
-    for n, (band, values) in zip(ns, _kernels("fejer", ns, spec)):
-        cells = max(band, blocks[-1])
-        num = np.tile(n * np.abs(values), cells // band)
+    for n, values in zip(ns, _kernels("fejer", ns, spec)):
+        cells = max(len(values), blocks[-1])
+        num = np.tile(n * np.abs(values), cells // len(values))
         den = np.tile(denoms[_leading_position(n, spec)], cells // blocks[-1])
         ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
         best = max(best, float(ratio.max()))

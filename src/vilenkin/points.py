@@ -81,8 +81,8 @@ _FORM_FAMILY = {"t": "t", "norlund": "norlund", "partial": "dirichlet"}
 
 def _means(
     f: GridFunction, w: WeightSequence | None, ns: Iterable[int], form: str
-) -> Iterator[tuple[int, tuple[int, np.ndarray]]]:
-    """Yield (n, (M_s, the order-n mean of f on the cells x < M_s)) for each n in ns.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, the order-n mean of f on the M_s cells of its band) for each n in ns.
 
     f is analysed once, up to the largest order, since an order-n mean
     reads only fhat[:n]; the multiplied spectra of all orders then run
@@ -98,18 +98,16 @@ def _means(
     yield from zip(ns, _synthesize_bands(f.spec, rows))
 
 
-def _lp_error(
-    f: GridFunction, band: int, values: np.ndarray, p: float, buf: np.ndarray
-) -> float:
+def _lp_error(f: GridFunction, values: np.ndarray, p: float, buf: np.ndarray) -> float:
     """norm(g - f, p) for the M_s-periodic g given by its values on x < M_s.
 
     |g - f|^p is written, a chunk of fibres of x mod M_s at a time, into
     buf (M_N floats), and the mean runs over buf as norm() runs over its
     own array, so the result is bitwise norm()'s without tiling g.
     """
-    fibres = f.values.reshape(-1, band)
-    out = buf.reshape(-1, band)
-    step = max(1, _ERROR_CHUNK_CELLS // band)
+    fibres = f.values.reshape(-1, len(values))
+    out = buf.reshape(-1, len(values))
+    step = max(1, _ERROR_CHUNK_CELLS // len(values))
     for start in range(0, len(fibres), step):
         chunk = out[start : start + step]
         np.abs(values - fibres[start : start + step], out=chunk)
@@ -151,11 +149,11 @@ def convergence_profile(
     mean_id = "partial" if form == "partial" else f"{w.label()}|{form}"
     rows = []
     buf = np.empty(spec.size) if point is None else None  # reused by every order
-    for n, (band, values) in _means(f, w, sorted(ns), form):
+    for n, values in _means(f, w, sorted(ns), form):
         if point is not None:
-            err = abs(values[point.index % band] - f.values[point.index])
+            err = abs(values[point.index % len(values)] - f.values[point.index])
         else:
-            err = _lp_error(f, band, values, p, buf)
+            err = _lp_error(f, values, p, buf)
         rows.append(ConvergenceRow(n=n, err=float(err), mean_id=mean_id, mode=mode))
     return rows
 
@@ -174,9 +172,9 @@ def maximal_profile(
         raise ValueError(f"form {form!r} needs a weight sequence")
     start = 1 if form == "partial" else w.n0
     best = np.zeros(1)  # on the largest band so far; the bands M_s nest
-    for _, (band, values) in _means(f, w, range(start, n_max + 1), form):
-        if band > len(best):
-            best = np.tile(best, band // len(best))
-        fibres = best.reshape(-1, band)
+    for _, values in _means(f, w, range(start, n_max + 1), form):
+        if len(values) > len(best):
+            best = np.tile(best, len(values) // len(best))
+        fibres = best.reshape(-1, len(values))
         np.maximum(fibres, np.abs(values), out=fibres)
     return GridFunction._own(spec, np.tile(best, spec.size // len(best)))

@@ -272,43 +272,37 @@ def _dft_matrix(spec: GroupSpec, k: int, inverse: bool) -> np.ndarray:
 def _apply_stages(spec: GroupSpec, data: np.ndarray, inverse: bool) -> np.ndarray:
     """Run the first s radix stages of the butterfly on each length-M_s row of data.
 
-    data is one vector or a (B, M_s) stack of rows; it serves as scratch
-    space and is overwritten, and the result is a new array of its shape.
-    A row reshapes in C order to (m_{s-1}, ..., m_0), which puts coordinate
-    k on its own axis.  Stage k gathers that axis to the front of each row,
-    the other coordinates following in their natural order, and runs one
-    matmul of the radix-m_k character matrix stacked over the B rows; the
-    next stage gathers straight from the product, and a last gather
-    restores the natural order.  Each row's gemm has the one-row shape
-    m_k x (M_s / m_k), columns in the same order, so its values do not
-    depend on B or on its place in the stack.  Two arrays of data's size
-    are live at a time, and the cost is O(M_s * sum_{k<s} m_k) per row;
-    with s = N this is the whole transform.
+    data is one vector or a (B, M_s) stack of rows; the stages run in place
+    and data (or its contiguous copy) is returned.  A row reshapes in C
+    order to (m_{s-1}, ..., m_0).  Stage k gathers coordinate k to the
+    front of each row, the other coordinates following in their natural
+    order, and runs one matmul of the radix-m_k character matrix stacked
+    over the B rows, back into data.  So before stage k a row holds
+    coordinate k-1 first and the rest in natural order: viewed as
+    (m_{k-1}, M_s/M_{k+1}, m_k, M_{k-1}), with m_{-1} = M_{-1} = 1, the
+    gather swaps its first and third axes.  After the last stage the rows
+    are in natural order, with no gather to undo.  Each row's gemm has the
+    one-row shape m_k x (M_s / m_k), columns in the same order, so its
+    values do not depend on B or on its place in the stack.  Two arrays of
+    data's size are live at a time, and the cost is O(M_s * sum_{k<s} m_k)
+    per row; with s = N this is the whole transform.
     """
     data = np.ascontiguousarray(data)  # the products are written through views
     s = spec.M.index(data.shape[-1])
-    natural = range(s - 1, -1, -1)  # coordinates in the C order of a row
-    arr = data.reshape(-1, *spec.m[:s][::-1])
-    axes = list(natural)  # the coordinate on each row axis of arr
+    rows = data.size // data.shape[-1]
     gathered_cols = np.empty_like(data)
+    first = 1  # m_{k-1}: the previous stage left coordinate k-1 in front
     for k in range(s):
-        gathered = [k, *(j for j in natural if j != k)]
-        cols = arr.transpose(0, *(1 + axes.index(j) for j in gathered))
+        cols = data.reshape(rows, first, -1, spec.m[k], spec.M[k] // first).swapaxes(1, 3)
         np.copyto(gathered_cols.reshape(cols.shape), cols)
-        stage = (len(arr), spec.m[k], -1)
+        stage = (rows, spec.m[k], -1)
         np.matmul(
             _dft_matrix(spec, k, inverse),
             gathered_cols.reshape(stage),
             out=data.reshape(stage),
         )
-        arr = data.reshape(cols.shape)
-        axes = gathered
-    out = gathered_cols
-    np.copyto(
-        out.reshape(arr.shape[0], *spec.m[:s][::-1]),
-        arr.transpose(0, *(1 + axes.index(j) for j in natural)),
-    )
-    return out
+        first = spec.m[k]
+    return data
 
 
 def _band(spec: GroupSpec, count: int) -> int:
@@ -382,14 +376,12 @@ def _synthesize_rows(spec: GroupSpec, rows: Iterable) -> Iterator[GridFunction]:
     The public face of _synthesize_bands(): each band result is tiled once
     to M_N, so a sweep holds O(_SYNTH_CHUNK_CELLS + M_N) cells at a time.
     """
-    for band, values in _synthesize_bands(spec, rows):
-        yield GridFunction._own(spec, np.tile(values, spec.size // band))
+    for values in _synthesize_bands(spec, rows):
+        yield GridFunction._own(spec, np.tile(values, spec.size // len(values)))
 
 
-def _synthesize_bands(
-    spec: GroupSpec, rows: Iterable
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(M_s, the row's synthesis on the M_s cells x < M_s) for each row, in input order.
+def _synthesize_bands(spec: GroupSpec, rows: Iterable) -> Iterator[np.ndarray]:
+    """Each row's synthesis on the M_s cells x < M_s of its band, in input order.
 
     A row's band is M_s for the smallest s with M_s above its last nonzero
     coefficient, the rule inverse() applies to a whole spectrum; its
@@ -422,22 +414,21 @@ def _synthesize_bands(
 
 def _synthesize_chunk(
     spec: GroupSpec, rows: list[np.ndarray], band: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """One butterfly over rows supported below band, yielding (band, values).
+) -> Iterator[np.ndarray]:
+    """One butterfly over rows supported below band, yielding each row's band values.
 
-    The rows are taken out of the list, and the stacked input is dropped
-    once the butterfly has run, so a paused sweep holds only its results.
-    A row of a stacked chunk is yielded as its own copy, so a consumer that
-    keeps it while the next chunk runs holds M_s cells, not the chunk.
+    The rows are taken out of the list and the butterfly runs in place on
+    their stack, so a paused sweep holds only its results.  A row of a
+    stacked chunk is yielded as its own copy, so a consumer that keeps it
+    while the next chunk runs holds M_s cells, not the chunk.
     """
     data = np.zeros((len(rows), band), dtype=np.complex128)
     for i, row in enumerate(rows):
         data[i, : len(row)] = row
     rows.clear()
     out = _apply_stages(spec, data, inverse=True)
-    del data
     for values in out:
-        yield band, values.copy() if len(out) > 1 else values
+        yield values.copy() if len(out) > 1 else values
 
 
 def partial_sum(f: GridFunction, n: int) -> GridFunction:
@@ -476,7 +467,7 @@ def weak_norm(f: GridFunction, p: float) -> float:
     turns the strict-inequality sup into v * mu(|f| >= v)^(1/p); scanning
     the sorted magnitudes covers every candidate v.
     """
-    if p <= 0:
+    if not p > 0:  # also refuses NaN
         raise ValueError(f"weak norm needs p > 0, got {p}")
     mags = np.sort(np.abs(f.values))[::-1]
     fractions = np.arange(1, len(mags) + 1) / len(mags)

@@ -428,6 +428,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
             ["kernel-profile", "--weights", "riesz", "--family", "t", "--block"],
             "no block sizes M_r in [2, 1]",
         ),
+        (["identity-check", "--weights", "riesz"], "no orders in [2, 1]"),
     ],
 )
 def test_empty_order_range_exits_2_and_names_it(tmp_path, capsys, argv, message):

@@ -29,11 +29,13 @@ from vilenkin.kernels import (
     _kernels,
     _leading_position,
     abel_kernel_residuals,
+    dirichlet,
     domination_constant,
     fejer,
     identity_residual,
     l1_profile,
     multiplier,
+    norlund_kernel,
     reflection_residuals,
     synthesize,
     t_kernel,
@@ -212,14 +214,14 @@ def test_batched_kernels_and_means_equal_single_syntheses(case, more):
     # the sweeps leave each row on its band M_s; tiled, it is the public result
     for family in _FAMILIES:
         batched = _kernels(family, ns, spec, w)
-        for n, (band, got) in zip(ns, batched, strict=True):
+        for n, got in zip(ns, batched, strict=True):
             want = synthesize(spec, multiplier(family, n, spec, w))
-            assert np.array_equal(np.tile(got, spec.size // band), want.values)
+            assert np.array_equal(np.tile(got, spec.size // len(got)), want.values)
     fh = _analyse(f, ns[-1])
     for form, family in _FORM_FAMILY.items():
-        for n, (band, got) in _means(f, w, ns, form):
+        for n, got in _means(f, w, ns, form):
             want = synthesize(spec, fh[:n] * multiplier(family, n, spec, w))
-            assert np.array_equal(np.tile(got, spec.size // band), want.values)
+            assert np.array_equal(np.tile(got, spec.size // len(got)), want.values)
 
 
 @st.composite
@@ -281,6 +283,14 @@ def _abel_on_grid(spec, w, ns):
         yield n, float(np.max(np.abs(t_kernel(w, n, spec).values - rhs / w.Q(n))))
 
 
+def _block_on_grid(spec, w, block):
+    """The block residual with every term built on the whole grid."""
+    rhs = dirichlet(block, spec).values - character_row(
+        spec, block - 1
+    ) * norlund_kernel(w, block, spec).values.conj()
+    return float(np.max(np.abs(t_kernel(w, block, spec).values - rhs)))
+
+
 def _domination_on_grid(ns, spec):
     top = max(_leading_position(n, spec) for n in ns)
     denoms = np.cumsum([M * np.abs(fejer(M, spec).values) for M in spec.M[: top + 1]], axis=0)
@@ -303,6 +313,11 @@ def test_quotient_kernel_sweeps_equal_the_tiled_route(case):
         for j in {0, 1 % block, block // 2, block - 1}:
             assert swept[rank, j] == identity_residual("reflection", spec, rank=rank, j=j)
     assert list(abel_kernel_residuals(spec, w, ns)) == list(_abel_on_grid(spec, w, ns))
+    assert [
+        identity_residual("block", spec, weights=w, rank=rank)
+        for rank, block in enumerate(spec.M)
+        if w.Q(block) > 0
+    ] == [_block_on_grid(spec, w, block) for block in spec.M if w.Q(block) > 0]
     assert domination_constant(ns, spec) == _domination_on_grid(ns, spec)
     outside = np.arange(spec.size) % spec.M[tail_rank] != 0
     for family in _FAMILIES:

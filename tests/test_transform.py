@@ -307,8 +307,9 @@ def test_weak_norm_matches_enumeration_oracle():
     dyadic = make_group([2], 3)
     step = GridFunction.indicator(dyadic, 1, 0)
     assert weak_norm(step, 1) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        weak_norm(f, 0)
+    for p in (0, math.nan):
+        with pytest.raises(ValueError):
+            weak_norm(f, p)
 
 
 def test_weak_norm_below_strong_norm():
