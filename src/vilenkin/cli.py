@@ -31,10 +31,10 @@ from .kernels import (
 )
 from .means import (
     WeightSequence,
+    _t_mean_oracle_chunks,
     abel_weight_residual,
     classify,
     parse_weights,
-    t_mean_oracles,
 )
 from .points import convergence_profile
 from .transform import GridFunction, forward
@@ -49,6 +49,10 @@ FAST_REPEATS = 5
 # The naive route takes about 2.3 s at 2^13 points and grows as M_N^2 (about
 # 10 h at 2^20), so bench-transform refuses grids above this size.
 MAX_NAIVE_SIZE = 1 << 15
+# classify-weights holds a few float arrays of n_max entries: at 2^20 it takes
+# 0.2-0.35 s and 141 MB peak RSS, at 2^22 0.6 s and 477 MB, and 10^12 cannot
+# be allocated, so larger scans are refused.
+MAX_CLASSIFY_N = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -73,6 +77,7 @@ class ExperimentConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+_MODES = ("all", "block")
 
 
 def load_config(path: str | Path | None, overrides: dict) -> ExperimentConfig:
@@ -99,6 +104,8 @@ def load_config(path: str | Path | None, overrides: dict) -> ExperimentConfig:
                 f"config field {field.name!r} must be {field.type}, "
                 f"got {type(value).__name__} {value!r}"
             )
+    if cfg.mode not in _MODES:
+        raise ConfigError(f"unknown mode {cfg.mode!r}; expected one of {_MODES}")
     return cfg
 
 
@@ -249,8 +256,9 @@ def _run_identity_check(cfg: ExperimentConfig, out: Path) -> int:
             "abel-mean",
             False,
             (
-                (n, None, float(np.max(np.abs(direct.values - abel.values))))
-                for n, direct, abel in t_mean_oracles(f, w, ns)
+                (n, None, r)
+                for orders, direct, abel in _t_mean_oracle_chunks(f, w, ns)
+                for n, r in zip(orders, _row_gaps(direct, abel))
             ),
         ),
         (
@@ -278,6 +286,11 @@ def _run_identity_check(cfg: ExperimentConfig, out: Path) -> int:
     _write_csv(out, ["check", "n", "j", "residual"], rows)
     _say(f"wrote {out}")
     return 1 if failed else 0
+
+
+def _row_gaps(direct: np.ndarray, abel: np.ndarray) -> list[float]:
+    """max |direct - abel| of each row of two stacks; abel is overwritten."""
+    return np.max(np.abs(np.subtract(direct, abel, out=abel)), axis=1).tolist()
 
 
 def _run_converge(cfg: ExperimentConfig, out: Path) -> int:
@@ -320,6 +333,10 @@ def _run_converge(cfg: ExperimentConfig, out: Path) -> int:
 def _run_classify_weights(cfg: ExperimentConfig, out: Path) -> int:
     w = _build_weights(cfg)
     n_max = cfg.n_max if cfg.n_max is not None else 10_000
+    if n_max > MAX_CLASSIFY_N:
+        raise ConfigError(
+            f"classify-weights: n-max {n_max} exceeds the limit {MAX_CLASSIFY_N}"
+        )
     try:
         c = classify(w, n_max)
     except ValueError as exc:
@@ -410,6 +427,11 @@ def run(command: str, cfg: ExperimentConfig) -> int:
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     out = Path(cfg.out) if cfg.out is not None else Path(f"{command.replace('-', '_')}.csv")
+    # checked before any work, so that a long run cannot end in an unwritable CSV
+    if out.is_dir():
+        raise ConfigError(f"output path {out} is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"output directory {out.parent} does not exist")
     return _COMMANDS[command](cfg, out)
 
 

@@ -19,7 +19,7 @@ same checks over every case in one pass, synthesizing each kernel once.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -27,9 +27,11 @@ import numpy as np
 
 from .group import GroupSpec
 from .transform import (
-    _SYNTH_CHUNK_CELLS,
     GridFunction,
     _band,
+    _characters,
+    _chunk_rows,
+    _order_chunks,
     _synthesize_bands,
     _synthesize_rows,
     character_row,
@@ -69,28 +71,63 @@ def multiplier(
 
     The kernel is synthesize(spec, lambda_n) and the matching mean of f is
     synthesize(spec, fhat[:n] * lambda_n).  The weighted families need
-    1 <= n and Q_n > 0.
+    1 <= n and Q_n > 0.  This is the one-order case of _multipliers().
     """
+    return _multipliers(family, [n], spec, weights)[0]
+
+
+def _check_orders(
+    family: str, ns: np.ndarray, spec: GroupSpec, weights: "WeightSequence | None"
+) -> None:
+    """Raise ValueError unless every order of ns has a kernel of this family."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}; expected {_FAMILIES}")
     lowest = 0 if family in ("dirichlet", "fejer") else 1
-    if not lowest <= n <= spec.size:
-        raise ValueError(f"order {n} outside [{lowest}, {spec.size}]")
-    if family == "dirichlet":
-        return np.ones(n)
-    if family == "fejer":
-        return (n - np.arange(n)) / n
+    outside = ns[(ns < lowest) | (ns > spec.size)]
+    if outside.size:
+        raise ValueError(f"order {outside[0]} outside [{lowest}, {spec.size}]")
+    if family in ("dirichlet", "fejer"):
+        return
     if weights is None:
         raise ValueError(f"kernel family {family!r} needs weights")
-    if weights.Q(n) <= 0:
-        raise ValueError(f"Q({n}) not positive for {weights.label()}")
-    if family == "t":
-        q = weights.q_array(n)
-        suffix = np.zeros(n + 1)
-        suffix[:n] = np.cumsum(q[::-1])[::-1]
-        return suffix[1:] / weights.Q(n)
-    Q = weights.Q_array(n)
-    return Q[n:0:-1] / Q[n]
+    flat = ns[weights.Q_array(int(ns.max(initial=0)))[ns] <= 0]
+    if flat.size:
+        raise ValueError(f"Q({flat[0]}) not positive for {weights.label()}")
+
+
+def _multipliers(
+    family: str,
+    ns: Sequence[int],
+    spec: GroupSpec,
+    weights: "WeightSequence | None" = None,
+) -> np.ndarray:
+    """The (len(ns) x max(ns)) stack of the order-n multipliers, zero-padded.
+
+    Row i is lambda_{ns[i]} followed by zeros.  Each entry is the one-order
+    formula, elementwise, or for t a sequential cumulative sum along its row
+    starting at q_{n-1}, so every row is bitwise the one-order result.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    _check_orders(family, ns, spec, weights)
+    j = np.arange(ns.max(initial=0))
+    n = ns[:, None]
+    inside = j < n
+    out = np.zeros(inside.shape)
+    if family == "dirichlet":
+        out[inside] = 1.0
+    elif family == "fejer":
+        np.divide(n - j, n, out=out, where=inside)
+    elif family == "t":
+        # lambda_n(j) is the suffix sum q_{j+1} + ... + q_{n-1}, summed from
+        # q_{n-1} down: entry n-2-j of the running sum of q_{n-1}, q_{n-2}, ...
+        q = weights.q_array(len(j))
+        down = np.cumsum(np.where(inside, q[np.maximum(n - 1 - j, 0)], 0.0), axis=1)
+        suffix = np.take_along_axis(down, np.maximum(n - 2 - j, 0), axis=1)
+        np.divide(suffix, weights.Q_array(len(j))[n], out=out, where=j < n - 1)
+    else:
+        Q = weights.Q_array(len(j))
+        np.divide(Q[np.where(inside, n - j, 0)], Q[n], out=out, where=inside)
+    return out
 
 
 def synthesize(spec: GroupSpec, coeffs: np.ndarray) -> GridFunction:
@@ -111,9 +148,32 @@ def _kernels(
     """The order-n kernel on the M_s cells of its band, for each n in ns, batched.
 
     A kernel of band M_s is a function of x mod M_s, so the sweeps below
-    reduce it on those M_s cells (or on a larger band that nests it).
+    reduce it on those M_s cells (or on a larger band that nests it).  The
+    multipliers are built a chunk of orders at a time.
     """
-    return _synthesize_bands(spec, (multiplier(family, n, spec, weights) for n in ns))
+    blocks = (_multipliers(family, chunk, spec, weights) for chunk in _order_chunks(ns))
+    for stack in _synthesize_bands(spec, blocks):
+        yield from stack
+
+
+def _on_cells(spec: GroupSpec, coeffs: np.ndarray, cells: int) -> np.ndarray:
+    """The syntheses of a block of coefficient rows, each repeated out to cells cells.
+
+    cells is a band that nests every row's band.  A block whose rows all
+    run in one butterfly on cells cells is returned as that butterfly's
+    stack, with no copy.
+    """
+    out = None
+    at = 0
+    for stack in _synthesize_bands(spec, [coeffs]):
+        rows, band = stack.shape
+        if rows == len(coeffs) and band == cells:
+            return stack
+        if out is None:
+            out = np.empty((len(coeffs), cells), dtype=np.complex128)
+        out[at : at + rows].reshape(rows, -1, band)[...] = stack[:, None, :]
+        at += rows
+    return np.empty((0, cells), dtype=np.complex128) if out is None else out
 
 
 def dirichlet(n: int, spec: GroupSpec) -> GridFunction:
@@ -177,10 +237,10 @@ def identity_residual(
             raise ValueError(f"offset {j} outside [0, {block})")
         full = dirichlet(block, spec).values
         if not j:
-            return _reflection_gap(full, full)
+            return float(_reflection_gap(full, full))
         row = character_row(spec, block - 1)
-        return _reflection_gap(
-            dirichlet(block - j, spec).values, full, row, dirichlet(j, spec).values
+        return float(
+            _reflection_gap(dirichlet(block - j, spec).values, full, row, dirichlet(j, spec).values)
         )
     if kind == "abel-kernel":
         if weights is None or n is None:
@@ -192,19 +252,13 @@ def identity_residual(
         if not 0 <= rank <= spec.levels:
             raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
         # every term is a function of x mod M_r, so the residual is taken
-        # on the M_r cells x < M_r, with the reflection identity's formula
+        # on the M_r cells x < M_r, with the reflection identity's formula;
+        # the three kernels run as one block
         block = spec.M[rank]
-        lhs, full, low = (
-            _on_cells(next(_kernels(family, [block], spec, weights)), block)
-            for family in ("t", "dirichlet", "norlund")
-        )
-        return _reflection_gap(lhs, full, character_row(spec, block - 1)[:block], low)
+        coeffs = [_multipliers(family, [block], spec, weights) for family in ("t", "dirichlet", "norlund")]
+        lhs, full, low = _on_cells(spec, np.concatenate(coeffs), block)
+        return float(_reflection_gap(lhs, full, _characters(spec, [block - 1], block)[0], low))
     raise ValueError(f"unknown identity kind {kind!r}")
-
-
-def _on_cells(values: np.ndarray, cells: int) -> np.ndarray:
-    """A kernel given on its band, repeated out to a nesting band of cells cells."""
-    return values if len(values) == cells else np.tile(values, cells // len(values))
 
 
 def _reflection_gap(
@@ -212,19 +266,21 @@ def _reflection_gap(
     full: np.ndarray,
     row: np.ndarray | None = None,
     low: np.ndarray | None = None,
-) -> float:
-    """max |D_{M-j} - (D_M - psi_{M-1} conj(D_j))|; row and low are absent at j = 0.
+) -> np.ndarray:
+    """max |D_{M-j} - (D_M - psi_{M-1} conj(D_j))| along the last axis.
 
-    The terms after the first are computed in place, in the order of that
-    formula, so one array of lhs's size is allocated besides the magnitudes.
+    lhs and low may be stacks of rows, one case per row; row and low are
+    absent at j = 0.  The terms after the first are computed in place, in
+    the order of that formula, so one array of lhs's size is allocated
+    besides the magnitudes.
     """
     if low is None:
-        return float(np.max(np.abs(lhs - full)))
+        return np.max(np.abs(lhs - full), axis=-1)
     gap = np.conjugate(low)
     np.multiply(row, gap, out=gap)
     np.subtract(full, gap, out=gap)
     np.subtract(lhs, gap, out=gap)
-    return float(np.max(np.abs(gap)))
+    return np.max(np.abs(gap), axis=-1)
 
 
 def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
@@ -234,32 +290,36 @@ def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
     synthesizes D_1, ..., D_{M_r} once and psi_{M_r - 1} once: sum_r M_r
     syntheses in all.  Every term is a function of x mod M_r, so the
     residuals are taken on the M_r cells x < M_r, kernels of a lower band
-    broadcast over them.  The kernels run in chunks of pairs
-    (D_j, D_{M_r - j}) that together fill at most _SYNTH_CHUNK_CELLS cells.
+    repeated over them.  The kernels run in chunks of pairs
+    (D_j, D_{M_r - j}) that together fill at most _SYNTH_CHUNK_CELLS cells,
+    and the gaps of a chunk are taken as one stack.
     """
     for rank in range(spec.levels + 1):
         block = spec.M[rank]
-        full = next(_kernels("dirichlet", [block], spec))
-        yield rank, 0, _reflection_gap(full, full)
+        full = _on_cells(spec, _multipliers("dirichlet", [block], spec), block)[0]
+        yield rank, 0, float(_reflection_gap(full, full))
         if block == 1:
             continue
-        row = character_row(spec, block - 1)[:block]
-        pairs = max(1, _SYNTH_CHUNK_CELLS // (2 * block))
+        row = _characters(spec, [block - 1], block)[0]
         half = block // 2
-        for start in range(1, half + 1, pairs):
-            js = range(start, min(start + pairs, half + 1))
+        for start in range(1, half + 1, _chunk_rows(2 * block)):
+            js = range(start, min(start + _chunk_rows(2 * block), half + 1))
+            pairs = [j for j in js if 2 * j != block]  # j = M_r / 2 is its own pair
             # D_j, then D_{M_r - j}, each in ascending order, so that rows of
             # one band stay adjacent
-            orders = [*js, *(block - j for j in reversed(js) if 2 * j != block)]
-            kernel = {
-                n: _on_cells(values, block)
-                for n, values in zip(orders, _kernels("dirichlet", orders, spec))
-            }
-            for j in js:
-                low, high = kernel[j], kernel[block - j]
-                yield rank, j, _reflection_gap(high, full, row, low)
-                if 2 * j != block:
-                    yield rank, block - j, _reflection_gap(low, full, row, high)
+            orders = [*js, *(block - j for j in reversed(pairs))]
+            kernel = _on_cells(spec, _multipliers("dirichlet", orders, spec), block)
+            low, high = kernel[: len(pairs)], kernel[len(js) :][::-1]
+            gaps = zip(
+                _reflection_gap(high, full, row, low).tolist(),
+                _reflection_gap(low, full, row, high).tolist(),
+            )
+            for j, (gap, mirrored) in zip(pairs, gaps):
+                yield rank, j, gap
+                yield rank, block - j, mirrored
+            if len(pairs) < len(js):
+                middle = kernel[len(pairs)]
+                yield rank, half, float(_reflection_gap(middle, full, row, middle))
 
 
 def abel_kernel_residuals(
@@ -270,35 +330,52 @@ def abel_kernel_residuals(
     The right-hand side is kept as a running sum over i of
     (q_i - q_{i+1}) i K_i, added in increasing i, so every K_i with
     i < max(ns) is synthesized once and each order costs one t kernel on
-    top; the K_i and the t kernels run as two batched sweeps.  Every kernel
-    involved lives on a band nested in that of max(ns), and the running sum
-    is kept on that band's cells.
+    top.  Every kernel involved lives on a band nested in that of max(ns),
+    and the running sum is kept on that band's cells.  The K_i run a chunk
+    at a time: the chunk's running sums are one cumulative sum down the
+    stack of its terms, the very additions of a loop over i, and the orders
+    n whose K_{n-1} it holds take their t kernels and gaps as one stack.
     """
     ns = list(ns)
     for previous, n in zip(ns, ns[1:]):
         if n < previous:
             raise ValueError(f"orders must ascend, got {n} after {previous}")
-    lhs_kernels = _kernels("t", ns, spec, weights)  # also validates n and Q_n
-    fejer_kernels = _kernels("fejer", range(1, max(ns, default=0)), spec)
-    cells = _band(spec, min(max(ns, default=0), spec.size))
-    partial = np.zeros(cells, dtype=np.complex128)  # the terms i = 1..done
-    done = 0
-    kernel = None  # K_{done + 1} on its band, once synthesized
-    for n, lhs in zip(ns, lhs_kernels):
-        q = weights.q_array(n)
-        while done < n - 2:
-            done += 1
-            values = next(fejer_kernels) if kernel is None else kernel
-            fibres = partial.reshape(-1, len(values))
-            fibres += (q[done] - q[done + 1]) * done * values
-            kernel = None
-        rhs = partial
-        if n >= 2:
-            kernel = next(fejer_kernels) if kernel is None else kernel
-            rhs = partial.reshape(-1, len(kernel)) + q[n - 1] * (n - 1) * kernel
-            rhs = rhs.reshape(-1)
-        gap = lhs - (rhs / weights.Q(n)).reshape(-1, len(lhs))
-        yield n, float(np.max(np.abs(gap)))
+    orders = np.asarray(ns, dtype=np.int64)
+    _check_orders("t", orders, spec, weights)
+    if not ns:
+        return
+    top = ns[-1]
+    cells = _band(spec, min(top, spec.size))
+    q, Q = weights.q_array(top), weights.Q_array(top)
+    # an order n <= 1 has no K_i on its right-hand side, which is zero
+    first = bisect_left(ns, 2)
+    if first:
+        lhs = _on_cells(spec, _multipliers("t", ns[:first], spec, weights), cells)
+        yield from zip(ns[:first], np.max(np.abs(lhs), axis=-1).tolist())
+    partial = np.zeros(cells, dtype=np.complex128)  # the terms i < a
+    for a in range(1, top, _chunk_rows(cells)):
+        b = min(a + _chunk_rows(cells), top)
+        kernel = _on_cells(spec, _multipliers("fejer", range(a, b), spec), cells)  # K_a..K_{b-1}
+        i = np.arange(a, min(b, top - 1))  # the K_i that enter the running sum
+        sums = np.empty((len(i) + 1, cells), dtype=np.complex128)
+        sums[0] = partial
+        np.multiply(((q[i] - q[i + 1]) * i)[:, None], kernel[: len(i)], out=sums[1:])
+        np.cumsum(sums, axis=0, out=sums)  # row k: the terms i < a + k
+        partial = sums[-1].copy()
+        # the orders n with a <= n - 1 < b
+        first, last = bisect_left(ns, a + 1), bisect_left(ns, b + 1)
+        if first == last:
+            continue
+        n = orders[first:last]
+        at = n - 1 - a
+        rhs = kernel if np.array_equal(at, np.arange(len(kernel))) else kernel[at]
+        np.multiply((q[n - 1] * (n - 1))[:, None], rhs, out=rhs)
+        np.add(sums[at], rhs, out=rhs)
+        np.divide(rhs, Q[n][:, None], out=rhs)
+        del kernel, sums
+        lhs = _on_cells(spec, _multipliers("t", ns[first:last], spec, weights), cells)
+        gap = np.subtract(lhs, rhs, out=rhs)
+        yield from zip(ns[first:last], np.max(np.abs(gap), axis=-1).tolist())
 
 
 @dataclass(frozen=True)

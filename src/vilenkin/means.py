@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .kernels import multiplier, synthesize
-from .transform import GridFunction, _analyse, character_row, convolve, forward
+from .kernels import _check_orders, multiplier, synthesize
+from .transform import GridFunction, _analyse, _characters, _chunk_rows, convolve, forward
 
 _ALPHA_KINDS = frozenset({"cesaro", "inverse-cesaro", "power", "log-power"})
 _PLAIN_KINDS = frozenset({"constant", "riesz-log", "norlund-log"})
@@ -294,34 +295,85 @@ def t_mean_oracles(
         abel    Q_n T_n f = sum_{j=1}^{n-2} (q_j - q_{j+1}) R_j + q_{n-1} R_{n-1}
 
     Both are running sums in k, so one forward(f) and one character row per
-    k < max(ns) - 1 serve every order, in O(M_N) working memory.  The full
-    forward(f), not an analysis up to max(ns), keeps every order's value
-    independent of the other orders in ns.
+    k < max(ns) - 1 serve every order.  The full forward(f), not an
+    analysis up to max(ns), keeps every order's value independent of the
+    other orders in ns.  The pass runs a chunk of orders at a time
+    (_t_mean_oracle_chunks()).
     """
+    for orders, direct, abel in _t_mean_oracle_chunks(f, w, ns):
+        for n, d, a in zip(orders, direct, abel):
+            yield n, GridFunction(f.spec, d), GridFunction(f.spec, a)
+
+
+def _t_mean_oracle_chunks(
+    f: GridFunction, w: WeightSequence, ns: Sequence[int]
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
+    """(orders, direct T_n f, abel T_n f) of t_mean_oracles(), a chunk at a time.
+
+    The steps k run in chunks of _chunk_rows(M_N): one stack of character
+    rows psi_{k-1}, and each running sum (S_k, R_k, the direct and the Abel
+    sums) one cumulative sum down the stack of its terms, started from the
+    previous chunk's last row, so every value is a loop's additions in the
+    loop's order.  A chunk yields the orders n with n - 1 among its steps,
+    both routes as fresh (orders x M_N) stacks, in O(_SYNTH_CHUNK_CELLS +
+    M_N) working memory.
+    """
+    ns = list(ns)
+    for previous, n in zip(ns, ns[1:]):
+        if n < previous:
+            raise ValueError(f"orders must ascend, got {n} after {previous}")
+    orders = np.asarray(ns, dtype=np.int64)
     spec = f.spec
+    _check_orders("t", orders, spec, w)
+    if not ns:
+        return
     fh = forward(f).coeffs
-    S = np.zeros(spec.size, dtype=np.complex128)  # S_n
-    running = np.zeros(spec.size, dtype=np.complex128)  # R_{n-1}
-    direct = np.zeros(spec.size, dtype=np.complex128)  # sum_{k<n} q_k S_k
-    abel = np.zeros(spec.size, dtype=np.complex128)  # the terms j <= n-2
-    n = 0  # the order the sums above have reached
-    for target in ns:
-        if target < n:
-            raise ValueError(f"orders must ascend, got {target} after {n}")
-        multiplier("t", target, spec, w)  # validates the order and Q_n
-        q = w.q_array(target)
-        while n < target:
-            if n:
-                S += fh[n - 1] * character_row(spec, n - 1)
-                if n >= 2:
-                    abel += (q[n - 1] - q[n]) * running
-                running += S
-            if q[n]:
-                direct += q[n] * S
-            n += 1
-        last = q[n - 1] * running if n >= 2 else 0.0
-        Q = w.Q(n)
-        yield n, GridFunction(spec, direct / Q), GridFunction(spec, (abel + last) / Q)
+    top = ns[-1]
+    q, Q = w.q_array(top), w.Q_array(top)
+    # order 1 reads step 0, where every sum is still zero
+    first = bisect_left(ns, 2)
+    if first:
+        zero = np.zeros((first, spec.size), dtype=np.complex128)
+        yield ns[:first], zero, zero.copy()
+    # S_{a-1}, R_{a-1}, the direct sum and the Abel terms j <= a - 1
+    S, R, direct, abel = (np.zeros(spec.size, dtype=np.complex128) for _ in range(4))
+    for a in range(1, top, _chunk_rows(spec.size)):
+        k = np.arange(a, min(a + _chunk_rows(spec.size), top))  # the steps of this chunk
+        Ss = _characters(spec, k - 1)
+        np.multiply(fh[k - 1][:, None], Ss, out=Ss)
+        _accumulate(S, Ss)
+        Rs = Ss.copy()
+        _accumulate(R, Rs)
+        As = np.empty_like(Rs)
+        np.multiply(q[a - 1] - q[a], R, out=As[0])
+        np.multiply((q[k[1:] - 1] - q[k[1:]])[:, None], Rs[:-1], out=As[1:])
+        if a == 1:
+            As[0] = 0  # the Abel sum starts at j = 1, step 2
+        _accumulate(abel, As)
+        S, R, abel = Ss[-1].copy(), Rs[-1].copy(), As[-1].copy()
+        np.multiply(q[k][:, None], Ss, out=Ss)
+        _accumulate(direct, Ss)
+        direct = Ss[-1].copy()
+        # the orders n with n - 1 among the steps; R_{n-1} is q_{n-1}'s term
+        first, last = bisect_left(ns, k[0] + 1), bisect_left(ns, k[-1] + 2)
+        if first == last:
+            continue
+        n = orders[first:last]
+        at = n - 1 - a
+        whole = np.array_equal(at, np.arange(len(k)))
+        Ds, Rs, As = (rows if whole else rows[at] for rows in (Ss, Rs, As))
+        np.multiply(q[n - 1][:, None], Rs, out=Rs)
+        np.add(As, Rs, out=Rs)
+        del As
+        np.divide(Ds, Q[n][:, None], out=Ds)
+        np.divide(Rs, Q[n][:, None], out=Rs)
+        yield ns[first:last], Ds, Rs
+
+
+def _accumulate(start: np.ndarray, terms: np.ndarray) -> None:
+    """Running sums start + terms[0], ... + terms[i] down a stack, in place, in loop order."""
+    np.add(start, terms[0], out=terms[0])
+    np.cumsum(terms, axis=0, out=terms)
 
 
 def norlund_mean(f: GridFunction, w: WeightSequence, n: int) -> GridFunction:

@@ -16,9 +16,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .group import Element, generator, interval_members, subtract
-from .kernels import multiplier
+from .kernels import _multipliers
 from .means import WeightSequence
-from .transform import GridFunction, _analyse, _synthesize_bands
+from .transform import GridFunction, _analyse, _order_chunks, _synthesize_bands
 
 __all__ = [
     "ConvergenceRow",
@@ -86,16 +86,21 @@ def _means(
 
     f is analysed once, up to the largest order, since an order-n mean
     reads only fhat[:n]; the multiplied spectra of all orders then run
-    through one batched synthesis, a stacked butterfly per chunk of orders.
-    The mean is a function of x mod M_s, so it is left on its band.
+    through one batched synthesis, a stack of multipliers and a stacked
+    butterfly per chunk of orders.  The mean is a function of x mod M_s, so
+    it is left on its band.
     """
     if form not in _FORM_FAMILY:
         raise ValueError(f"unknown mean form {form!r}; expected t, norlund or partial")
     family = _FORM_FAMILY[form]
     ns = list(ns)
     fh = _analyse(f, max(ns, default=0))
-    rows = (fh[:n] * multiplier(family, n, f.spec, w) for n in ns)
-    yield from zip(ns, _synthesize_bands(f.spec, rows))
+    blocks = (
+        fh[: max(chunk)] * _multipliers(family, chunk, f.spec, w)
+        for chunk in _order_chunks(ns)
+    )
+    rows = (values for stack in _synthesize_bands(f.spec, blocks) for values in stack)
+    yield from zip(ns, rows)
 
 
 def _lp_error(f: GridFunction, values: np.ndarray, p: float, buf: np.ndarray) -> float:

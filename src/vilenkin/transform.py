@@ -41,9 +41,34 @@ __all__ = [
 # Cells (rows x M_N) per chunk of the naive transform: about 10 MB of
 # working memory at any M_N.
 _NAIVE_CHUNK_CELLS = 2**18
-# Cells (rows x M_s) per butterfly call of a batched synthesis: a sweep over
-# many orders runs one stacked butterfly per chunk of rows sharing a band.
+# Cells (rows x M_s) per butterfly call of a batched synthesis, and per chunk
+# of the sweeps that build rows of coefficients, kernels or characters a
+# stack at a time: a sweep over many orders runs one stacked butterfly per
+# chunk of rows sharing a band.
 _SYNTH_CHUNK_CELLS = 2**12
+
+
+def _chunk_rows(cells: int) -> int:
+    """Rows of cells cells each that fill one chunk of _SYNTH_CHUNK_CELLS (at least one)."""
+    return max(1, _SYNTH_CHUNK_CELLS // cells)
+
+
+def _order_chunks(ns: Iterable[int]) -> Iterator[list[int]]:
+    """ns in consecutive runs whose rows times largest order fill at most one chunk.
+
+    A run of orders becomes one (rows x largest order) stack of coefficients;
+    an order above _SYNTH_CHUNK_CELLS runs alone.
+    """
+    chunk: list[int] = []
+    width = 0
+    for n in ns:
+        if chunk and (len(chunk) + 1) * max(width, n) > _SYNTH_CHUNK_CELLS:
+            yield chunk
+            chunk, width = [], 0
+        chunk.append(n)
+        width = max(width, n)
+    if chunk:
+        yield chunk
 
 
 @lru_cache(maxsize=32)
@@ -55,32 +80,40 @@ def _roots(spec: GroupSpec) -> np.ndarray:
     return table
 
 
-def _phase_rows(spec: GroupSpec, ns: np.ndarray) -> np.ndarray:
-    """Integer phase matrix P[i, x] with psi_{ns[i]}(x) = roots[P[i, x]].
+def _phase_rows(spec: GroupSpec, ns, cells: int | None = None) -> np.ndarray:
+    """Integer phase matrix P[i, x] with psi_{ns[i]}(x) = roots[P[i, x]] for x < cells.
 
     The phase of psi_n at x is sum_k n_k * x_k * (L / m_k) (mod L).  Over the
     grid reshaped in C order to (m_{N-1}, ..., m_0), coordinate k runs along
     one axis only, so the phase is a broadcast sum of one length-m_k vector
     per coordinate: O(M_N) work per row and no (M_N x N) digit table.
+    cells is some M_s (default M_N): a cell x < M_s has x_k = 0 for k >= s,
+    so only the first s coordinates enter, at O(M_s) work per row.
     """
+    cells = spec.size if cells is None else cells
     L = len(_roots(spec))
     ns = np.asarray(ns, dtype=np.int64)
     phases = np.zeros((len(ns),), dtype=np.int64)
-    for k in reversed(range(spec.levels)):
+    for k in reversed(range(spec.M.index(cells))):
         r = spec.m[k]
         digit = (ns // spec.M[k]) % r
         step = digit[:, None] * (L // r) * np.arange(r)
         phases = phases[..., None] + step.reshape(len(ns), *(1,) * (phases.ndim - 1), r)
-    phases = phases.reshape(len(ns), spec.size)
+    phases = phases.reshape(len(ns), cells)
     phases %= L
     return phases
+
+
+def _characters(spec: GroupSpec, ns, cells: int | None = None) -> np.ndarray:
+    """The (len(ns) x cells) stack of psi_n for n in ns on the cells x < cells (an M_s)."""
+    return _roots(spec)[_phase_rows(spec, ns, cells)]
 
 
 def character_row(spec: GroupSpec, n: int) -> np.ndarray:
     """psi_n sampled on the whole grid, as a read-only complex vector."""
     if not 0 <= n < spec.size:
         raise ValueError(f"character index {n} outside [0, {spec.size})")
-    row = _roots(spec)[_phase_rows(spec, np.array([n]))[0]]
+    row = _characters(spec, [n])[0]
     row.setflags(write=False)
     return row
 
@@ -167,7 +200,15 @@ class GridFunction:
             raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
         rng = np.random.default_rng(seed)
         stride = spec.M[rank]
-        base = rng.standard_normal(stride) + 1j * rng.standard_normal(stride)
+        # the real and imaginary draws, in that order, go through one float
+        # buffer into the complex one: no complex temporaries
+        base = np.empty(stride, dtype=np.complex128)
+        draw = np.empty(stride)
+        base.real = rng.standard_normal(stride, out=draw)
+        base.imag = rng.standard_normal(stride, out=draw)
+        del draw
+        if stride == spec.size:
+            return cls._own(spec, base)
         return cls._own(spec, np.tile(base, spec.size // stride))
 
     def at(self, x: Element) -> complex:
@@ -337,11 +378,10 @@ def _forward_naive(f: GridFunction) -> np.ndarray:
     """
     spec = f.spec
     out = np.empty(spec.size, dtype=np.complex128)
-    roots = _roots(spec)
     chunk = max(1, _NAIVE_CHUNK_CELLS // spec.size)
     for start in range(0, spec.size, chunk):
         ns = np.arange(start, min(start + chunk, spec.size), dtype=np.int64)
-        rows = roots[_phase_rows(spec, ns)]
+        rows = _characters(spec, ns)
         out[ns] = rows.conj() @ f.values
     return out / spec.size
 
@@ -373,62 +413,86 @@ def inverse(s: Spectrum) -> GridFunction:
 def _synthesize_rows(spec: GroupSpec, rows: Iterable) -> Iterator[GridFunction]:
     """sum_j row[j] * psi_j for each coefficient row (length <= M_N), in input order.
 
-    The public face of _synthesize_bands(): each band result is tiled once
-    to M_N, so a sweep holds O(_SYNTH_CHUNK_CELLS + M_N) cells at a time.
+    The public face of _synthesize_bands(), each row a one-row block: each
+    band result is tiled once to M_N, so a sweep holds
+    O(_SYNTH_CHUNK_CELLS + M_N) cells at a time.
     """
-    for values in _synthesize_bands(spec, rows):
-        yield GridFunction._own(spec, np.tile(values, spec.size // len(values)))
+
+    def blocks():
+        for row in rows:
+            row = np.asarray(row)
+            if row.ndim != 1:
+                raise ValueError(f"coefficient row of shape {row.shape} is not a vector")
+            yield row[None]
+
+    for stack in _synthesize_bands(spec, blocks()):
+        for values in stack:
+            yield GridFunction._own(spec, np.tile(values, spec.size // len(values)))
 
 
-def _synthesize_bands(spec: GroupSpec, rows: Iterable) -> Iterator[np.ndarray]:
-    """Each row's synthesis on the M_s cells x < M_s of its band, in input order.
+def _synthesize_bands(spec: GroupSpec, blocks: Iterable) -> Iterator[np.ndarray]:
+    """Each coefficient row's synthesis on the M_s cells x < M_s of its band, stacked.
 
-    A row's band is M_s for the smallest s with M_s above its last nonzero
-    coefficient, the rule inverse() applies to a whole spectrum; its
-    synthesis is a function of x mod M_s, so these M_s values tile to the
-    full grid.  Consecutive rows with one band run as one stacked butterfly
-    of at most _SYNTH_CHUNK_CELLS cells (one row if M_s is larger).  The
-    rows are read lazily, a chunk at a time, so a sweep that reduces each
-    row on its band holds O(_SYNTH_CHUNK_CELLS + M_s) cells at a time.
+    blocks holds (rows x width) stacks of coefficient rows, width <= M_N.  A
+    row's band is M_s for the smallest s with M_s above its last nonzero
+    coefficient, the rule inverse() applies to a whole spectrum, found for
+    a whole block by one scan; its synthesis is a function of x mod M_s, so
+    these M_s values tile to the full grid.  Consecutive rows with one band,
+    within a block or across blocks, run as one stacked butterfly of at
+    most _SYNTH_CHUNK_CELLS cells (one row if M_s is larger), yielded as its
+    (rows x M_s) stack, in input order.  The blocks are read lazily, so a
+    sweep that reduces each stack on its band holds
+    O(_SYNTH_CHUNK_CELLS + M_s) cells besides the block being read.
     """
-    pending: list[np.ndarray] = []  # rows of one band, emptied by each butterfly
-    band = 0
-    for row in rows:
-        row = np.asarray(row)
-        if row.ndim != 1 or len(row) > spec.size:
+    places = np.asarray(spec.M)
+    pending: list[np.ndarray] = []  # pieces of blocks of one band, emptied by each butterfly
+    rows = band = 0
+    for block in blocks:
+        block = np.asarray(block)
+        if block.ndim != 2 or block.shape[1] > spec.size:
             raise ValueError(
-                f"coefficient row of shape {row.shape} does not fit M_N = {spec.size}"
+                f"coefficient block of shape {block.shape} does not fit M_N = {spec.size}"
             )
-        nonzero = row != 0
-        count = len(row) - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
-        row_band = _band(spec, count)
-        if pending and (
-            row_band != band or len(pending) == max(1, _SYNTH_CHUNK_CELLS // band)
-        ):
-            yield from _synthesize_chunk(spec, pending, band)
-        pending.append(row[:row_band])
-        band = row_band
+        width = block.shape[1]
+        nonzero = block != 0
+        count = np.zeros(len(block), dtype=np.int64)
+        if width:
+            found = nonzero.any(axis=1)
+            count[found] = width - np.argmax(nonzero[found, ::-1], axis=1)
+        bands = places[np.searchsorted(places, count)]
+        runs = [0, *(np.flatnonzero(bands[1:] != bands[:-1]) + 1).tolist(), len(block)]
+        for start, stop in zip(runs, runs[1:]):
+            if pending and bands[start] != band:
+                yield _butterfly_stack(spec, pending, rows, band)
+                rows = 0
+            band = int(bands[start])
+            while start < stop:
+                take = min(stop - start, _chunk_rows(band) - rows)
+                pending.append(block[start : start + take, :band])
+                rows += take
+                start += take
+                if rows == _chunk_rows(band):
+                    yield _butterfly_stack(spec, pending, rows, band)
+                    rows = 0
     if pending:
-        yield from _synthesize_chunk(spec, pending, band)
+        yield _butterfly_stack(spec, pending, rows, band)
 
 
-def _synthesize_chunk(
-    spec: GroupSpec, rows: list[np.ndarray], band: int
-) -> Iterator[np.ndarray]:
-    """One butterfly over rows supported below band, yielding each row's band values.
+def _butterfly_stack(
+    spec: GroupSpec, pieces: list[np.ndarray], rows: int, band: int
+) -> np.ndarray:
+    """One butterfly over pieces of coefficient rows supported below band.
 
-    The rows are taken out of the list and the butterfly runs in place on
-    their stack, so a paused sweep holds only its results.  A row of a
-    stacked chunk is yielded as its own copy, so a consumer that keeps it
-    while the next chunk runs holds M_s cells, not the chunk.
+    The pieces are taken out of the list and the butterfly runs in place on
+    their zero-padded (rows x band) stack, which it returns.
     """
-    data = np.zeros((len(rows), band), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        data[i, : len(row)] = row
-    rows.clear()
-    out = _apply_stages(spec, data, inverse=True)
-    for values in out:
-        yield values.copy() if len(out) > 1 else values
+    data = np.zeros((rows, band), dtype=np.complex128)
+    at = 0
+    for piece in pieces:
+        data[at : at + len(piece), : piece.shape[1]] = piece
+        at += len(piece)
+    pieces.clear()
+    return _apply_stages(spec, data, inverse=True)
 
 
 def partial_sum(f: GridFunction, n: int) -> GridFunction:

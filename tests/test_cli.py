@@ -109,11 +109,13 @@ def test_identity_check_cost_is_linear_in_blocks_and_orders(
     #                     + orders     abel-kernel: one t kernel per order
     #                     + n_max - 1  abel-kernel: K_1..K_{n_max-1} once each
     #                     + 3 B        block: t, Dirichlet and Norlund kernels
-    #   character_row:    N            reflection: psi_{M_r - 1} once per rank r >= 1
+    #   character rows:   N            reflection: psi_{M_r - 1} once per rank r >= 1
     #                     + B          block: psi_{M_r - 1}
     #                     + n_max - 1  abel-mean: psi_k for k <= n_max - 2, shared
     #                                  by the direct and abel running sums
     #   forward:          1            abel-mean
+    # The abel-mean oracle builds its character rows a chunk at a time, at
+    # most max(1, 2^12 // M_N) M_N-cell rows per _phase_rows batch.
     # On 2,3 x 3 (M = 1, 2, 6, 12, n_max = 12) riesz gives 52 / 17 / 1 and
     # constant (n0 = 1, B = 4) gives 56 / 18 / 1.  A row runs on the band of
     # its last nonzero coefficient: D_n and K_n have n of them, the order-n
@@ -124,30 +126,37 @@ def test_identity_check_cost_is_linear_in_blocks_and_orders(
     #   reflection, rank r: D_{M_r}, then D_j and D_{M_r - j}   1 + 2 (r + 1)
     #   abel-kernel: t kernels, then K_i                        2 (N + 1)
     #   block: one per kernel                                   3 B
-    calls = dict.fromkeys(["character_row", "forward"], 0)
+    calls = {"character rows": 0, "oracle batches": 0, "forward": 0}
+    phase_rows = vilenkin.transform._phase_rows
+    oracle_characters = vilenkin.means._characters
+    forward = vilenkin.means.forward
 
-    def counted(module, name):
-        fn = getattr(module, name)
+    def rows_built(spec, ns, *args):
+        # every character row, by whichever route, is built from its phases here
+        calls["character rows"] += len(ns)
+        return phase_rows(spec, ns, *args)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def oracle_batch(*args):
+        calls["oracle batches"] += 1
+        return oracle_characters(*args)
 
-        monkeypatch.setattr(module, name, wrapper)
+    def counted_forward(*args):
+        calls["forward"] += 1
+        return forward(*args)
 
-    counted(vilenkin.kernels, "character_row")
-    counted(vilenkin.means, "character_row")
-    counted(vilenkin.means, "forward")
+    monkeypatch.setattr(vilenkin.transform, "_phase_rows", rows_built)
+    monkeypatch.setattr(vilenkin.means, "_characters", oracle_batch)
+    monkeypatch.setattr(vilenkin.means, "forward", counted_forward)
     args = ["--group", "2,3", "--levels", "3", "--weights", family]
     assert main(["identity-check", *args, "--out", str(tmp_path / "i.csv")]) == 0
     spec, w = make_group([2, 3], 3), parse_weights(family)
     n_max = spec.size
     orders = range(w.n0, n_max + 1)
     blocks = [b for b in spec.M if w.Q(b) > 0]
-    assert calls == {
-        "character_row": spec.levels + len(blocks) + (n_max - 1),
-        "forward": 1,
-    }
+    assert calls["character rows"] == spec.levels + len(blocks) + (n_max - 1)
+    assert calls["forward"] == 1
+    per_batch = max(1, 2**12 // spec.size)
+    assert 1 <= calls["oracle batches"] <= -(-(n_max - 1) // per_batch)
 
     def band(count):
         return spec.M[bisect_left(spec.M, count)]
@@ -437,6 +446,49 @@ def test_empty_order_range_exits_2_and_names_it(tmp_path, capsys, argv, message)
     code = main([*argv, "--group", "2,3", "--levels", "4", "--n-max", "1", "--out", str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+COMMANDS = ["identity-check", "converge", "kernel-profile", "classify-weights", "bench-transform"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_exits_2_before_any_transform(
+    tmp_path, capsys, butterflies, monkeypatch, command, where
+):
+    # such a path used to cost the whole run, then exit 1 with a
+    # FileNotFoundError or IsADirectoryError traceback
+    monkeypatch.setattr(vilenkin.cli, "forward", None)  # any transform would raise
+    out = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    argv = [command, "--group", "2,3", "--levels", "3", "--weights", "riesz", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "does not exist" in err if where == "missing-dir" else "is a directory" in err
+    assert "Traceback" not in err
+    assert butterflies == []
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["converge", "kernel-profile"])
+def test_unknown_config_mode_exits_2(tmp_path, capsys, command):
+    # converge used to exit 1 with a ValueError and kernel-profile to run it as "all"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mode": "xx"}))
+    out = tmp_path / "x.csv"
+    argv = [command, "--config", str(cfg_path), "--group", "2,3", "--levels", "3"]
+    assert main([*argv, "--weights", "riesz", "--out", str(out)]) == 2
+    assert "unknown mode 'xx'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_max", [vilenkin.cli.MAX_CLASSIFY_N + 1, 10**12])
+def test_classify_weights_refuses_huge_scans(tmp_path, capsys, n_max):
+    # 10^12 used to exit 1 with ArrayMemoryError, 10^8 to exhaust memory
+    out = tmp_path / "x.csv"
+    argv = ["classify-weights", "--weights", "riesz", "--n-max", str(n_max), "--out", str(out)]
+    assert main(argv) == 2
+    assert f"exceeds the limit {vilenkin.cli.MAX_CLASSIFY_N}" in capsys.readouterr().err
     assert not out.exists()
 
 

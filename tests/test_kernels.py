@@ -12,16 +12,18 @@ import pytest
 
 from vilenkin.group import Element, interval_members, make_group
 from vilenkin.kernels import (
+    abel_kernel_residuals,
     dirichlet,
     domination_constant,
     fejer,
     identity_residual,
     l1_profile,
     norlund_kernel,
+    reflection_residuals,
     t_kernel,
 )
-from vilenkin.means import parse_weights
-from vilenkin.transform import GridFunction, character_row, norm
+from vilenkin.means import parse_weights, t_mean_oracles
+from vilenkin.transform import _SYNTH_CHUNK_CELLS, GridFunction, character_row, norm
 
 FAMILIES = ("constant", "cesaro:0.5", "icesaro:0.5", "power:0.5", "riesz", "nlog", "logpow:0.5")
 
@@ -233,6 +235,55 @@ def test_low_order_l1_profile_memory_is_independent_of_grid_size():
             tracemalloc.stop()
     assert profiles[0] == profiles[1]
     assert max(peaks) < 512_000
+
+
+def test_block_identity_memory_is_set_by_the_block_not_the_grid():
+    # psi_{M_r - 1} is built on its M_r cells from the first r coordinates;
+    # taking the whole M_N-cell row and its int64 phases set a 6.0 MiB
+    # traced peak at every rank up to 10 here
+    spec, w = make_group([2], 18), parse_weights("riesz")
+    for rank in range(1, 11):
+        block = spec.M[rank]
+        identity_residual("block", spec, weights=w, rank=rank)  # fills the stage caches
+        tracemalloc.start()
+        try:
+            got = identity_residual("block", spec, weights=w, rank=rank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        lhs = t_kernel(w, block, spec).values[:block]
+        full = dirichlet(block, spec).values[:block]
+        low = norlund_kernel(w, block, spec).values[:block]
+        row = character_row(spec, block - 1)[:block]
+        assert got == float(np.max(np.abs(lhs - (full - row * np.conjugate(low)))))
+
+
+def test_identity_sweeps_hold_a_few_chunks_at_a_time():
+    # The sweeps run their cases a chunk of rows at a time, so the traced
+    # peak is a few chunks of complex cells, not one stack of every case:
+    # at M_N = 216 the 215 orders of one such stack take 743 KB.  Measured:
+    # 254 KiB reflection, 352 KiB abel-kernel, 403 KiB abel-mean; one case
+    # at a time took 212, 226 and 44 KiB.
+    spec, w = make_group([2, 3], 6), parse_weights("riesz")
+    f = GridFunction.random(spec, seed=5)
+    ns = range(w.n0, spec.size + 1)
+    bound = 8 * 16 * _SYNTH_CHUNK_CELLS
+    assert bound < 16 * spec.size * len(ns)  # below one stack of every order
+    sweeps = {
+        "reflection": lambda: list(reflection_residuals(spec)),
+        "abel-kernel": lambda: list(abel_kernel_residuals(spec, w, ns)),
+        "abel-mean": lambda: [np.max(np.abs(d.values - a.values)) for _, d, a in t_mean_oracles(f, w, ns)],
+    }
+    for name, sweep in sweeps.items():
+        sweep()  # fills the stage caches
+        tracemalloc.start()
+        try:
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, name
 
 
 def test_l1_profile_t_family_tails_shrink():

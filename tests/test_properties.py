@@ -23,6 +23,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vilenkin.transform
 from vilenkin.group import Element, add, generator, make_group, subtract
 from vilenkin.kernels import (
     _FAMILIES,
@@ -328,6 +329,49 @@ def test_quotient_kernel_sweeps_equal_the_tiled_route(case):
             assert abs(row.l1 - mags.mean()) < TOL
             assert abs(row.integral - g.integral) < TOL
             assert abs(row.tail - mags[outside].sum() / spec.size) < TOL
+
+
+def _chunked_sweeps(spec, w, ns, f):
+    """Every batched sweep's output, as plain lists of numbers and arrays."""
+    out = {
+        "reflection": list(reflection_residuals(spec)),
+        "abel-kernel": list(abel_kernel_residuals(spec, w, ns)),
+        "abel-mean": [(n, d.values, a.values) for n, d, a in t_mean_oracles(f, w, ns)],
+        "block": [
+            identity_residual("block", spec, weights=w, rank=rank)
+            for rank, block in enumerate(spec.M)
+            if w.Q(block) > 0
+        ],
+    }
+    for form in _FORM_FAMILY:
+        out[form] = list(_means(f, w, ns, form))
+    for family in _FAMILIES:
+        out[family + " kernels"] = list(_kernels(family, ns, spec, w))
+    return out
+
+
+def _same(a, b):
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return np.array_equal(a, b)
+
+
+@settings(max_examples=10, deadline=None)
+@given(quotient_cases())
+def test_sweeps_do_not_depend_on_the_chunk_size(case):
+    # a chunk of one cell runs every case as its own row: the chunked
+    # running sums, stacked multipliers and row-wise gaps must give the
+    # same bits as the default 2^12-cell chunks
+    spec, w, ns, f, _, _ = case
+    default = _chunked_sweeps(spec, w, ns, f)
+    cells = vilenkin.transform._SYNTH_CHUNK_CELLS
+    vilenkin.transform._SYNTH_CHUNK_CELLS = 1
+    try:
+        one_row = _chunked_sweeps(spec, w, ns, f)
+    finally:
+        vilenkin.transform._SYNTH_CHUNK_CELLS = cells
+    for name, got in default.items():
+        assert _same(got, one_row[name]), name
 
 
 @st.composite

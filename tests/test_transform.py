@@ -113,6 +113,30 @@ def test_character_row_memory_is_linear_in_grid_size():
     assert row[x.index] == psi(spec.size - 1, x) == 1.0
 
 
+def test_random_draws_as_before_without_grid_sized_temporaries():
+    # the real, then the imaginary draw of each seed, tiled over the
+    # rank-n intervals; the complex sum of two float draws and an always
+    # copying tile peaked at 32.1 MiB traced at 2^20
+    for radices, levels in (([2], 5), ([2, 3], 4), ([7, 4, 2], 3), ([5], 2)):
+        spec = make_group(radices, levels)
+        for seed in range(4):
+            for rank in range(spec.levels + 1):
+                rng = np.random.default_rng(seed)
+                stride = spec.M[rank]
+                base = rng.standard_normal(stride) + 1j * rng.standard_normal(stride)
+                want = np.tile(base, spec.size // stride)
+                assert np.array_equal(GridFunction.random(spec, seed, rank).values, want)
+    spec = make_group([2], 20)
+    tracemalloc.start()
+    try:
+        f = GridFunction.random(spec, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20  # the complex result alone is 16 MiB
+    assert not f.values.flags.writeable
+
+
 def test_constructors_copy_caller_arrays_and_results_are_frozen():
     # the public constructors copy, so a caller's array stays writable and
     # unshared; arrays the library creates itself are frozen, not copied
