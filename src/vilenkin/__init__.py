@@ -20,7 +20,6 @@ from .kernels import (
     multiplier,
     norlund_kernel,
     reflection_residuals,
-    synthesize,
     t_kernel,
 )
 from .means import (
@@ -55,6 +54,7 @@ from .transform import (
     partial_sum,
     psi,
     rademacher,
+    synthesize,
     weak_norm,
 )
 

@@ -31,10 +31,10 @@ from .kernels import (
 )
 from .means import (
     WeightSequence,
-    _t_mean_oracle_chunks,
     abel_weight_residual,
     classify,
     parse_weights,
+    t_mean_oracles,
 )
 from .points import convergence_profile
 from .transform import GridFunction, forward
@@ -257,7 +257,7 @@ def _run_identity_check(cfg: ExperimentConfig, out: Path) -> int:
             False,
             (
                 (n, None, r)
-                for orders, direct, abel in _t_mean_oracle_chunks(f, w, ns)
+                for orders, direct, abel in t_mean_oracles(f, w, ns)
                 for n, r in zip(orders, _row_gaps(direct, abel))
             ),
         ),
@@ -317,9 +317,8 @@ def _run_converge(cfg: ExperimentConfig, out: Path) -> int:
         form=cfg.form,
         point=point,
         p=None if point is not None else cfg.p,
-        mode=cfg.mode,
     )
-    csv_rows = [[str(r.n), _fmt(r.err), r.mean_id, r.mode] for r in rows]
+    csv_rows = [[str(r.n), _fmt(r.err), r.mean_id, cfg.mode] for r in rows]
     _write_csv(out, ["n", "err", "mean_id", "mode"], csv_rows)
     where = f"point {cfg.point}" if point is not None else f"L{cfg.p:g} norm"
     _say(

@@ -31,10 +31,10 @@ from .transform import (
     _band,
     _characters,
     _chunk_rows,
+    _on_cells,
     _order_chunks,
     _synthesize_bands,
-    _synthesize_rows,
-    character_row,
+    synthesize,
 )
 
 if TYPE_CHECKING:  # circular at runtime: means imports the multiplier core
@@ -43,7 +43,6 @@ if TYPE_CHECKING:  # circular at runtime: means imports the multiplier core
 __all__ = [
     "KernelProfileRow",
     "multiplier",
-    "synthesize",
     "dirichlet",
     "fejer",
     "t_kernel",
@@ -130,50 +129,29 @@ def _multipliers(
     return out
 
 
-def synthesize(spec: GroupSpec, coeffs: np.ndarray) -> GridFunction:
-    """sum_{j < len(coeffs)} coeffs[j] * psi_j: one inverse transform.
-
-    The one-row case of the batched synthesis the sweeps below use, so a
-    swept kernel equals its single call exactly.
-    """
-    return next(_synthesize_rows(spec, [coeffs]))
-
-
-def _kernels(
+def _order_sweep(
     family: str,
+    coeffs: np.ndarray,
     ns: Iterable[int],
     spec: GroupSpec,
     weights: "WeightSequence | None" = None,
 ) -> Iterator[np.ndarray]:
-    """The order-n kernel on the M_s cells of its band, for each n in ns, batched.
+    """synthesize(coeffs[:n] * lambda_n) on the M_s cells of its band, for each n in ns.
 
-    A kernel of band M_s is a function of x mod M_s, so the sweeps below
-    reduce it on those M_s cells (or on a larger band that nests it).  The
-    multipliers are built a chunk of orders at a time.
+    With coeffs = fhat this is the order-n mean of f.  A kernel is the mean
+    of the unit impulse, whose coefficients are all 1, so the kernel sweeps
+    pass np.broadcast_to(1.0, M_N): no array, and x * 1.0 = x bitwise.  A
+    row of band M_s is a function of x mod M_s, so the sweeps reduce it on
+    those M_s cells (or on a larger band that nests it).  The multiplied
+    coefficients are built, and synthesized in stacked butterflies, a chunk
+    of orders at a time.
     """
-    blocks = (_multipliers(family, chunk, spec, weights) for chunk in _order_chunks(ns))
+    blocks = (
+        coeffs[: max(chunk)] * _multipliers(family, chunk, spec, weights)
+        for chunk in _order_chunks(ns)
+    )
     for stack in _synthesize_bands(spec, blocks):
         yield from stack
-
-
-def _on_cells(spec: GroupSpec, coeffs: np.ndarray, cells: int) -> np.ndarray:
-    """The syntheses of a block of coefficient rows, each repeated out to cells cells.
-
-    cells is a band that nests every row's band.  A block whose rows all
-    run in one butterfly on cells cells is returned as that butterfly's
-    stack, with no copy.
-    """
-    out = None
-    at = 0
-    for stack in _synthesize_bands(spec, [coeffs]):
-        rows, band = stack.shape
-        if rows == len(coeffs) and band == cells:
-            return stack
-        if out is None:
-            out = np.empty((len(coeffs), cells), dtype=np.complex128)
-        out[at : at + rows].reshape(rows, -1, band)[...] = stack[:, None, :]
-        at += rows
-    return np.empty((0, cells), dtype=np.complex128) if out is None else out
 
 
 def dirichlet(n: int, spec: GroupSpec) -> GridFunction:
@@ -225,40 +203,36 @@ def identity_residual(
 
     The sweeps reflection_residuals() and abel_kernel_residuals() evaluate
     the first two identities with these same formulas, in the same
-    floating-point order, over every case at once.
+    floating-point order, over every case at once.  Every term of the
+    reflection and block identities is a function of x mod M_r, so their
+    residuals are taken on the M_r cells x < M_r, the three kernels of one
+    case synthesized as one block.
     """
-    if kind == "reflection":
-        if rank is None or j is None:
-            raise ValueError("reflection residual needs rank and j")
-        if not 0 <= rank <= spec.levels:
-            raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
-        block = spec.M[rank]
-        if not 0 <= j < block:
-            raise ValueError(f"offset {j} outside [0, {block})")
-        full = dirichlet(block, spec).values
-        if not j:
-            return float(_reflection_gap(full, full))
-        row = character_row(spec, block - 1)
-        return float(
-            _reflection_gap(dirichlet(block - j, spec).values, full, row, dirichlet(j, spec).values)
-        )
     if kind == "abel-kernel":
         if weights is None or n is None:
             raise ValueError("abel-kernel residual needs weights and n")
         return next(abel_kernel_residuals(spec, weights, [n]))[1]
-    if kind == "block":
+    if kind == "reflection":
+        if rank is None or j is None:
+            raise ValueError("reflection residual needs rank and j")
+    elif kind == "block":
         if weights is None or rank is None:
             raise ValueError("block residual needs weights and rank")
-        if not 0 <= rank <= spec.levels:
-            raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
-        # every term is a function of x mod M_r, so the residual is taken
-        # on the M_r cells x < M_r, with the reflection identity's formula;
-        # the three kernels run as one block
-        block = spec.M[rank]
-        coeffs = [_multipliers(family, [block], spec, weights) for family in ("t", "dirichlet", "norlund")]
-        lhs, full, low = _on_cells(spec, np.concatenate(coeffs), block)
-        return float(_reflection_gap(lhs, full, _characters(spec, [block - 1], block)[0], low))
-    raise ValueError(f"unknown identity kind {kind!r}")
+    else:
+        raise ValueError(f"unknown identity kind {kind!r}")
+    if not 0 <= rank <= spec.levels:
+        raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
+    block = spec.M[rank]
+    if kind == "reflection":
+        if not 0 <= j < block:
+            raise ValueError(f"offset {j} outside [0, {block})")
+        # D_0 = 0 makes the gap at j = 0 the plain |D_{M_r} - D_{M_r}| = 0
+        coeffs = _multipliers("dirichlet", [block - j, block, j], spec)
+    else:
+        families = ("t", "dirichlet", "norlund")
+        coeffs = np.concatenate([_multipliers(family, [block], spec, weights) for family in families])
+    lhs, full, low = _on_cells(spec, coeffs, block)
+    return float(_reflection_gap(lhs, full, _characters(spec, [block - 1], block)[0], low))
 
 
 def _reflection_gap(
@@ -406,7 +380,8 @@ def l1_profile(
     tail_block = spec.M[tail_rank]
     rows = []
     ns = sorted(ns)
-    for n, values in zip(ns, _kernels(family, ns, spec, weights)):
+    unit = np.broadcast_to(1.0, spec.size)  # the unit impulse's coefficients
+    for n, values in zip(ns, _order_sweep(family, unit, ns, spec, weights)):
         # |k_n| and the outside of I_tail_rank(0) both have period
         # max(M_s, M_tail_rank), so the averages over M_N cells are
         # averages over that many
@@ -441,19 +416,20 @@ def domination_constant(ns: Sequence[int], spec: GroupSpec) -> float:
         raise ValueError("need at least one n")
     top = max(_leading_position(n, spec) for n in ns)
     blocks = spec.M[: top + 1]
+    unit = np.broadcast_to(1.0, spec.size)  # the unit impulse's coefficients
     # the denominators live on the band M_top of K_{M_top}, which nests the
     # bands of the others; each ratio is taken on the larger of that band
     # and its numerator's
     denoms = np.cumsum(
         [
             M * np.tile(np.abs(values), blocks[-1] // len(values))
-            for M, values in zip(blocks, _kernels("fejer", blocks, spec))
+            for M, values in zip(blocks, _order_sweep("fejer", unit, blocks, spec))
         ],
         axis=0,
     )
     best = 0.0
     ns = sorted(ns)
-    for n, values in zip(ns, _kernels("fejer", ns, spec)):
+    for n, values in zip(ns, _order_sweep("fejer", unit, ns, spec)):
         cells = max(len(values), blocks[-1])
         num = np.tile(n * np.abs(values), cells // len(values))
         den = np.tile(denoms[_leading_position(n, spec)], cells // blocks[-1])

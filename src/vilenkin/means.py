@@ -33,8 +33,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .kernels import _check_orders, multiplier, synthesize
-from .transform import GridFunction, _analyse, _characters, _chunk_rows, convolve, forward
+from .kernels import _check_orders, multiplier
+from .transform import (
+    GridFunction,
+    _analyse,
+    _characters,
+    _chunk_rows,
+    convolve,
+    forward,
+    synthesize,
+)
 
 _ALPHA_KINDS = frozenset({"cesaro", "inverse-cesaro", "power", "log-power"})
 _PLAIN_KINDS = frozenset({"constant", "riesz-log", "norlund-log"})
@@ -280,13 +288,13 @@ def t_mean(
     if method not in ("direct", "abel"):
         raise ValueError(f"unknown method {method!r}")
     _, direct, abel = next(t_mean_oracles(f, w, [n]))
-    return direct if method == "direct" else abel
+    return GridFunction._own(f.spec, (direct if method == "direct" else abel)[0])
 
 
 def t_mean_oracles(
     f: GridFunction, w: WeightSequence, ns: Sequence[int]
-) -> Iterator[tuple[int, GridFunction, GridFunction]]:
-    """(n, direct T_n f, abel T_n f) for each order of ascending ns, in one pass.
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
+    """(orders, direct T_n f, abel T_n f) for ascending ns, in one pass, a chunk at a time.
 
     With S_k = sum_{i<k} fhat(i) psi_i and R_k = S_1 + ... + S_k (so that
     R_k = k sigma_k f), the two oracle routes are
@@ -297,26 +305,13 @@ def t_mean_oracles(
     Both are running sums in k, so one forward(f) and one character row per
     k < max(ns) - 1 serve every order.  The full forward(f), not an
     analysis up to max(ns), keeps every order's value independent of the
-    other orders in ns.  The pass runs a chunk of orders at a time
-    (_t_mean_oracle_chunks()).
-    """
-    for orders, direct, abel in _t_mean_oracle_chunks(f, w, ns):
-        for n, d, a in zip(orders, direct, abel):
-            yield n, GridFunction(f.spec, d), GridFunction(f.spec, a)
-
-
-def _t_mean_oracle_chunks(
-    f: GridFunction, w: WeightSequence, ns: Sequence[int]
-) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
-    """(orders, direct T_n f, abel T_n f) of t_mean_oracles(), a chunk at a time.
-
-    The steps k run in chunks of _chunk_rows(M_N): one stack of character
-    rows psi_{k-1}, and each running sum (S_k, R_k, the direct and the Abel
-    sums) one cumulative sum down the stack of its terms, started from the
-    previous chunk's last row, so every value is a loop's additions in the
-    loop's order.  A chunk yields the orders n with n - 1 among its steps,
-    both routes as fresh (orders x M_N) stacks, in O(_SYNTH_CHUNK_CELLS +
-    M_N) working memory.
+    other orders in ns.  The steps k run in chunks of _chunk_rows(M_N): one
+    stack of character rows psi_{k-1}, and each running sum (S_k, R_k, the
+    direct and the Abel sums) one cumulative sum down the stack of its
+    terms, started from the previous chunk's last row, so every value is a
+    loop's additions in the loop's order.  A chunk yields the orders n with
+    n - 1 among its steps, both routes as fresh (orders x M_N) stacks, in
+    O(_SYNTH_CHUNK_CELLS + M_N) working memory.
     """
     ns = list(ns)
     for previous, n in zip(ns, ns[1:]):

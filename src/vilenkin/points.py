@@ -16,9 +16,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .group import Element, generator, interval_members, subtract
-from .kernels import _multipliers
+from .kernels import _order_sweep
 from .means import WeightSequence
-from .transform import GridFunction, _analyse, _order_chunks, _synthesize_bands
+from .transform import GridFunction, _analyse
 
 __all__ = [
     "ConvergenceRow",
@@ -73,7 +73,6 @@ class ConvergenceRow:
     n: int
     err: float
     mean_id: str
-    mode: str
 
 
 _FORM_FAMILY = {"t": "t", "norlund": "norlund", "partial": "dirichlet"}
@@ -85,22 +84,15 @@ def _means(
     """Yield (n, the order-n mean of f on the M_s cells of its band) for each n in ns.
 
     f is analysed once, up to the largest order, since an order-n mean
-    reads only fhat[:n]; the multiplied spectra of all orders then run
-    through one batched synthesis, a stack of multipliers and a stacked
-    butterfly per chunk of orders.  The mean is a function of x mod M_s, so
-    it is left on its band.
+    reads only fhat[:n]; the order sweep then synthesizes fhat[:n] *
+    lambda_n a chunk of orders at a time.  The mean is a function of
+    x mod M_s, so it is left on its band.
     """
     if form not in _FORM_FAMILY:
         raise ValueError(f"unknown mean form {form!r}; expected t, norlund or partial")
-    family = _FORM_FAMILY[form]
     ns = list(ns)
     fh = _analyse(f, max(ns, default=0))
-    blocks = (
-        fh[: max(chunk)] * _multipliers(family, chunk, f.spec, w)
-        for chunk in _order_chunks(ns)
-    )
-    rows = (values for stack in _synthesize_bands(f.spec, blocks) for values in stack)
-    yield from zip(ns, rows)
+    yield from zip(ns, _order_sweep(_FORM_FAMILY[form], fh, ns, f.spec, w))
 
 
 def _lp_error(f: GridFunction, values: np.ndarray, p: float, buf: np.ndarray) -> float:
@@ -129,28 +121,20 @@ def convergence_profile(
     form: str = "t",
     point: Element | None = None,
     p: float | None = None,
-    mode: str = "all",
 ) -> list[ConvergenceRow]:
     """Errors of the chosen mean against f over a list of orders.
 
     Exactly one of ``point`` (pointwise error) and ``p`` (L_p error) must be
-    given.  ``mode='block'`` restricts the orders to the subsequence M_0,
-    M_1, ...; the orders are validated against that.  ``form='partial'``
-    profiles the raw partial sums and ignores the weights.
+    given.  ``form='partial'`` profiles the raw partial sums and ignores the
+    weights.
     """
     if (point is None) == (p is None):
         raise ValueError("give exactly one of point= and p=")
-    if mode not in ("all", "block"):
-        raise ValueError(f"unknown mode {mode!r}")
     if p is not None and not p >= 1:  # also refuses NaN
         raise ValueError(f"L_p error needs p >= 1, got {p}")
     if form != "partial" and w is None:
         raise ValueError(f"form {form!r} needs a weight sequence")
     spec = f.spec
-    if mode == "block":
-        for n in ns:
-            if n not in spec.M:
-                raise ValueError(f"order {n} is not a block size M_r")
     mean_id = "partial" if form == "partial" else f"{w.label()}|{form}"
     rows = []
     buf = np.empty(spec.size) if point is None else None  # reused by every order
@@ -159,7 +143,7 @@ def convergence_profile(
             err = abs(values[point.index % len(values)] - f.values[point.index])
         else:
             err = _lp_error(f, values, p, buf)
-        rows.append(ConvergenceRow(n=n, err=float(err), mean_id=mean_id, mode=mode))
+        rows.append(ConvergenceRow(n=n, err=float(err), mean_id=mean_id))
     return rows
 
 
@@ -176,6 +160,8 @@ def maximal_profile(
     if form != "partial" and w is None:
         raise ValueError(f"form {form!r} needs a weight sequence")
     start = 1 if form == "partial" else w.n0
+    if n_max < start:
+        raise ValueError(f"no orders in [{start}, {n_max}] for form {form!r}")
     best = np.zeros(1)  # on the largest band so far; the bands M_s nest
     for _, values in _means(f, w, range(start, n_max + 1), form):
         if len(values) > len(best):

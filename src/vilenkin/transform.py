@@ -32,6 +32,7 @@ __all__ = [
     "character_row",
     "forward",
     "inverse",
+    "synthesize",
     "partial_sum",
     "convolve",
     "norm",
@@ -405,29 +406,41 @@ def inverse(s: Spectrum) -> GridFunction:
 
     A spectrum supported below M_s synthesizes to a function of x mod M_s,
     so only s stages run, on coeffs[:M_s], and the result is tiled
-    M_N / M_s times.  This is the one-row case of _synthesize_rows().
+    M_N / M_s times: synthesize() of the coefficients.
     """
-    return next(_synthesize_rows(s.spec, [s.coeffs]))
+    return synthesize(s.spec, s.coeffs)
 
 
-def _synthesize_rows(spec: GroupSpec, rows: Iterable) -> Iterator[GridFunction]:
-    """sum_j row[j] * psi_j for each coefficient row (length <= M_N), in input order.
+def synthesize(spec: GroupSpec, coeffs) -> GridFunction:
+    """sum_{j < len(coeffs)} coeffs[j] * psi_j, for len(coeffs) <= M_N: one inverse transform.
 
-    The public face of _synthesize_bands(), each row a one-row block: each
-    band result is tiled once to M_N, so a sweep holds
-    O(_SYNTH_CHUNK_CELLS + M_N) cells at a time.
+    The one-row case of _on_cells(), the block synthesis every sweep runs,
+    so a row of a sweep equals its single call exactly.
     """
+    coeffs = np.asarray(coeffs)
+    if coeffs.ndim != 1:
+        raise ValueError(f"coefficient row of shape {coeffs.shape} is not a vector")
+    return GridFunction._own(spec, _on_cells(spec, coeffs[None], spec.size)[0])
 
-    def blocks():
-        for row in rows:
-            row = np.asarray(row)
-            if row.ndim != 1:
-                raise ValueError(f"coefficient row of shape {row.shape} is not a vector")
-            yield row[None]
 
-    for stack in _synthesize_bands(spec, blocks()):
-        for values in stack:
-            yield GridFunction._own(spec, np.tile(values, spec.size // len(values)))
+def _on_cells(spec: GroupSpec, coeffs: np.ndarray, cells: int) -> np.ndarray:
+    """The syntheses of a block of coefficient rows, each repeated out to cells cells.
+
+    cells is a band that nests every row's band (M_N nests them all).  A
+    block whose rows all run in one butterfly on cells cells is returned as
+    that butterfly's stack, with no copy.
+    """
+    out = None
+    at = 0
+    for stack in _synthesize_bands(spec, [coeffs]):
+        rows, band = stack.shape
+        if rows == len(coeffs) and band == cells:
+            return stack
+        if out is None:
+            out = np.empty((len(coeffs), cells), dtype=np.complex128)
+        out[at : at + rows].reshape(rows, -1, band)[...] = stack[:, None, :]
+        at += rows
+    return np.empty((0, cells), dtype=np.complex128) if out is None else out
 
 
 def _synthesize_bands(spec: GroupSpec, blocks: Iterable) -> Iterator[np.ndarray]:
@@ -500,7 +513,7 @@ def partial_sum(f: GridFunction, n: int) -> GridFunction:
     spec = f.spec
     if not 0 <= n <= spec.size:
         raise ValueError(f"partial sum order {n} outside [0, {spec.size}]")
-    return next(_synthesize_rows(spec, [_analyse(f, n)]))
+    return synthesize(spec, _analyse(f, n))
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

@@ -123,22 +123,17 @@ def test_convergence_profile_fejer_pointwise_oracle():
     for r in rows:
         assert r.err == pytest.approx(1 / (2 * r.n), abs=1e-14)
         assert r.mean_id == "constant|norlund"
-        assert r.mode == "all"
 
 
 def test_convergence_profile_block_partial_sums_collapse():
     # S_{M_r} reproduces a rank-2 step exactly once M_r >= M_2
     spec = make_group([2], 6)
     f = GridFunction.random(spec, seed=33, rank=2)
-    rows = convergence_profile(
-        f, None, spec.M, form="partial", p=1, mode="block"
-    )
+    rows = convergence_profile(f, None, spec.M, form="partial", p=1)
     assert rows[0].mean_id == "partial"
     for r in rows:
         if r.n >= spec.M[2]:
             assert r.err < 1e-13
-    with pytest.raises(ValueError):
-        convergence_profile(f, None, [3], form="partial", p=1, mode="block")
 
 
 def test_convergence_profile_norm_matches_direct_norm():
@@ -161,8 +156,6 @@ def test_convergence_profile_validation():
         convergence_profile(f, w, [2], point=Element.zero(spec), p=1)
     with pytest.raises(ValueError):
         convergence_profile(f, w, [2])
-    with pytest.raises(ValueError):
-        convergence_profile(f, w, [2], p=1, mode="mystery")
     with pytest.raises(ValueError):
         convergence_profile(f, w, [2], p=1, form="mystery")
     with pytest.raises(ValueError):
@@ -205,6 +198,21 @@ def test_maximal_profile_validation():
         maximal_profile(f, weights("constant"), spec.size + 1)
     with pytest.raises(ValueError):
         maximal_profile(f, None, 4, form="t")
+
+
+def test_maximal_profile_refuses_an_empty_order_range():
+    # riesz weights start at n0 = 2, so n_max = 1 leaves no order; the
+    # maximum over no means is not the zero function
+    spec = make_group([2, 3], 3)
+    f = GridFunction.random(spec, seed=40)
+    riesz = parse_weights("riesz")
+    with pytest.raises(ValueError):
+        convergence_profile(f, riesz, [1], p=1)
+    with pytest.raises(ValueError, match="no orders"):
+        maximal_profile(f, riesz, 1, form="t")
+    with pytest.raises(ValueError, match="no orders"):
+        maximal_profile(f, riesz, 1, form="norlund")
+    assert np.max(np.abs(maximal_profile(f, riesz, 2, form="t").values)) > 0
 
 
 def test_partial_sum_sup_error_collapses_at_block():

@@ -27,8 +27,8 @@ import vilenkin.transform
 from vilenkin.group import Element, add, generator, make_group, subtract
 from vilenkin.kernels import (
     _FAMILIES,
-    _kernels,
     _leading_position,
+    _order_sweep,
     abel_kernel_residuals,
     dirichlet,
     domination_constant,
@@ -38,7 +38,6 @@ from vilenkin.kernels import (
     multiplier,
     norlund_kernel,
     reflection_residuals,
-    synthesize,
     t_kernel,
 )
 from vilenkin.means import norlund_mean, parse_weights, t_mean, t_mean_oracles
@@ -47,13 +46,14 @@ from vilenkin.transform import (
     GridFunction,
     Spectrum,
     _analyse,
-    _synthesize_rows,
+    _on_cells,
     character_row,
     forward,
     inverse,
     norm,
     partial_sum,
     psi,
+    synthesize,
 )
 
 FAMILIES = ("constant", "cesaro:0.5", "icesaro:0.5", "power:0.5", "riesz", "nlog", "logpow:0.5")
@@ -119,6 +119,12 @@ def test_norlund_and_partial_match_partial_sum_expansion(case):
     _assert_profile_matches(f, None, ns, x, "partial", {n: [sums[n]] for n in ns})
 
 
+def _oracle_rows(f, w, ns):
+    """(n, direct T_n f, abel T_n f) of each order, from the chunks of t_mean_oracles()."""
+    for orders, direct, abel in t_mean_oracles(f, w, ns):
+        yield from zip(orders, direct, abel)
+
+
 @settings(max_examples=25, deadline=None)
 @given(cases())
 def test_identity_sweeps_hold_and_equal_single_cases(case):
@@ -137,10 +143,10 @@ def test_identity_sweeps_hold_and_equal_single_cases(case):
         # residual is already 1.8e-12, so this one is relative to that scale
         if w.Q(spec.M[rank]) > 0:
             assert identity_residual("block", spec, weights=w, rank=rank) < TOL * spec.M[rank]
-    for n, direct, abel in t_mean_oracles(f, w, ns):
-        assert np.max(np.abs(direct.values - abel.values)) < TOL
-        assert np.array_equal(direct.values, t_mean(f, w, n, method="direct").values)
-        assert np.array_equal(abel.values, t_mean(f, w, n, method="abel").values)
+    for n, direct, abel in _oracle_rows(f, w, ns):
+        assert np.max(np.abs(direct - abel)) < TOL
+        assert np.array_equal(direct, t_mean(f, w, n, method="direct").values)
+        assert np.array_equal(abel, t_mean(f, w, n, method="abel").values)
 
 
 @st.composite
@@ -199,12 +205,15 @@ def row_batches(draw):
 @given(row_batches())
 def test_batched_rows_equal_one_row_inverse(case):
     spec, rows = case
-    batched = list(_synthesize_rows(spec, rows))
-    assert len(batched) == len(rows)
-    for row, got in zip(rows, batched):
+    block = np.zeros((len(rows), max(map(len, rows))), dtype=complex)
+    for at, row in enumerate(rows):
+        block[at, : len(row)] = row
+    batched = _on_cells(spec, block, spec.size)
+    assert batched.shape == (len(rows), spec.size)
+    for row, got in zip(block, batched):
         full = np.zeros(spec.size, dtype=complex)
         full[: len(row)] = row
-        assert np.array_equal(got.values, inverse(Spectrum(spec, full)).values)
+        assert np.array_equal(got, inverse(Spectrum(spec, full)).values)
 
 
 @settings(max_examples=25, deadline=None)
@@ -213,8 +222,9 @@ def test_batched_kernels_and_means_equal_single_syntheses(case, more):
     spec, w, ns, f, x = case
     ns = sorted({*ns, *(min(spec.size, max(w.n0, n)) for n in more)})
     # the sweeps leave each row on its band M_s; tiled, it is the public result
+    unit = np.broadcast_to(1.0, spec.size)  # a kernel is the mean of the unit impulse
     for family in _FAMILIES:
-        batched = _kernels(family, ns, spec, w)
+        batched = _order_sweep(family, unit, ns, spec, w)
         for n, got in zip(ns, batched, strict=True):
             want = synthesize(spec, multiplier(family, n, spec, w))
             assert np.array_equal(np.tile(got, spec.size // len(got)), want.values)
@@ -246,8 +256,7 @@ def quotient_cases(draw):
 def _tiled_means(f, w, orders, family):
     """(n, the order-n mean tiled to M_N), the full-grid route of the sweeps."""
     fh = _analyse(f, orders[-1])
-    rows = (fh[:n] * multiplier(family, n, f.spec, w) for n in orders)
-    return zip(orders, _synthesize_rows(f.spec, rows))
+    return ((n, synthesize(f.spec, fh[:n] * multiplier(family, n, f.spec, w))) for n in orders)
 
 
 @settings(max_examples=30, deadline=None)
@@ -336,7 +345,7 @@ def _chunked_sweeps(spec, w, ns, f):
     out = {
         "reflection": list(reflection_residuals(spec)),
         "abel-kernel": list(abel_kernel_residuals(spec, w, ns)),
-        "abel-mean": [(n, d.values, a.values) for n, d, a in t_mean_oracles(f, w, ns)],
+        "abel-mean": list(_oracle_rows(f, w, ns)),
         "block": [
             identity_residual("block", spec, weights=w, rank=rank)
             for rank, block in enumerate(spec.M)
@@ -345,8 +354,9 @@ def _chunked_sweeps(spec, w, ns, f):
     }
     for form in _FORM_FAMILY:
         out[form] = list(_means(f, w, ns, form))
+    unit = np.broadcast_to(1.0, spec.size)
     for family in _FAMILIES:
-        out[family + " kernels"] = list(_kernels(family, ns, spec, w))
+        out[family + " kernels"] = list(_order_sweep(family, unit, ns, spec, w))
     return out
 
 
