@@ -78,6 +78,8 @@ class ExperimentConfig:
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 _MODES = ("all", "block")
+# the subcommands whose orders mode selects; the others refuse mode "block"
+_BLOCK_COMMANDS = ("converge", "kernel-profile")
 
 
 def load_config(path: str | Path | None, overrides: dict) -> ExperimentConfig:
@@ -425,6 +427,10 @@ def run(command: str, cfg: ExperimentConfig) -> int:
     """Run one subcommand against a fully merged config; returns exit status."""
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    if cfg.mode == "block" and command not in _BLOCK_COMMANDS:
+        raise ConfigError(
+            f"--block applies only to {' and '.join(_BLOCK_COMMANDS)}, not to {command}"
+        )
     out = Path(cfg.out) if cfg.out is not None else Path(f"{command.replace('-', '_')}.csv")
     # checked before any work, so that a long run cannot end in an unwritable CSV
     if out.is_dir():

@@ -135,6 +135,8 @@ def convergence_profile(
     if form != "partial" and w is None:
         raise ValueError(f"form {form!r} needs a weight sequence")
     spec = f.spec
+    if point is not None and point.spec != spec:
+        raise ValueError("point belongs to a different group")
     mean_id = "partial" if form == "partial" else f"{w.label()}|{form}"
     rows = []
     buf = np.empty(spec.size) if point is None else None  # reused by every order

@@ -212,9 +212,6 @@ class GridFunction:
             return cls._own(spec, base)
         return cls._own(spec, np.tile(base, spec.size // stride))
 
-    def at(self, x: Element) -> complex:
-        return complex(self.values[x.index])
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
         if self.spec != other.spec:
             raise ValueError("grid functions belong to different groups")
@@ -430,82 +427,64 @@ def _on_cells(spec: GroupSpec, coeffs: np.ndarray, cells: int) -> np.ndarray:
     block whose rows all run in one butterfly on cells cells is returned as
     that butterfly's stack, with no copy.
     """
-    out = None
+    out = np.empty((len(coeffs), cells), dtype=np.complex128)
     at = 0
     for stack in _synthesize_bands(spec, [coeffs]):
         rows, band = stack.shape
         if rows == len(coeffs) and band == cells:
             return stack
-        if out is None:
-            out = np.empty((len(coeffs), cells), dtype=np.complex128)
         out[at : at + rows].reshape(rows, -1, band)[...] = stack[:, None, :]
         at += rows
-    return np.empty((0, cells), dtype=np.complex128) if out is None else out
+    return out
 
 
 def _synthesize_bands(spec: GroupSpec, blocks: Iterable) -> Iterator[np.ndarray]:
     """Each coefficient row's synthesis on the M_s cells x < M_s of its band, stacked.
 
-    blocks holds (rows x width) stacks of coefficient rows, width <= M_N.  A
-    row's band is M_s for the smallest s with M_s above its last nonzero
-    coefficient, the rule inverse() applies to a whole spectrum, found for
-    a whole block by one scan; its synthesis is a function of x mod M_s, so
-    these M_s values tile to the full grid.  Consecutive rows with one band,
-    within a block or across blocks, run as one stacked butterfly of at
-    most _SYNTH_CHUNK_CELLS cells (one row if M_s is larger), yielded as its
-    (rows x M_s) stack, in input order.  The blocks are read lazily, so a
-    sweep that reduces each stack on its band holds
+    blocks holds (rows x width) stacks of coefficient rows, width <= M_N.
+    The rows are walked in input order, across blocks.  A row's band is
+    _band() of its count, one past its last nonzero coefficient (found for
+    a whole block by one scan): the rule inverse() applies to a whole
+    spectrum.  Its synthesis is a function of x mod M_s, so these M_s values
+    tile to the full grid.  The rows waiting for a butterfly run as one
+    (rows x M_s) stack, yielded in input order, when the next row has
+    another band or when _chunk_rows(M_s) rows wait, so a butterfly covers
+    at most _SYNTH_CHUNK_CELLS cells (one row if M_s is larger) and block
+    boundaries do not change which rows share it.  The blocks are read
+    lazily, so a sweep that reduces each stack on its band holds
     O(_SYNTH_CHUNK_CELLS + M_s) cells besides the block being read.
     """
-    places = np.asarray(spec.M)
-    pending: list[np.ndarray] = []  # pieces of blocks of one band, emptied by each butterfly
-    rows = band = 0
+    pending: list[np.ndarray] = []  # rows of one band, waiting for their butterfly
+    band = 0
     for block in blocks:
         block = np.asarray(block)
         if block.ndim != 2 or block.shape[1] > spec.size:
             raise ValueError(
                 f"coefficient block of shape {block.shape} does not fit M_N = {spec.size}"
             )
-        width = block.shape[1]
-        nonzero = block != 0
-        count = np.zeros(len(block), dtype=np.int64)
-        if width:
-            found = nonzero.any(axis=1)
-            count[found] = width - np.argmax(nonzero[found, ::-1], axis=1)
-        bands = places[np.searchsorted(places, count)]
-        runs = [0, *(np.flatnonzero(bands[1:] != bands[:-1]) + 1).tolist(), len(block)]
-        for start, stop in zip(runs, runs[1:]):
-            if pending and bands[start] != band:
-                yield _butterfly_stack(spec, pending, rows, band)
-                rows = 0
-            band = int(bands[start])
-            while start < stop:
-                take = min(stop - start, _chunk_rows(band) - rows)
-                pending.append(block[start : start + take, :band])
-                rows += take
-                start += take
-                if rows == _chunk_rows(band):
-                    yield _butterfly_stack(spec, pending, rows, band)
-                    rows = 0
+        # the True column in front gives an all-zero row the count 0
+        nonzero = np.hstack([np.ones((len(block), 1), dtype=bool), block != 0])
+        counts = block.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
+        for row, count in zip(block, counts.tolist()):
+            row_band = _band(spec, count)
+            if pending and (row_band != band or len(pending) == _chunk_rows(band)):
+                # rebound before the butterfly runs and while its stack is out,
+                # so the blocks the waiting rows view can be freed
+                stack, pending = _butterfly_stack(pending, band), []
+                yield _apply_stages(spec, stack, inverse=True)
+            band = row_band
+            pending.append(row[:band])
     if pending:
-        yield _butterfly_stack(spec, pending, rows, band)
+        stack, pending = _butterfly_stack(pending, band), []
+        yield _apply_stages(spec, stack, inverse=True)
 
 
-def _butterfly_stack(
-    spec: GroupSpec, pieces: list[np.ndarray], rows: int, band: int
-) -> np.ndarray:
-    """One butterfly over pieces of coefficient rows supported below band.
-
-    The pieces are taken out of the list and the butterfly runs in place on
-    their zero-padded (rows x band) stack, which it returns.
-    """
-    data = np.zeros((rows, band), dtype=np.complex128)
-    at = 0
-    for piece in pieces:
-        data[at : at + len(piece), : piece.shape[1]] = piece
-        at += len(piece)
-    pieces.clear()
-    return _apply_stages(spec, data, inverse=True)
+def _butterfly_stack(rows: list[np.ndarray], band: int) -> np.ndarray:
+    """The (len(rows) x band) stack of coefficient rows, each zero-padded to band."""
+    stack = np.zeros((len(rows), band), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        stack[i, : len(row)] = row
+    return stack
 
 
 def partial_sum(f: GridFunction, n: int) -> GridFunction:
@@ -553,6 +532,8 @@ def weak_norm(f: GridFunction, p: float) -> float:
 
 def lift_step(spec: GroupSpec, rank: int, base: Sequence[complex]) -> GridFunction:
     """Extend values on the M_rank rank-n cells to a step function on the grid."""
+    if not 0 <= rank <= spec.levels:
+        raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
     stride = spec.M[rank]
     base_arr = np.asarray(base, dtype=np.complex128)
     if base_arr.shape != (stride,):

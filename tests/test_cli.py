@@ -482,6 +482,19 @@ def test_unknown_config_mode_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["identity-check", "classify-weights", "bench-transform"])
+def test_block_mode_is_refused_where_it_has_no_effect(tmp_path, capsys, butterflies, command):
+    # these used to run every order, exit 0 and write a CSV with no mode column
+    out = tmp_path / "x.csv"
+    argv = [command, "--group", "2,3", "--levels", "3", "--weights", "riesz", "--block"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"--block applies only to converge and kernel-profile, not to {command}" in (
+        capsys.readouterr().err
+    )
+    assert butterflies == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_max", [vilenkin.cli.MAX_CLASSIFY_N + 1, 10**12])
 def test_classify_weights_refuses_huge_scans(tmp_path, capsys, n_max):
     # 10^12 used to exit 1 with ArrayMemoryError, 10^8 to exhaust memory

@@ -165,6 +165,15 @@ def test_convergence_profile_validation():
             convergence_profile(f, w, [2], p=p)
 
 
+@pytest.mark.parametrize("index", [5, 30])
+def test_convergence_profile_refuses_a_point_of_another_group(index):
+    # index 5 used to read cell 5 of the 12-cell grid silently, 30 to raise IndexError
+    f = GridFunction.random(make_group([2, 3], 3), seed=0)
+    x = Element.from_index(make_group([2, 3], 4), index)
+    with pytest.raises(ValueError, match="point belongs to a different group"):
+        convergence_profile(f, parse_weights("riesz"), [2, 3], point=x)
+
+
 def test_maximal_profile_character():
     # |sigma_n psi_1| = (n-1)/n everywhere, so the running max is the last one
     spec = make_group([2], 4)

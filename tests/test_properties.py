@@ -9,13 +9,15 @@ very value of the single-case call.  A spectrum below M_s synthesizes, and
 an analysis up to M_s runs, on M_s cells only; both must agree with the
 definitions (character rows, the naive transform) to 1e-12.  A batched
 synthesis returns every row bitwise equal to its one-row synthesis, whatever
-the batch size and the row's place in it.  The sweeps that reduce a mean or a
-kernel on its band M_s instead of the whole grid return the very errors,
-maxima and residuals of the tiled full-grid route (the L1 profile, a sum in
-another order, to 1e-12).  The group laws, the character homomorphism,
+the batch size and the row's place in it, and the rows share butterflies by
+their bands and the chunk size alone, whatever blocks they arrive in.  The
+sweeps that reduce a mean or a kernel on its band M_s instead of the whole
+grid return the very errors, maxima and residuals of the tiled full-grid
+route (the L1 profile, a sum in another order, to 1e-12).  The group laws, the character homomorphism,
 inverse(forward(f)) = f and Parseval hold on every random group.
 """
 
+import itertools
 import math
 from bisect import bisect_left
 
@@ -47,6 +49,7 @@ from vilenkin.transform import (
     Spectrum,
     _analyse,
     _on_cells,
+    _synthesize_bands,
     character_row,
     forward,
     inverse,
@@ -214,6 +217,71 @@ def test_batched_rows_equal_one_row_inverse(case):
         full = np.zeros(spec.size, dtype=complex)
         full[: len(row)] = row
         assert np.array_equal(got, inverse(Spectrum(spec, full)).values)
+
+
+@st.composite
+def row_blocks(draw):
+    """A random group and up to 40 rows of known counts, split into random blocks.
+
+    A row's count is one past its last nonzero coefficient, 0 for an
+    all-zero row.  The rows of a block share its width, at least their
+    largest count; a block of count-0 rows may have width 0.
+    """
+    spec = make_group(draw(st.lists(st.integers(2, 7), min_size=1, max_size=10).map(_fit)))
+    counts = draw(st.lists(st.integers(0, spec.size), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        counts.sort()
+    cuts = sorted(draw(st.sets(st.integers(1, len(counts)), max_size=6)) - {len(counts)})
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for start, stop in zip([0, *cuts], [*cuts, len(counts)]):
+        top = max(counts[start:stop], default=0)
+        width = 0 if top == 0 and draw(st.booleans()) else draw(st.integers(top, spec.size))
+        block = np.zeros((stop - start, width), dtype=complex)
+        for row, count in zip(block, counts[start:stop]):
+            row[:count] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        blocks.append(block)
+    return spec, counts, blocks
+
+
+def _butterfly_partition(spec, counts, cells):
+    """(rows, M_s) of each butterfly over rows of these counts, closed form.
+
+    A row's band is the smallest M_s >= its count; the rows are cut at each
+    change of band and after every max(1, cells // M_s) rows of one band.
+    """
+    shapes = []
+    for band, run in itertools.groupby(spec.M[bisect_left(spec.M, c)] for c in counts):
+        chunk = max(1, cells // band)
+        full, rest = divmod(len(list(run)), chunk)
+        shapes += [(chunk, band)] * full + ([(rest, band)] if rest else [])
+    return shapes
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_blocks())
+def test_band_stream_partition_is_fixed_by_the_rows_alone(case):
+    # the butterflies depend on the rows' bands and the chunk size only: the
+    # same rows as one block give the same stacks, and each stack row is the
+    # row's own synthesis on its band
+    spec, counts, blocks = case
+    whole = np.zeros((len(counts), max(block.shape[1] for block in blocks)), dtype=complex)
+    at = 0
+    for block in blocks:
+        whole[at : at + len(block), : block.shape[1]] = block
+        at += len(block)
+    default = vilenkin.transform._SYNTH_CHUNK_CELLS
+    try:
+        for cells in (1, 8, default):
+            vilenkin.transform._SYNTH_CHUNK_CELLS = cells
+            want = _butterfly_partition(spec, counts, cells)
+            stacks = list(_synthesize_bands(spec, blocks))
+            assert [stack.shape for stack in stacks] == want
+            assert [stack.shape for stack in _synthesize_bands(spec, [whole])] == want
+            for got, row in zip(itertools.chain(*stacks), whole):
+                assert np.array_equal(got, synthesize(spec, row).values[: len(got)])
+    finally:
+        vilenkin.transform._SYNTH_CHUNK_CELLS = default
 
 
 @settings(max_examples=25, deadline=None)

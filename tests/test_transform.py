@@ -20,6 +20,7 @@ from vilenkin.transform import (
     convolve,
     forward,
     inverse,
+    lift_step,
     norm,
     partial_sum,
     psi,
@@ -360,6 +361,16 @@ def test_grid_function_validation_and_immutability():
         f + GridFunction.constant(make_group([2, 2]))
     assert np.max(np.abs((f - g + g).values - f.values)) < 1e-15
     assert np.max(np.abs((2.0 * g).values - 2.0 * g.values)) == 0
+
+
+def test_lift_step_refuses_ranks_outside_the_grid():
+    # rank -1 used to wrap round to rank N, and rank N + 1 raised IndexError
+    spec = make_group([2, 3, 2])
+    with pytest.raises(ValueError, match=r"rank -1 outside \[0, 3\]"):
+        lift_step(spec, -1, np.zeros(spec.size))
+    with pytest.raises(ValueError, match=r"rank 4 outside \[0, 3\]"):
+        lift_step(spec, 4, np.zeros(spec.size))
+    assert np.array_equal(lift_step(spec, 1, [1.0, 2.0]).values, np.tile([1.0, 2.0], 6))
 
 
 def test_csv_round_trips(tmp_path):
