@@ -129,7 +129,7 @@ def _multipliers(
     return out
 
 
-def _order_sweep(
+def _order_stacks(
     family: str,
     coeffs: np.ndarray,
     ns: Iterable[int],
@@ -144,13 +144,25 @@ def _order_sweep(
     row of band M_s is a function of x mod M_s, so the sweeps reduce it on
     those M_s cells (or on a larger band that nests it).  The multiplied
     coefficients are built, and synthesized in stacked butterflies, a chunk
-    of orders at a time.
+    of orders at a time; the rows come as the butterflies' (rows x M_s)
+    stacks, in the order of ns.
     """
     blocks = (
         coeffs[: max(chunk)] * _multipliers(family, chunk, spec, weights)
         for chunk in _order_chunks(ns)
     )
-    for stack in _synthesize_bands(spec, blocks):
+    return _synthesize_bands(spec, blocks)
+
+
+def _order_sweep(
+    family: str,
+    coeffs: np.ndarray,
+    ns: Iterable[int],
+    spec: GroupSpec,
+    weights: "WeightSequence | None" = None,
+) -> Iterator[np.ndarray]:
+    """The rows of _order_stacks(), one per order of ns."""
+    for stack in _order_stacks(family, coeffs, ns, spec, weights):
         yield from stack
 
 

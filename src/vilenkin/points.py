@@ -9,16 +9,16 @@ quantity controlling a.e. convergence of the reversed-frame means.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .group import Element, generator, interval_members, subtract
-from .kernels import _order_sweep
+from .kernels import _order_stacks
 from .means import WeightSequence
-from .transform import GridFunction, _analyse
+from .transform import GridFunction, _analyse, _lp_norms
 
 __all__ = [
     "ConvergenceRow",
@@ -27,10 +27,6 @@ __all__ = [
     "convergence_profile",
     "maximal_profile",
 ]
-
-# Cells of f per chunk of an L_p error: besides the M_N-float buffer the
-# mean runs over, a chunk's complex difference is the only temporary.
-_ERROR_CHUNK_CELLS = 2**14
 
 
 def lebesgue_modulus(f: GridFunction, x: Element, rank: int) -> float:
@@ -78,39 +74,22 @@ class ConvergenceRow:
 _FORM_FAMILY = {"t": "t", "norlund": "norlund", "partial": "dirichlet"}
 
 
-def _means(
+def _mean_stacks(
     f: GridFunction, w: WeightSequence | None, ns: Iterable[int], form: str
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, the order-n mean of f on the M_s cells of its band) for each n in ns.
+) -> Iterator[np.ndarray]:
+    """The order-n means of f for n in ns, as the order sweep's (rows x M_s) stacks.
 
     f is analysed once, up to the largest order, since an order-n mean
     reads only fhat[:n]; the order sweep then synthesizes fhat[:n] *
-    lambda_n a chunk of orders at a time.  The mean is a function of
-    x mod M_s, so it is left on its band.
+    lambda_n a chunk of orders at a time.  Each stack holds the next orders'
+    means, in the order of ns, on the M_s cells of their shared band: a
+    mean is a function of x mod M_s, so it is left there.
     """
     if form not in _FORM_FAMILY:
         raise ValueError(f"unknown mean form {form!r}; expected t, norlund or partial")
     ns = list(ns)
     fh = _analyse(f, max(ns, default=0))
-    yield from zip(ns, _order_sweep(_FORM_FAMILY[form], fh, ns, f.spec, w))
-
-
-def _lp_error(f: GridFunction, values: np.ndarray, p: float, buf: np.ndarray) -> float:
-    """norm(g - f, p) for the M_s-periodic g given by its values on x < M_s.
-
-    |g - f|^p is written, a chunk of fibres of x mod M_s at a time, into
-    buf (M_N floats), and the mean runs over buf as norm() runs over its
-    own array, so the result is bitwise norm()'s without tiling g.
-    """
-    fibres = f.values.reshape(-1, len(values))
-    out = buf.reshape(-1, len(values))
-    step = max(1, _ERROR_CHUNK_CELLS // len(values))
-    for start in range(0, len(fibres), step):
-        chunk = out[start : start + step]
-        np.abs(values - fibres[start : start + step], out=chunk)
-        if p != math.inf:
-            chunk **= p
-    return float(buf.max() if p == math.inf else np.mean(buf) ** (1.0 / p))
+    return _order_stacks(_FORM_FAMILY[form], fh, ns, f.spec, w)
 
 
 def convergence_profile(
@@ -138,14 +117,17 @@ def convergence_profile(
     if point is not None and point.spec != spec:
         raise ValueError("point belongs to a different group")
     mean_id = "partial" if form == "partial" else f"{w.label()}|{form}"
+    ns = sorted(ns)
+    orders = iter(ns)
     rows = []
-    buf = np.empty(spec.size) if point is None else None  # reused by every order
-    for n, values in _means(f, w, sorted(ns), form):
+    for stack in _mean_stacks(f, w, ns, form):
         if point is not None:
-            err = abs(values[point.index % len(values)] - f.values[point.index])
+            fx = f.values[point.index]
+            errs = [abs(values[point.index % len(values)] - fx) for values in stack]
         else:
-            err = _lp_error(f, values, p, buf)
-        rows.append(ConvergenceRow(n=n, err=float(err), mean_id=mean_id))
+            errs = _lp_norms(f.values, p, stack)  # one pass over f per stack
+        for n, err in zip(islice(orders, len(stack)), errs):
+            rows.append(ConvergenceRow(n=n, err=float(err), mean_id=mean_id))
     return rows
 
 
@@ -165,9 +147,10 @@ def maximal_profile(
     if n_max < start:
         raise ValueError(f"no orders in [{start}, {n_max}] for form {form!r}")
     best = np.zeros(1)  # on the largest band so far; the bands M_s nest
-    for _, values in _means(f, w, range(start, n_max + 1), form):
-        if len(values) > len(best):
-            best = np.tile(best, len(values) // len(best))
-        fibres = best.reshape(-1, len(values))
-        np.maximum(fibres, np.abs(values), out=fibres)
+    for stack in _mean_stacks(f, w, range(start, n_max + 1), form):
+        band = stack.shape[1]
+        if band > len(best):
+            best = np.tile(best, band // len(best))
+        fibres = best.reshape(-1, band)
+        np.maximum(fibres, np.abs(stack).max(axis=0), out=fibres)
     return GridFunction._own(spec, np.tile(best, spec.size // len(best)))

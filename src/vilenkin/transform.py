@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -47,6 +47,19 @@ _NAIVE_CHUNK_CELLS = 2**18
 # stack at a time: a sweep over many orders runs one stacked butterfly per
 # chunk of rows sharing a band.
 _SYNTH_CHUNK_CELLS = 2**12
+# Cells per leaf of an L_p error or norm (at least _PAIRWISE_BLOCK).  On a
+# larger grid each row runs alone, a leaf at a time, so the leaf's complex
+# difference, its |g - f|^p and the row repeated over a leaf are all the
+# scratch at any M_N, about 0.6 MiB.  A smaller grid is one leaf, and its
+# rows run as many to a pass as a butterfly's chunk holds: numpy may buffer
+# their broadcast subtraction through up to 8192 cells per operand, and a
+# sweep's peak stays that of its butterflies.
+_ERROR_CHUNK_CELLS = 2**14
+# np.add.reduce sums a run of at most this many floats in one pass of eight
+# accumulators and splits a longer run in two (numpy's PW_BLOCKSIZE).
+_PAIRWISE_BLOCK = 128
+# Floats per draw of GridFunction.random.
+_DRAW_CHUNK_CELLS = 2**14
 
 
 def _chunk_rows(cells: int) -> int:
@@ -187,30 +200,34 @@ class GridFunction:
         stride = spec.M[rank]
         if not 0 <= cell < spec.size:
             raise ValueError(f"cell {cell} outside [0, {spec.size})")
-        idx = np.arange(spec.size, dtype=np.int64)
-        return cls._own(spec, (idx % stride == cell % stride).astype(np.complex128))
+        pattern = np.zeros(stride, dtype=np.complex128)
+        pattern[cell % stride] = 1.0
+        return cls._own(spec, _repeated(spec, pattern))
 
     @classmethod
     def random(
         cls, spec: GroupSpec, seed: int, rank: int | None = None
     ) -> "GridFunction":
-        """Seeded complex Gaussian noise, constant on rank-n intervals."""
+        """Seeded complex Gaussian noise, constant on rank-n intervals.
+
+        The M_rank real parts, then the imaginary parts, are drawn from
+        default_rng(seed) through one float buffer of at most
+        _DRAW_CHUNK_CELLS cells (a chunked draw continues the stream
+        bitwise), so the complex result is the only grid-sized array.
+        """
         if rank is None:
             rank = spec.levels
         if not 0 <= rank <= spec.levels:
             raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
         rng = np.random.default_rng(seed)
         stride = spec.M[rank]
-        # the real and imaginary draws, in that order, go through one float
-        # buffer into the complex one: no complex temporaries
         base = np.empty(stride, dtype=np.complex128)
-        draw = np.empty(stride)
-        base.real = rng.standard_normal(stride, out=draw)
-        base.imag = rng.standard_normal(stride, out=draw)
-        del draw
-        if stride == spec.size:
-            return cls._own(spec, base)
-        return cls._own(spec, np.tile(base, spec.size // stride))
+        draw = np.empty(min(stride, _DRAW_CHUNK_CELLS))
+        for part in (base.real, base.imag):
+            for start in range(0, stride, len(draw)):
+                chunk = draw[: stride - start]
+                part[start : start + len(chunk)] = rng.standard_normal(out=chunk)
+        return cls._own(spec, _repeated(spec, base))
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         if self.spec != other.spec:
@@ -253,6 +270,11 @@ class Spectrum:
     @classmethod
     def from_csv(cls, spec: GroupSpec, path) -> "Spectrum":
         return cls(spec, _read_complex_csv(path, spec.size))
+
+
+def _repeated(spec: GroupSpec, base: np.ndarray) -> np.ndarray:
+    """base, of length some M_s, repeated out to the grid (base itself if M_s = M_N)."""
+    return base if len(base) == spec.size else np.tile(base, spec.size // len(base))
 
 
 def _frozen(
@@ -508,12 +530,116 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
 
 
 def norm(f: GridFunction, p: float) -> float:
-    """Strong L_p norm under normalized Haar measure; p may be math.inf."""
-    if p == math.inf:
-        return float(np.abs(f.values).max())
+    """Strong L_p norm under normalized Haar measure; p may be math.inf.
+
+    The g-free case of _lp_norms(): bitwise
+    np.mean(np.abs(f.values) ** p) ** (1 / p) (the max of |f| for
+    p = inf), summed a leaf at a time with no grid-sized temporary.
+    """
     if not p >= 1:  # also refuses NaN
         raise ValueError(f"strong norm needs p >= 1, got {p}")
-    return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
+    return _lp_norms(f.values, p)[0]
+
+
+def _lp_norms(values: np.ndarray, p: float, g: np.ndarray | None = None) -> list[float]:
+    """norm(g_i - f, p) for each row g_i of g, or [norm(f, p)] when g is None.
+
+    values is f on the grid; g is a (rows x M_s) stack of M_s-periodic
+    functions given on the cells x < M_s, never tiled to the grid.  Each
+    result is bitwise np.mean(np.abs(g_i - f) ** p) ** (1 / p) on the tiled
+    g_i (the max of |g_i - f| for p = inf), in O(_ERROR_CHUNK_CELLS) memory
+    at any M_N.  A grid of more cells is cut into contiguous leaves where
+    np.add.reduce's pairwise summation (Higham 1993) cuts it: a run of more
+    than _PAIRWISE_BLOCK cells splits at n2 = n//2 - (n//2) % 8, down to
+    runs of at most _ERROR_CHUNK_CELLS cells.  Each leaf's |g - f|^p goes
+    into reused scratch, is summed by np.add.reduce, and the leaf sums are
+    added back as numpy adds the halves.  Each row's root is taken as a
+    scalar, as np.mean's result is.
+    """
+    size = len(values)
+    cells = max(_PAIRWISE_BLOCK, _ERROR_CHUNK_CELLS)
+    step = 1  # rows per pass
+    if g is None:
+        passes = [(None, 0)]
+    elif size <= cells:  # whole rows, as many to a leaf as a butterfly's chunk holds
+        step = _chunk_rows(size)
+        passes = [(g[at : at + step], g.shape[1]) for at in range(0, len(g), step)]
+    else:  # one row at a time; a leaf at x reads it from column x mod M_s on
+        period = g.shape[1]
+        reps = -(-(cells + period - 1) // period)  # a leaf and a period, if longer
+        passes = ((np.tile(row, reps) if period < cells else row, period) for row in g[:, None])
+    scratch = step * min(cells, size)
+    diff = None if g is None else np.empty(scratch, dtype=np.complex128)
+    mags = np.empty(scratch)
+    combine = np.maximum if p == math.inf else np.add
+    totals = []
+    for rows, period in passes:
+        leaf = partial(_lp_leaf, values, rows, period, p, diff, mags)
+        totals.extend(_pairwise(leaf, combine, 0, size, cells))
+    if p == math.inf:
+        return [float(t) for t in totals]
+    return [float((t / size) ** (1.0 / p)) for t in totals]
+
+
+def _pairwise(leaf, combine, start: int, n: int, width: int) -> np.ndarray:
+    """leaf(start, n), or combine() of the two halves np.add.reduce splits n cells into.
+
+    A module-level recursion: a nested function that called itself would
+    hold a reference cycle, keeping the scratch alive until a collection.
+    """
+    if n <= width:
+        return leaf(start, n)
+    half = n // 2 - (n // 2) % 8
+    return combine(
+        _pairwise(leaf, combine, start, half, width),
+        _pairwise(leaf, combine, start + half, n - half, width),
+    )
+
+
+def _lp_leaf(
+    values: np.ndarray,
+    g: np.ndarray | None,
+    period: int,
+    p: float,
+    diff: np.ndarray | None,
+    mags: np.ndarray,
+    start: int,
+    n: int,
+) -> np.ndarray:
+    """Each row's sum of |g - f|^p (max of |g - f| for p = inf) over cells start .. start + n - 1.
+
+    g holds rows of period M_s = period, each given on its first period
+    cells or on more, and is read from column x mod M_s on: one row on any
+    leaf, or several on a leaf of whole periods.  g = None sums |f|^p.
+    diff and mags are flat scratch whose first rows * n cells are used as
+    contiguous (rows x n) arrays.
+    """
+    end = start + n
+    if g is None:
+        out = mags[:n].reshape(1, n)
+        np.abs(values[start:end], out=out[0])
+    else:
+        out = mags[: len(g) * n].reshape(len(g), n)
+        here = diff[: out.size].reshape(out.shape)
+        phase = start % period
+        if phase + n <= g.shape[1]:
+            np.subtract(g[:, phase : phase + n], values[start:end], out=here)
+        elif phase == 0 and n % period == 0:
+            np.subtract(
+                g[:, None, :period],
+                values[start:end].reshape(-1, period),
+                out=here.reshape(len(g), -1, period),
+            )
+        else:  # across one period boundary, n <= period
+            head = period - phase
+            np.subtract(g[:, phase:period], values[start : start + head], out=here[:, :head])
+            np.subtract(g[:, : n - head], values[start + head : end], out=here[:, head:])
+        np.abs(here, out=out)
+    if p == math.inf:
+        return out.max(axis=1)
+    if p != 1:  # x ** 1 is x
+        out **= p
+    return np.add.reduce(out, axis=1)
 
 
 def weak_norm(f: GridFunction, p: float) -> float:

@@ -1,5 +1,6 @@
 """Oscillation moduli and convergence/maximal profiles at grid points."""
 
+import gc
 import itertools
 import math
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 
 import vilenkin.points
 from vilenkin.group import Element, generator, make_group, subtract
+from vilenkin.kernels import multiplier
 from vilenkin.means import parse_weights, weights
 from vilenkin.points import (
     convergence_profile,
@@ -18,11 +20,14 @@ from vilenkin.points import (
     w_modulus,
 )
 from vilenkin.transform import (
+    _ERROR_CHUNK_CELLS,
     _SYNTH_CHUNK_CELLS,
     GridFunction,
+    _analyse,
     lift_step,
     norm,
     partial_sum,
+    synthesize,
     weak_norm,
 )
 
@@ -303,9 +308,9 @@ def test_order_sweep_synthesizes_in_bounded_chunks():
 
 def test_low_order_l1_error_on_a_large_grid_needs_no_tiled_means():
     # Orders 2..6 of a 2^20-cell function live on 8 cells.  Their L1 errors
-    # against f need one M_N-float buffer (8 MiB) plus a bounded chunk of
-    # fibres, 8.4 MiB traced; tiling each mean and forming g - f, |g - f|
-    # and |g - f|^p took 48 MiB.
+    # against f stream |g - f| through leaves of f, about 0.7 MiB traced;
+    # one M_N-float buffer of |g - f|^p took 8.4 MiB, and tiling each mean
+    # and forming g - f, |g - f| and |g - f|^p 48 MiB.
     spec = make_group([2], 20)
     f = GridFunction.random(spec, seed=39)
     w = parse_weights("riesz")
@@ -317,7 +322,80 @@ def test_low_order_l1_error_on_a_large_grid_needs_no_tiled_means():
     finally:
         tracemalloc.stop()
     assert [r.n for r in rows] == [2, 3, 4, 5, 6]
-    assert peak < 12 * 2**20
+    assert peak < 2**20
+
+
+def _plain_norm(x, p):
+    """The L_p norm as one numpy expression over the whole grid, the independent side."""
+    if p == math.inf:
+        return float(np.max(np.abs(x)))
+    return float(np.mean(np.abs(x) ** p) ** (1 / p))
+
+
+@pytest.mark.parametrize(
+    "radices, levels", [([2], 17), ([3], 11), ([7, 4, 2], 6), ([7, 4, 2], 7)]
+)
+def test_lp_errors_and_norms_equal_the_plain_expression(radices, levels):
+    # Beyond one leaf of _ERROR_CHUNK_CELLS cells (all but 7,4,2 x 6, a
+    # single leaf) the pairwise tree splits at sizes that are not powers of
+    # two (3^11, 7*4*2*7*4*2*7).  The orders reach bands of one cell, bands
+    # below a leaf (the row repeated over a leaf), bands above one (a leaf
+    # across at most one period boundary) and the whole grid.
+    spec = make_group(radices, levels)
+    f = GridFunction.random(spec, seed=47)
+    w = parse_weights("riesz")
+    ns = sorted({2, 3, 9, 40, 301, spec.size // 3 + 1, spec.size})
+    fh = _analyse(f, spec.size)
+    means = {n: synthesize(spec, fh[:n] * multiplier("t", n, spec, w)).values for n in ns}
+    for p in (1, 1.5, 2, math.inf):
+        got = [r.err for r in convergence_profile(f, w, ns, p=p)]
+        assert got == [_plain_norm(means[n] - f.values, p) for n in ns]
+        assert norm(f, p) == _plain_norm(f.values, p)
+    assert spec.size > _ERROR_CHUNK_CELLS or radices == [7, 4, 2]
+
+
+def test_lp_errors_reduce_once_per_butterfly_stack(monkeypatch, butterflies):
+    # one pass over f serves every order of a stack: 431 orders at M_N = 432
+    # run in 38 butterflies, and so in 38 reductions, of up to 36 rows in
+    # passes of 9 whole rows
+    calls = []
+    reduce = vilenkin.points._lp_norms
+
+    def counted(values, p, g=None):
+        calls.append(len(g))
+        return reduce(values, p, g)
+
+    monkeypatch.setattr(vilenkin.points, "_lp_norms", counted)
+    spec = make_group([2, 3], 7)
+    f = GridFunction.random(spec, seed=48)
+    w = parse_weights("riesz")
+    ns = range(2, spec.size + 1)
+    rows = convergence_profile(f, w, ns, p=1)
+    assert len(rows) == len(ns) == sum(calls)
+    assert calls == [rows for inverse, rows, _ in butterflies if inverse]
+    assert len(calls) < len(ns) // 4
+    fh = _analyse(f, spec.size)
+    for n, row in zip(ns, rows, strict=True):
+        mean = synthesize(spec, fh[:n] * multiplier("t", n, spec, w))
+        assert row.err == _plain_norm(mean.values - f.values, 1)
+
+
+def test_lp_profile_leaves_no_reference_cycles():
+    # A reduction whose scratch sat in a reference cycle (a nested function
+    # calling itself holds one) would keep it until the collector ran.
+    spec = make_group([2], 16)
+    f = GridFunction.random(spec, seed=49)
+    w = parse_weights("riesz")
+    convergence_profile(f, w, range(2, 40), p=1.5)  # fills the weight and stage caches
+    gc.collect()
+    gc.disable()
+    try:
+        convergence_profile(f, w, range(2, 40), p=1.5)
+        convergence_profile(f, w, range(2, 40), form="norlund", p=math.inf)
+        norm(f, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_low_order_profiles_transform_only_the_band_they_read(butterflies):

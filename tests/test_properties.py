@@ -13,7 +13,9 @@ the batch size and the row's place in it, and the rows share butterflies by
 their bands and the chunk size alone, whatever blocks they arrive in.  The
 sweeps that reduce a mean or a kernel on its band M_s instead of the whole
 grid return the very errors, maxima and residuals of the tiled full-grid
-route (the L1 profile, a sum in another order, to 1e-12).  The group laws, the character homomorphism,
+route (the L1 profile, a sum in another order, to 1e-12), and the L_p
+errors and norms streamed a leaf at a time are bitwise the plain numpy
+expression, whatever the leaf size.  The group laws, the character homomorphism,
 inverse(forward(f)) = f and Parseval hold on every random group.
 """
 
@@ -43,7 +45,7 @@ from vilenkin.kernels import (
     t_kernel,
 )
 from vilenkin.means import norlund_mean, parse_weights, t_mean, t_mean_oracles
-from vilenkin.points import _FORM_FAMILY, _means, convergence_profile, maximal_profile
+from vilenkin.points import _FORM_FAMILY, _mean_stacks, convergence_profile, maximal_profile
 from vilenkin.transform import (
     GridFunction,
     Spectrum,
@@ -298,7 +300,8 @@ def test_batched_kernels_and_means_equal_single_syntheses(case, more):
             assert np.array_equal(np.tile(got, spec.size // len(got)), want.values)
     fh = _analyse(f, ns[-1])
     for form, family in _FORM_FAMILY.items():
-        for n, got in _means(f, w, ns, form):
+        means = itertools.chain.from_iterable(_mean_stacks(f, w, ns, form))
+        for n, got in zip(ns, means, strict=True):
             want = synthesize(spec, fh[:n] * multiplier(family, n, spec, w))
             assert np.array_equal(np.tile(got, spec.size // len(got)), want.values)
 
@@ -344,6 +347,38 @@ def test_quotient_errors_and_maximal_profile_equal_the_tiled_route(case):
         for _, g in _tiled_means(f, w, list(range(start, ns[-1] + 1)), family):
             best = np.maximum(best, np.abs(g.values))
         assert np.array_equal(maximal_profile(f, w, ns[-1], form=form).values, best)
+
+
+def _plain_norm(x, p):
+    """The L_p norm as one numpy expression over the whole grid."""
+    if p == math.inf:
+        return float(np.max(np.abs(x)))
+    return float(np.mean(np.abs(x) ** p) ** (1 / p))
+
+
+@settings(max_examples=30, deadline=None)
+@given(quotient_cases(), st.sampled_from(sorted(_FORM_FAMILY)), st.sampled_from([1, 8, 64, 4096]))
+def test_streamed_lp_errors_and_norms_equal_the_plain_expression(case, form, leaf):
+    # Leaves of 1, 8 and 64 cells stand for numpy's 128-cell pairwise
+    # block, so a grid of more cells runs the leaf tree, each row repeated
+    # over a leaf or read across a period boundary; 4096-cell leaves hold
+    # every such grid whole, its rows several to a pass.  norm() shares
+    # the reduction, so the independent side is the plain numpy expression
+    # on the tiled means.
+    spec, w, ns, f, _, _ = case
+    ns = sorted({*ns, spec.size})
+    means = dict(_tiled_means(f, w, ns, _FORM_FAMILY[form]))
+    default = vilenkin.transform._ERROR_CHUNK_CELLS
+    vilenkin.transform._ERROR_CHUNK_CELLS = leaf
+    try:
+        for p in (1, 1.5, 2, math.inf):
+            got = convergence_profile(f, w, ns, form=form, p=p)
+            assert [r.err for r in got] == [
+                _plain_norm(means[n].values - f.values, p) for n in ns
+            ]
+            assert norm(f, p) == _plain_norm(f.values, p)
+    finally:
+        vilenkin.transform._ERROR_CHUNK_CELLS = default
 
 
 def _abel_on_grid(spec, w, ns):
@@ -421,7 +456,7 @@ def _chunked_sweeps(spec, w, ns, f):
         ],
     }
     for form in _FORM_FAMILY:
-        out[form] = list(_means(f, w, ns, form))
+        out[form] = list(itertools.chain.from_iterable(_mean_stacks(f, w, ns, form)))
     unit = np.broadcast_to(1.0, spec.size)
     for family in _FAMILIES:
         out[family + " kernels"] = list(_order_sweep(family, unit, ns, spec, w))

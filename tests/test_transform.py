@@ -117,7 +117,8 @@ def test_character_row_memory_is_linear_in_grid_size():
 def test_random_draws_as_before_without_grid_sized_temporaries():
     # the real, then the imaginary draw of each seed, tiled over the
     # rank-n intervals; the complex sum of two float draws and an always
-    # copying tile peaked at 32.1 MiB traced at 2^20
+    # copying tile peaked at 32.1 MiB traced at 2^20, and one M_N-float
+    # draw buffer at 24.0 MiB: the draws now run through 2^14 floats
     for radices, levels in (([2], 5), ([2, 3], 4), ([7, 4, 2], 3), ([5], 2)):
         spec = make_group(radices, levels)
         for seed in range(4):
@@ -134,8 +135,34 @@ def test_random_draws_as_before_without_grid_sized_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25 * 2**20  # the complex result alone is 16 MiB
+    assert peak < 17 * 2**20  # the complex result alone is 16 MiB
     assert not f.values.flags.writeable
+
+
+def test_indicator_tiles_one_interval_pattern():
+    # bitwise the residue-class construction, which built an M_N int64
+    # arange, its residues, a mask and a complex copy: 25.0 MiB traced at
+    # 2^20 for a 16 MiB result
+    for radices, levels in (([2], 5), ([2, 3], 4), ([7, 4, 2], 3)):
+        spec = make_group(radices, levels)
+        idx = np.arange(spec.size)
+        for rank in range(spec.levels + 1):
+            stride = spec.M[rank]
+            for cell in {0, 1, stride - 1, spec.size - 1}:
+                want = (idx % stride == cell % stride).astype(np.complex128)
+                got = GridFunction.indicator(spec, rank, cell).values
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+    spec = make_group([2], 20)
+    for rank in (3, spec.levels):
+        tracemalloc.start()
+        try:
+            f = GridFunction.indicator(spec, rank, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17 * 2**20
+        assert f.values[5] == 1 and f.values.sum() == spec.size // spec.M[rank]
 
 
 def test_constructors_copy_caller_arrays_and_results_are_frozen():
@@ -310,6 +337,22 @@ def test_norm_examples():
     for p in (0.5, math.nan):
         with pytest.raises(ValueError):
             norm(f, p)
+
+
+def test_norm_needs_no_grid_sized_temporary():
+    # |f|^p is summed a leaf at a time, bitwise the one-expression mean; as
+    # one M_N-float array (and np.abs's own) it took 16.0 MiB traced at 2^20
+    spec = make_group([2], 20)
+    f = GridFunction.random(spec, seed=44)
+    norm(f, 2.5)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        got = norm(f, 2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert got == float(np.mean(np.abs(f.values) ** 2.5) ** (1 / 2.5))
 
 
 def test_parseval():
