@@ -308,6 +308,35 @@ def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
                 yield rank, half, float(_reflection_gap(middle, full, row, middle))
 
 
+def _abel_walk(
+    spec: GroupSpec, weights: "WeightSequence", ns: Sequence[int], rows: int
+) -> tuple[list[int], Iterator[tuple[np.ndarray, np.ndarray, slice | np.ndarray]]]:
+    """The orders n <= 1 of ascending t orders ns, and the chunks of their Abel sweep.
+
+    The orders are checked at this call.  A chunk (k, n, at) holds rows of
+    the steps k = 1, ..., max(ns) - 1, the orders n with n - 1 among them,
+    and the rows n - 1 - k[0] those orders read (a slice when they read
+    every row).  abel_kernel_residuals() and means.t_mean_oracles() walk
+    these chunks, carrying their running sums from one to the next.
+    """
+    ns = list(ns)
+    for previous, n in zip(ns, ns[1:]):
+        if n < previous:
+            raise ValueError(f"orders must ascend, got {n} after {previous}")
+    _check_orders("t", np.asarray(ns, dtype=np.int64), spec, weights)
+    top = max(ns, default=0)
+
+    def chunks() -> Iterator[tuple[np.ndarray, np.ndarray, slice | np.ndarray]]:
+        for a in range(1, top, rows):
+            k = np.arange(a, min(a + rows, top))
+            orders = ns[bisect_left(ns, a + 1) : bisect_left(ns, k[-1] + 2)]
+            n = np.asarray(orders, dtype=np.int64)
+            at = n - 1 - a
+            yield k, n, slice(len(k)) if np.array_equal(at, np.arange(len(k))) else at
+
+    return ns[: bisect_left(ns, 2)], chunks()
+
+
 def abel_kernel_residuals(
     spec: GroupSpec, weights: "WeightSequence", ns: Sequence[int]
 ) -> Iterator[tuple[int, float]]:
@@ -322,46 +351,31 @@ def abel_kernel_residuals(
     stack of its terms, the very additions of a loop over i, and the orders
     n whose K_{n-1} it holds take their t kernels and gaps as one stack.
     """
-    ns = list(ns)
-    for previous, n in zip(ns, ns[1:]):
-        if n < previous:
-            raise ValueError(f"orders must ascend, got {n} after {previous}")
-    orders = np.asarray(ns, dtype=np.int64)
-    _check_orders("t", orders, spec, weights)
-    if not ns:
-        return
-    top = ns[-1]
+    top = max(ns, default=0)
     cells = _band(spec, min(top, spec.size))
-    q, Q = weights.q_array(top), weights.Q_array(top)
-    # an order n <= 1 has no K_i on its right-hand side, which is zero
-    first = bisect_left(ns, 2)
-    if first:
-        lhs = _on_cells(spec, _multipliers("t", ns[:first], spec, weights), cells)
-        yield from zip(ns[:first], np.max(np.abs(lhs), axis=-1).tolist())
-    partial = np.zeros(cells, dtype=np.complex128)  # the terms i < a
-    for a in range(1, top, _chunk_rows(cells)):
-        b = min(a + _chunk_rows(cells), top)
-        kernel = _on_cells(spec, _multipliers("fejer", range(a, b), spec), cells)  # K_a..K_{b-1}
-        i = np.arange(a, min(b, top - 1))  # the K_i that enter the running sum
-        sums = np.empty((len(i) + 1, cells), dtype=np.complex128)
+    low, chunks = _abel_walk(spec, weights, ns, _chunk_rows(cells))
+    q, Q = weights.q_array(top + 1), weights.Q_array(top)  # q_top weighs a term no order reads
+    if low:  # an order n <= 1 has no K_i on its right-hand side, which is zero
+        lhs = _on_cells(spec, _multipliers("t", low, spec, weights), cells)
+        yield from zip(low, np.max(np.abs(lhs), axis=-1).tolist())
+    partial = np.zeros(cells, dtype=np.complex128)  # the terms i < k[0]
+    for k, n, at in chunks:
+        kernel = _on_cells(spec, _multipliers("fejer", k, spec), cells)  # K_i, i in k
+        sums = np.empty((len(k) + 1, cells), dtype=np.complex128)
         sums[0] = partial
-        np.multiply(((q[i] - q[i + 1]) * i)[:, None], kernel[: len(i)], out=sums[1:])
-        np.cumsum(sums, axis=0, out=sums)  # row k: the terms i < a + k
+        np.multiply(((q[k] - q[k + 1]) * k)[:, None], kernel, out=sums[1:])
+        np.cumsum(sums, axis=0, out=sums)  # row r: the terms i < k[r]
         partial = sums[-1].copy()
-        # the orders n with a <= n - 1 < b
-        first, last = bisect_left(ns, a + 1), bisect_left(ns, b + 1)
-        if first == last:
+        if not n.size:
             continue
-        n = orders[first:last]
-        at = n - 1 - a
-        rhs = kernel if np.array_equal(at, np.arange(len(kernel))) else kernel[at]
+        rhs = kernel[at]
         np.multiply((q[n - 1] * (n - 1))[:, None], rhs, out=rhs)
         np.add(sums[at], rhs, out=rhs)
         np.divide(rhs, Q[n][:, None], out=rhs)
         del kernel, sums
-        lhs = _on_cells(spec, _multipliers("t", ns[first:last], spec, weights), cells)
+        lhs = _on_cells(spec, _multipliers("t", n, spec, weights), cells)
         gap = np.subtract(lhs, rhs, out=rhs)
-        yield from zip(ns[first:last], np.max(np.abs(gap), axis=-1).tolist())
+        yield from zip(n.tolist(), np.max(np.abs(gap), axis=-1).tolist())
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .kernels import _check_orders, multiplier
+from .kernels import _abel_walk, multiplier
 from .transform import (
     GridFunction,
     _analyse,
@@ -313,56 +312,41 @@ def t_mean_oracles(
     n - 1 among its steps, both routes as fresh (orders x M_N) stacks, in
     O(_SYNTH_CHUNK_CELLS + M_N) working memory.
     """
-    ns = list(ns)
-    for previous, n in zip(ns, ns[1:]):
-        if n < previous:
-            raise ValueError(f"orders must ascend, got {n} after {previous}")
-    orders = np.asarray(ns, dtype=np.int64)
     spec = f.spec
-    _check_orders("t", orders, spec, w)
-    if not ns:
+    top = max(ns, default=0)
+    low, chunks = _abel_walk(spec, w, ns, _chunk_rows(spec.size))
+    if not top:  # no orders, and no transform
         return
     fh = forward(f).coeffs
-    top = ns[-1]
-    q, Q = w.q_array(top), w.Q_array(top)
-    # order 1 reads step 0, where every sum is still zero
-    first = bisect_left(ns, 2)
-    if first:
-        zero = np.zeros((first, spec.size), dtype=np.complex128)
-        yield ns[:first], zero, zero.copy()
-    # S_{a-1}, R_{a-1}, the direct sum and the Abel terms j <= a - 1
+    q, Q = w.q_array(top + 1), w.Q_array(top)  # q_top weighs a term no order reads
+    if low:  # order 1 reads step 0, where every sum is still zero
+        zero = np.zeros((len(low), spec.size), dtype=np.complex128)
+        yield low, zero, zero.copy()
+    # S_{k-1}, R_{k-1}, the direct sum and the Abel terms j < k, k = k[0]
     S, R, direct, abel = (np.zeros(spec.size, dtype=np.complex128) for _ in range(4))
-    for a in range(1, top, _chunk_rows(spec.size)):
-        k = np.arange(a, min(a + _chunk_rows(spec.size), top))  # the steps of this chunk
+    for k, n, at in chunks:
         Ss = _characters(spec, k - 1)
         np.multiply(fh[k - 1][:, None], Ss, out=Ss)
         _accumulate(S, Ss)
         Rs = Ss.copy()
         _accumulate(R, Rs)
-        As = np.empty_like(Rs)
-        np.multiply(q[a - 1] - q[a], R, out=As[0])
-        np.multiply((q[k[1:] - 1] - q[k[1:]])[:, None], Rs[:-1], out=As[1:])
-        if a == 1:
-            As[0] = 0  # the Abel sum starts at j = 1, step 2
-        _accumulate(abel, As)
+        As = np.empty((len(k) + 1, spec.size), dtype=np.complex128)
+        As[0] = abel
+        np.multiply((q[k] - q[k + 1])[:, None], Rs, out=As[1:])
+        np.cumsum(As, axis=0, out=As)  # row r: the terms j < k[r]
         S, R, abel = Ss[-1].copy(), Rs[-1].copy(), As[-1].copy()
         np.multiply(q[k][:, None], Ss, out=Ss)
         _accumulate(direct, Ss)
         direct = Ss[-1].copy()
-        # the orders n with n - 1 among the steps; R_{n-1} is q_{n-1}'s term
-        first, last = bisect_left(ns, k[0] + 1), bisect_left(ns, k[-1] + 2)
-        if first == last:
+        if not n.size:
             continue
-        n = orders[first:last]
-        at = n - 1 - a
-        whole = np.array_equal(at, np.arange(len(k)))
-        Ds, Rs, As = (rows if whole else rows[at] for rows in (Ss, Rs, As))
-        np.multiply(q[n - 1][:, None], Rs, out=Rs)
+        Ds, Rs, As = Ss[at], Rs[at], As[at]
+        np.multiply(q[n - 1][:, None], Rs, out=Rs)  # R_{n-1} is q_{n-1}'s term
         np.add(As, Rs, out=Rs)
         del As
         np.divide(Ds, Q[n][:, None], out=Ds)
         np.divide(Rs, Q[n][:, None], out=Rs)
-        yield ns[first:last], Ds, Rs
+        yield n.tolist(), Ds, Rs
 
 
 def _accumulate(start: np.ndarray, terms: np.ndarray) -> None:

@@ -186,7 +186,7 @@ class GridFunction:
 
     @classmethod
     def character(cls, spec: GroupSpec, n: int) -> "GridFunction":
-        return cls(spec, character_row(spec, n))
+        return cls._own(spec, character_row(spec, n))
 
     @classmethod
     def indicator(cls, spec: GroupSpec, rank: int, cell: int) -> "GridFunction":

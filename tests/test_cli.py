@@ -177,24 +177,43 @@ def test_identity_check_cost_is_linear_in_blocks_and_orders(
 def test_closed_stdout_keeps_csv_and_exit_status(tmp_path):
     # exit 1 is reserved for a failed check, so a reader that goes away early
     # (`vilenkin identity-check ... | head -1`) must cost neither the CSV nor
-    # the status, and must print no traceback
+    # the status, and must print no traceback.  The child starts on a pipe
+    # whose read end is already closed, so its very first summary line
+    # breaks the pipe; its default constant weights (n0 = 1) also run the
+    # Abel walk's orders below 2.
     out, err = tmp_path / "piped.csv", tmp_path / "stderr.txt"
     path = [str(Path(vilenkin.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     args = ["identity-check", "--group", "2,3", "--levels", "3", "--out"]
-    with open(err, "wb") as err_fh:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "vilenkin", *args, str(out)],
-            stdout=subprocess.PIPE,
-            stderr=err_fh,
-            env=env,
-        )
-        proc.stdout.close()  # before the child has written its first line
-        code = proc.wait(timeout=120)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with open(err, "wb") as err_fh:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "vilenkin", *args, str(out)],
+                stdout=write_end,
+                stderr=err_fh,
+                env=env,
+            )
+    finally:
+        os.close(write_end)
+    code = proc.wait(timeout=120)
     assert err.read_text() == ""
     assert code == 0
     assert main([*args, str(tmp_path / "direct.csv")]) == 0
     assert out.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+def test_converge_character_function(tmp_path):
+    # S_n psi_5 is 0 for n <= 5 and psi_5 itself from n = 6 on, so the L1
+    # error is |psi_5| = 1, then zero up to rounding
+    out = tmp_path / "character.csv"
+    args = ["converge", "--group", "2,3", "--levels", "4", "--form", "partial"]
+    assert main([*args, "--function", "character:5", "--p", "1", "--out", str(out)]) == 0
+    errs = {int(r["n"]): float(r["err"]) for r in read_csv(out)[1]}
+    assert list(errs) == list(range(1, 37))
+    assert all(errs[n] == pytest.approx(1, abs=1e-12) for n in range(1, 6))
+    assert all(errs[n] < 1e-12 for n in range(6, 37))
 
 
 def test_kernel_profile_fejer_hand_row(tmp_path):

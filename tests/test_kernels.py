@@ -10,6 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import vilenkin.means
+import vilenkin.transform
 from vilenkin.group import Element, interval_members, make_group
 from vilenkin.kernels import (
     abel_kernel_residuals,
@@ -309,6 +311,34 @@ def test_identity_sweeps_hold_a_few_chunks_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak < bound, name
+
+
+def test_abel_sweeps_check_their_orders_before_any_transform(monkeypatch):
+    # Both Abel sweeps take their chunks from one walk, which refuses orders
+    # that do not ascend, or that no t kernel has, before any analysis or
+    # synthesis; an empty order list yields nothing and runs no transform
+    spec, w = make_group([2, 3], 3), parse_weights("riesz")
+    f = GridFunction.random(spec, seed=4)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a transform ran before the orders were checked")
+
+    monkeypatch.setattr(vilenkin.means, "forward", refused)
+    monkeypatch.setattr(vilenkin.transform, "_apply_stages", refused)
+    sweeps = {
+        "abel-kernel": lambda ns: abel_kernel_residuals(spec, w, ns),
+        "abel-mean": lambda ns: t_mean_oracles(f, w, ns),
+    }
+    for name, sweep in sweeps.items():
+        with pytest.raises(ValueError, match="orders must ascend, got 3 after 5"):
+            next(sweep([2, 5, 3]))
+        with pytest.raises(ValueError, match="orders must ascend"):
+            next(sweep(range(spec.size, 1, -1)))
+        with pytest.raises(ValueError, match=r"Q\(1\) not positive"):
+            next(sweep([1, 2]))
+        with pytest.raises(ValueError, match="outside"):
+            next(sweep([2, spec.size + 1]))
+        assert list(sweep([])) == [], name
 
 
 def test_l1_profile_t_family_tails_shrink():

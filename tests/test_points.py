@@ -289,8 +289,8 @@ def test_profiles_analyse_once_and_synthesize_once_per_order(monkeypatch, butter
 
 def test_order_sweep_synthesizes_in_bounded_chunks():
     # 431 orders at M_N = 432 run in butterflies of at most 2^12 cells (9
-    # rows at the full band): about 0.23 MB traced.  Chunks of 2^14 cells
-    # already peak at 0.61 MB, and one butterfly per band at 3 MB.
+    # rows at the full band): about 428 KB (0.41 MiB) traced.  Chunks of
+    # 2^14 cells already peak at 0.61 MB, and one butterfly per band at 3 MB.
     spec = make_group([2, 3], 7)
     f = GridFunction.random(spec, seed=38)
     w = parse_weights("riesz")
