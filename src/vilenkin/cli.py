@@ -11,6 +11,7 @@ failed its tolerance, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -243,20 +244,28 @@ def _run_identity_check(cfg: ExperimentConfig, out: Path) -> int:
     ns = _orders(w.n0, n_max, spec, "all")
     f = _build_function(cfg, spec)
     blocks = [rank for rank in range(spec.levels + 1) if w.Q(spec.M[rank]) > 0]
-    # (check, tolerance scaled by M_n, rows of (n, j, residual)): the
-    # reflection and block kernels reach sup |D_{M_r}| = M_r, so their
-    # rounding grows with M_r and their tolerance is CHECK_TOL * M_r
+    # (check, scale of case n, rows of (n, j, residual)): a case passes when
+    # its residual is at most CHECK_TOL * scale, and the scale is the size of
+    # what the case sums, since rounding grows with it.  The reflection and
+    # block kernels reach sup |D_{M_r}| = M_r; the weight-sum sides are Q_n,
+    # whose ulp alone exceeds 1e-12 from Q_n = 2^13 on; the abel-kernel
+    # sides reach sup |T_n| = n at x = 0 and sum n kernels.  The abel-mean
+    # residuals stay below 2e-14 and keep the absolute tolerance.
     checks = [
-        ("reflection", True, reflection_residuals(spec)),
-        ("weight-sum", False, ((n, None, abel_weight_residual(w, n)) for n in ns)),
+        ("reflection", lambda r: spec.M[r], reflection_residuals(spec)),
+        (
+            "weight-sum",
+            lambda n: max(1.0, w.Q(n)),
+            ((n, None, abel_weight_residual(w, n)) for n in ns),
+        ),
         (
             "abel-kernel",
-            False,
+            lambda n: max(1, n),
             ((n, None, r) for n, r in abel_kernel_residuals(spec, w, ns)),
         ),
         (
             "abel-mean",
-            False,
+            lambda n: 1,
             (
                 (n, None, r)
                 for orders, direct, abel in t_mean_oracles(f, w, ns)
@@ -265,16 +274,16 @@ def _run_identity_check(cfg: ExperimentConfig, out: Path) -> int:
         ),
         (
             "block",
-            True,
+            lambda r: spec.M[r],
             ((r, None, identity_residual("block", spec, weights=w, rank=r)) for r in blocks),
         ),
     ]
     rows: list[list[str]] = []
     failed: set[str] = set()
-    for check, scaled, cases in checks:
+    for check, scale, cases in checks:
         got: list[float] = []
         for n, j, residual in cases:
-            if residual > CHECK_TOL * (spec.M[n] if scaled else 1):
+            if residual > CHECK_TOL * scale(n):
                 failed.add(check)
             rows.append([check, str(n), "" if j is None else str(j), _fmt(residual)])
             got.append(residual)
@@ -472,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("kernel-profile", "L1 norms, integrals and tails of a kernel family"),
         (
             "identity-check",
-            "run the algebraic identity suite at tolerance 1e-12 (x M_r on blocks)",
+            "run the algebraic identity suite at tolerance 1e-12 x the size of each sum",
         ),
         ("converge", "pointwise or L_p error profile of a summability mean"),
         ("classify-weights", "monotonicity and sup statistics of a weight family"),
@@ -497,5 +506,24 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def entry(argv: list[str] | None = None) -> int:
+    """The process entry of the command line: ``main(argv)``, then freeze the heap.
+
+    ``python -m vilenkin``, ``python -m vilenkin.cli`` and the ``vilenkin``
+    console script all start here and hand the returned status to
+    ``SystemExit``.  The interpreter ends right after, and its shutdown
+    collections would traverse the ~22k tracked objects that the imports
+    made, about a tenth of a short job's wall time.  ``gc.freeze()`` moves
+    them to the permanent generation, which those collections skip.  Nothing
+    that ``main`` promises depends on them: the CSV is closed by ``with``,
+    and the interpreter still flushes stdout and runs atexit handlers.
+    ``main`` itself freezes nothing, so an in-process caller keeps a heap
+    that the collector still sees.
+    """
+    status = main(argv)
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

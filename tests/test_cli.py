@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line drivers."""
 
+import gc
 import json
 import os
 import subprocess
@@ -99,6 +100,39 @@ def test_identity_check_tolerance_scales_with_block_size_only_for_block_kernels(
     assert sum(line.endswith("FAIL") for line in lines) == status
 
 
+def test_identity_check_tolerance_follows_the_size_of_each_sum(tmp_path, capsys, monkeypatch):
+    # Q_n reaches about 1.2e3 at n = 511 here, and the correct weight-sum
+    # identity leaves residuals above an absolute 1e-12 (1.1e-12 at n = 504);
+    # its tolerance is 1e-12 * Q_n and the abel-kernel's 1e-12 * n.
+    args = ["identity-check", "--group", "2", "--levels", "9", "--weights", "logpow:0.5"]
+    out = tmp_path / "i.csv"
+    assert main([*args, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.count("-> ok") == 5
+    _, rows = read_csv(out)
+    assert max(float(r["residual"]) for r in rows if r["check"] == "weight-sum") > 1e-12
+
+    # A t kernel off by 1e-9 fails even at the largest order, where the
+    # abel-kernel tolerance 1e-12 * 511 is loosest.
+    multipliers = vilenkin.kernels._multipliers
+
+    def perturbed(family, ns, spec, weights=None):
+        out = multipliers(family, ns, spec, weights)
+        if family == "t":
+            out[np.asarray(ns) == 511, 0] += 1e-9  # + 1e-9 * psi_0, a constant
+        return out
+
+    monkeypatch.setattr(vilenkin.kernels, "_multipliers", perturbed)
+    assert main([*args, "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.endswith("FAIL")] == [
+        line for line in lines if " abel-kernel:" in line
+    ]
+    _, rows = read_csv(out)
+    worst = max(rows, key=lambda r: float(r["residual"]) if r["check"] == "abel-kernel" else 0)
+    assert worst["n"] == "511"
+    assert float(worst["residual"]) == pytest.approx(1e-9, rel=1e-3)
+
+
 @pytest.mark.parametrize("family", ["riesz", "constant"])
 def test_identity_check_cost_is_linear_in_blocks_and_orders(
     tmp_path, monkeypatch, butterflies, family
@@ -174,6 +208,12 @@ def test_identity_check_cost_is_linear_in_blocks_and_orders(
     assert synthesis_calls <= sum(1 + 2 * (r + 1) for r in ranks) + 2 * len(ranks) + 3 * len(blocks)
 
 
+def child_env():
+    """The environment of a child interpreter that imports this vilenkin."""
+    path = [str(Path(vilenkin.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def test_closed_stdout_keeps_csv_and_exit_status(tmp_path):
     # exit 1 is reserved for a failed check, so a reader that goes away early
     # (`vilenkin identity-check ... | head -1`) must cost neither the CSV nor
@@ -182,8 +222,6 @@ def test_closed_stdout_keeps_csv_and_exit_status(tmp_path):
     # breaks the pipe; its default constant weights (n0 = 1) also run the
     # Abel walk's orders below 2.
     out, err = tmp_path / "piped.csv", tmp_path / "stderr.txt"
-    path = [str(Path(vilenkin.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     args = ["identity-check", "--group", "2,3", "--levels", "3", "--out"]
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -193,7 +231,7 @@ def test_closed_stdout_keeps_csv_and_exit_status(tmp_path):
                 [sys.executable, "-m", "vilenkin", *args, str(out)],
                 stdout=write_end,
                 stderr=err_fh,
-                env=env,
+                env=child_env(),
             )
     finally:
         os.close(write_end)
@@ -202,6 +240,57 @@ def test_closed_stdout_keeps_csv_and_exit_status(tmp_path):
     assert code == 0
     assert main([*args, str(tmp_path / "direct.csv")]) == 0
     assert out.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+def test_main_in_process_freezes_nothing(tmp_path, capsys):
+    # a frozen heap would keep a library caller's later garbage from the
+    # collector; only the process entry freezes, once main has returned
+    before = gc.get_freeze_count()
+    argv = ["converge", "--group", "2,3", "--levels", "3", "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 0
+    assert main([*argv, "--p", "nan"]) == 2
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("tail, status", [([], 0), (["--p", "nan"], 2)])
+def test_entry_returns_the_status_of_main_and_freezes_the_heap(tmp_path, tail, status):
+    # importing the package and both entry modules freezes nothing; the
+    # entry freezes after main, and its status is main's
+    script = (
+        "import gc, sys\n"
+        "import vilenkin, vilenkin.__main__, vilenkin.cli\n"
+        "frozen = gc.get_freeze_count()\n"
+        "status = vilenkin.cli.entry(sys.argv[1:])\n"
+        "print(frozen, gc.get_freeze_count() > 0, status)\n"
+    )
+    argv = ["converge", "--group", "2,3", "--levels", "3", "--out", str(tmp_path / "c.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv, *tail],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == f"0 True {status}"
+
+
+@pytest.mark.parametrize("module", ["vilenkin", "vilenkin.cli"])
+def test_module_entries_exit_2_on_bad_config_without_traceback(tmp_path, module):
+    out = tmp_path / "c.csv"
+    argv = ["converge", "--group", "2,3", "--levels", "3", "--p", "nan", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: p must be >= 1, got nan\n"
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 def test_converge_character_function(tmp_path):
