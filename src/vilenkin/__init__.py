@@ -11,21 +11,17 @@ from .group import (
 )
 from .kernels import (
     KernelProfileRow,
-    abel_kernel_residuals,
     dirichlet,
     domination_constant,
     fejer,
-    identity_residual,
     l1_profile,
     multiplier,
     norlund_kernel,
-    reflection_residuals,
     t_kernel,
 )
 from .means import (
     Classification,
     WeightSequence,
-    abel_weight_residual,
     binomial_sequence,
     classify,
     named_mean,
@@ -33,7 +29,6 @@ from .means import (
     parse_weights,
     passes_gate,
     t_mean,
-    t_mean_oracles,
     weights,
 )
 from .points import (
@@ -59,3 +54,23 @@ from .transform import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle routes of vilenkin.oracles load on first use: every CLI job runs
+# this module, and a job that needs no oracle should not compile them.
+_ORACLES = frozenset(
+    {
+        "abel_kernel_residuals",
+        "abel_weight_residual",
+        "identity_residual",
+        "reflection_residuals",
+        "t_mean_oracles",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLES:
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

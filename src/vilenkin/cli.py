@@ -12,31 +12,17 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
 from .group import GroupSpec, parse_element, parse_group
-from .kernels import (
-    _FAMILIES,
-    abel_kernel_residuals,
-    identity_residual,
-    l1_profile,
-    reflection_residuals,
-)
-from .means import (
-    WeightSequence,
-    abel_weight_residual,
-    classify,
-    parse_weights,
-    t_mean_oracles,
-)
+from .kernels import _FAMILIES, l1_profile
+from .means import WeightSequence, classify, parse_weights
 from .points import convergence_profile
 from .transform import GridFunction, forward
 
@@ -60,8 +46,7 @@ class ConfigError(ValueError):
     """Bad configuration: reported on stderr with exit status 2."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     group: str = "2,3,2,3"
     levels: int | None = None
     weights: str = "constant"
@@ -77,7 +62,7 @@ class ExperimentConfig:
     out: str | None = None
 
 
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+_CONFIG_KEYS = frozenset(ExperimentConfig._fields)
 _MODES = ("all", "block")
 # the subcommands whose orders mode selects; the others refuse mode "block"
 _BLOCK_COMMANDS = ("converge", "kernel-profile")
@@ -87,6 +72,8 @@ def load_config(path: str | Path | None, overrides: dict) -> ExperimentConfig:
     """Defaults, then JSON file values, then explicitly passed flags."""
     cfg = ExperimentConfig()
     if path is not None:
+        import json  # only a config file needs it
+
         try:
             raw = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -96,20 +83,24 @@ def load_config(path: str | Path | None, overrides: dict) -> ExperimentConfig:
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        cfg = replace(cfg, **raw)
+        cfg = cfg._replace(**raw)
     flags = {k: v for k, v in overrides.items() if v is not None}
-    cfg = replace(cfg, **flags)
+    cfg = cfg._replace(**flags)
     hints = get_type_hints(ExperimentConfig)
-    for field in fields(ExperimentConfig):
-        value = getattr(cfg, field.name)
-        if not _has_type(value, hints[field.name]):
+    for name, value in zip(ExperimentConfig._fields, cfg):
+        if not _has_type(value, hints[name]):
             raise ConfigError(
-                f"config field {field.name!r} must be {field.type}, "
+                f"config field {name!r} must be {_type_text(hints[name])}, "
                 f"got {type(value).__name__} {value!r}"
             )
     if cfg.mode not in _MODES:
         raise ConfigError(f"unknown mode {cfg.mode!r}; expected one of {_MODES}")
     return cfg
+
+
+def _type_text(hint) -> str:
+    """A field annotation as written in ExperimentConfig, e.g. 'int | None'."""
+    return " | ".join("None" if t is type(None) else t.__name__ for t in get_args(hint) or (hint,))
 
 
 def _has_type(value, hint) -> bool:
@@ -238,6 +229,8 @@ def _run_kernel_profile(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _run_identity_check(cfg: ExperimentConfig, out: Path) -> int:
+    from . import oracles
+
     spec = _build_spec(cfg)
     w = _build_weights(cfg)
     n_max = _resolve_n_max(cfg, spec)
@@ -252,30 +245,33 @@ def _run_identity_check(cfg: ExperimentConfig, out: Path) -> int:
     # sides reach sup |T_n| = n at x = 0 and sum n kernels.  The abel-mean
     # residuals stay below 2e-14 and keep the absolute tolerance.
     checks = [
-        ("reflection", lambda r: spec.M[r], reflection_residuals(spec)),
+        ("reflection", lambda r: spec.M[r], oracles.reflection_residuals(spec)),
         (
             "weight-sum",
             lambda n: max(1.0, w.Q(n)),
-            ((n, None, abel_weight_residual(w, n)) for n in ns),
+            ((n, None, oracles.abel_weight_residual(w, n)) for n in ns),
         ),
         (
             "abel-kernel",
             lambda n: max(1, n),
-            ((n, None, r) for n, r in abel_kernel_residuals(spec, w, ns)),
+            ((n, None, r) for n, r in oracles.abel_kernel_residuals(spec, w, ns)),
         ),
         (
             "abel-mean",
             lambda n: 1,
             (
                 (n, None, r)
-                for orders, direct, abel in t_mean_oracles(f, w, ns)
+                for orders, direct, abel in oracles.t_mean_oracles(f, w, ns)
                 for n, r in zip(orders, _row_gaps(direct, abel))
             ),
         ),
         (
             "block",
             lambda r: spec.M[r],
-            ((r, None, identity_residual("block", spec, weights=w, rank=r)) for r in blocks),
+            (
+                (r, None, oracles.identity_residual("block", spec, weights=w, rank=r))
+                for r in blocks
+            ),
         ),
     ]
     rows: list[list[str]] = []
@@ -392,6 +388,7 @@ def _run_bench_transform(cfg: ExperimentConfig, out: Path) -> int:
             f"M_N <= {MAX_NAIVE_SIZE}"
         )
     f = _build_function(cfg, spec)
+    from . import oracles  # noqa: F401  loaded now, so the naive run's time excludes its import
 
     forward(f, method="fast")  # fills the per-spec root and stage-matrix caches
     t0 = time.perf_counter()

@@ -10,7 +10,6 @@ indices congruent to it mod M_n, i.e. an arithmetic progression of stride M_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,12 +18,61 @@ import numpy as np
 MAX_SIZE = 2**62
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class _Frozen:
+    """Base of the package's immutable classes: fields in __slots__, set once.
+
+    Written out by hand rather than as frozen dataclasses, whose generated
+    methods are compiled on every import.  __init__ sets each field with
+    object.__setattr__; assigning or deleting one afterwards raises
+    AttributeError.  Instances compare by identity unless a subclass says
+    otherwise.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which takes the fields in
+        # __slots__ order, since restoring them one by one would assign
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class _Value(_Frozen):
+    """A _Frozen class whose instances compare and hash by _fields(), their field values."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class GroupSpec(_Value):
     """Radices of one group resolution plus the derived place values."""
 
+    __slots__ = ("m", "M")
     m: tuple[int, ...]
     M: tuple[int, ...]
+
+    def __init__(self, m: tuple[int, ...], M: tuple[int, ...]) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "M", M)
+
+    def _fields(self) -> tuple:
+        return self.m, self.M
 
     @property
     def levels(self) -> int:
@@ -88,21 +136,24 @@ def make_group(m: Sequence[int], levels: int | None = None) -> GroupSpec:
     return GroupSpec(m=tuple(radices), M=tuple(places))
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(_Value):
     """A group point: an immutable digit vector tied to its GroupSpec."""
 
+    __slots__ = ("spec", "digits")
     spec: GroupSpec
     digits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.digits) != self.spec.levels:
-            raise ValueError(
-                f"expected {self.spec.levels} digits, got {len(self.digits)}"
-            )
-        for j, (d, r) in enumerate(zip(self.digits, self.spec.m)):
+    def __init__(self, spec: GroupSpec, digits: tuple[int, ...]) -> None:
+        if len(digits) != spec.levels:
+            raise ValueError(f"expected {spec.levels} digits, got {len(digits)}")
+        for j, (d, r) in enumerate(zip(digits, spec.m)):
             if not 0 <= d < r:
                 raise ValueError(f"digit {d} at position {j} outside [0, {r})")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "digits", digits)
+
+    def _fields(self) -> tuple:
+        return self.spec, self.digits
 
     @classmethod
     def from_index(cls, spec: GroupSpec, n: int) -> "Element":

@@ -1,4 +1,4 @@
-"""Summability kernels and the identities that control their L1 size.
+"""Summability kernels, their multipliers and their L1 profiles.
 
 All kernels are finite character sums, synthesized from their coefficient
 vectors:
@@ -11,31 +11,19 @@ vectors:
 Collecting the coefficient of psi_j gives closed forms (e.g. (n-j)/n for the
 Fejer kernel), returned by multiplier(), so each kernel is one synthesis pass
 and each matching mean is the same pass over the multiplied spectrum of f.
-The identity checks in identity_residual() deliberately rebuild their
-right-hand sides from other kernels so that the two sides travel different
-numerical paths; reflection_residuals() and abel_kernel_residuals() run the
-same checks over every case in one pass, synthesizing each kernel once.
+The identity checks that rebuild kernels from other kernels, so that the
+two sides travel different numerical paths, live in vilenkin.oracles.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from bisect import bisect_right
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .group import GroupSpec
-from .transform import (
-    GridFunction,
-    _band,
-    _characters,
-    _chunk_rows,
-    _on_cells,
-    _order_chunks,
-    _synthesize_bands,
-    synthesize,
-)
+from .transform import GridFunction, _order_chunks, _synthesize_bands, synthesize
 
 if TYPE_CHECKING:  # circular at runtime: means imports the multiplier core
     from .means import WeightSequence
@@ -47,9 +35,6 @@ __all__ = [
     "fejer",
     "t_kernel",
     "norlund_kernel",
-    "identity_residual",
-    "reflection_residuals",
-    "abel_kernel_residuals",
     "l1_profile",
     "domination_constant",
 ]
@@ -194,192 +179,7 @@ def norlund_kernel(w: "WeightSequence", n: int, spec: GroupSpec) -> GridFunction
     return synthesize(spec, multiplier("norlund", n, spec, w))
 
 
-def identity_residual(
-    kind: str,
-    spec: GroupSpec,
-    *,
-    rank: int | None = None,
-    j: int | None = None,
-    n: int | None = None,
-    weights: "WeightSequence | None" = None,
-) -> float:
-    """Max-abs residual of one algebraic kernel identity over the grid.
-
-    kind='reflection' (takes rank and j < M_rank):
-        D_{M_r - j} = D_{M_r} - psi_{M_r - 1} * conj(D_j)
-    kind='abel-kernel' (takes weights and n):
-        Q_n * t_kernel_n = sum_{j=1}^{n-2} (q_j - q_{j+1}) j K_j
-                           + q_{n-1} (n-1) K_{n-1}
-    kind='block' (takes weights and rank, with Q(M_rank) > 0):
-        t_kernel_{M_r} = D_{M_r} - psi_{M_r - 1} * conj(norlund_kernel_{M_r})
-
-    The sweeps reflection_residuals() and abel_kernel_residuals() evaluate
-    the first two identities with these same formulas, in the same
-    floating-point order, over every case at once.  Every term of the
-    reflection and block identities is a function of x mod M_r, so their
-    residuals are taken on the M_r cells x < M_r, the three kernels of one
-    case synthesized as one block.
-    """
-    if kind == "abel-kernel":
-        if weights is None or n is None:
-            raise ValueError("abel-kernel residual needs weights and n")
-        return next(abel_kernel_residuals(spec, weights, [n]))[1]
-    if kind == "reflection":
-        if rank is None or j is None:
-            raise ValueError("reflection residual needs rank and j")
-    elif kind == "block":
-        if weights is None or rank is None:
-            raise ValueError("block residual needs weights and rank")
-    else:
-        raise ValueError(f"unknown identity kind {kind!r}")
-    if not 0 <= rank <= spec.levels:
-        raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
-    block = spec.M[rank]
-    if kind == "reflection":
-        if not 0 <= j < block:
-            raise ValueError(f"offset {j} outside [0, {block})")
-        # D_0 = 0 makes the gap at j = 0 the plain |D_{M_r} - D_{M_r}| = 0
-        coeffs = _multipliers("dirichlet", [block - j, block, j], spec)
-    else:
-        families = ("t", "dirichlet", "norlund")
-        coeffs = np.concatenate([_multipliers(family, [block], spec, weights) for family in families])
-    lhs, full, low = _on_cells(spec, coeffs, block)
-    return float(_reflection_gap(lhs, full, _characters(spec, [block - 1], block)[0], low))
-
-
-def _reflection_gap(
-    lhs: np.ndarray,
-    full: np.ndarray,
-    row: np.ndarray | None = None,
-    low: np.ndarray | None = None,
-) -> np.ndarray:
-    """max |D_{M-j} - (D_M - psi_{M-1} conj(D_j))| along the last axis.
-
-    lhs and low may be stacks of rows, one case per row; row and low are
-    absent at j = 0.  The terms after the first are computed in place, in
-    the order of that formula, so one array of lhs's size is allocated
-    besides the magnitudes.
-    """
-    if low is None:
-        return np.max(np.abs(lhs - full), axis=-1)
-    gap = np.conjugate(low)
-    np.multiply(row, gap, out=gap)
-    np.subtract(full, gap, out=gap)
-    np.subtract(lhs, gap, out=gap)
-    return np.max(np.abs(gap), axis=-1)
-
-
-def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
-    """(rank, j, residual) of the reflection identity for every rank and j < M_rank.
-
-    Offsets j and M_r - j need the same two Dirichlet kernels, so each rank
-    synthesizes D_1, ..., D_{M_r} once and psi_{M_r - 1} once: sum_r M_r
-    syntheses in all.  Every term is a function of x mod M_r, so the
-    residuals are taken on the M_r cells x < M_r, kernels of a lower band
-    repeated over them.  The kernels run in chunks of pairs
-    (D_j, D_{M_r - j}) that together fill at most _SYNTH_CHUNK_CELLS cells,
-    and the gaps of a chunk are taken as one stack.
-    """
-    for rank in range(spec.levels + 1):
-        block = spec.M[rank]
-        full = _on_cells(spec, _multipliers("dirichlet", [block], spec), block)[0]
-        yield rank, 0, float(_reflection_gap(full, full))
-        if block == 1:
-            continue
-        row = _characters(spec, [block - 1], block)[0]
-        half = block // 2
-        for start in range(1, half + 1, _chunk_rows(2 * block)):
-            js = range(start, min(start + _chunk_rows(2 * block), half + 1))
-            pairs = [j for j in js if 2 * j != block]  # j = M_r / 2 is its own pair
-            # D_j, then D_{M_r - j}, each in ascending order, so that rows of
-            # one band stay adjacent
-            orders = [*js, *(block - j for j in reversed(pairs))]
-            kernel = _on_cells(spec, _multipliers("dirichlet", orders, spec), block)
-            low, high = kernel[: len(pairs)], kernel[len(js) :][::-1]
-            gaps = zip(
-                _reflection_gap(high, full, row, low).tolist(),
-                _reflection_gap(low, full, row, high).tolist(),
-            )
-            for j, (gap, mirrored) in zip(pairs, gaps):
-                yield rank, j, gap
-                yield rank, block - j, mirrored
-            if len(pairs) < len(js):
-                middle = kernel[len(pairs)]
-                yield rank, half, float(_reflection_gap(middle, full, row, middle))
-
-
-def _abel_walk(
-    spec: GroupSpec, weights: "WeightSequence", ns: Sequence[int], rows: int
-) -> tuple[list[int], Iterator[tuple[np.ndarray, np.ndarray, slice | np.ndarray]]]:
-    """The orders n <= 1 of ascending t orders ns, and the chunks of their Abel sweep.
-
-    The orders are checked at this call.  A chunk (k, n, at) holds rows of
-    the steps k = 1, ..., max(ns) - 1, the orders n with n - 1 among them,
-    and the rows n - 1 - k[0] those orders read (a slice when they read
-    every row).  abel_kernel_residuals() and means.t_mean_oracles() walk
-    these chunks, carrying their running sums from one to the next.
-    """
-    ns = list(ns)
-    for previous, n in zip(ns, ns[1:]):
-        if n < previous:
-            raise ValueError(f"orders must ascend, got {n} after {previous}")
-    _check_orders("t", np.asarray(ns, dtype=np.int64), spec, weights)
-    top = max(ns, default=0)
-
-    def chunks() -> Iterator[tuple[np.ndarray, np.ndarray, slice | np.ndarray]]:
-        for a in range(1, top, rows):
-            k = np.arange(a, min(a + rows, top))
-            orders = ns[bisect_left(ns, a + 1) : bisect_left(ns, k[-1] + 2)]
-            n = np.asarray(orders, dtype=np.int64)
-            at = n - 1 - a
-            yield k, n, slice(len(k)) if np.array_equal(at, np.arange(len(k))) else at
-
-    return ns[: bisect_left(ns, 2)], chunks()
-
-
-def abel_kernel_residuals(
-    spec: GroupSpec, weights: "WeightSequence", ns: Sequence[int]
-) -> Iterator[tuple[int, float]]:
-    """(n, residual) of the abel-kernel identity for each order of ascending ns.
-
-    The right-hand side is kept as a running sum over i of
-    (q_i - q_{i+1}) i K_i, added in increasing i, so every K_i with
-    i < max(ns) is synthesized once and each order costs one t kernel on
-    top.  Every kernel involved lives on a band nested in that of max(ns),
-    and the running sum is kept on that band's cells.  The K_i run a chunk
-    at a time: the chunk's running sums are one cumulative sum down the
-    stack of its terms, the very additions of a loop over i, and the orders
-    n whose K_{n-1} it holds take their t kernels and gaps as one stack.
-    """
-    top = max(ns, default=0)
-    cells = _band(spec, min(top, spec.size))
-    low, chunks = _abel_walk(spec, weights, ns, _chunk_rows(cells))
-    q, Q = weights.q_array(top + 1), weights.Q_array(top)  # q_top weighs a term no order reads
-    if low:  # an order n <= 1 has no K_i on its right-hand side, which is zero
-        lhs = _on_cells(spec, _multipliers("t", low, spec, weights), cells)
-        yield from zip(low, np.max(np.abs(lhs), axis=-1).tolist())
-    partial = np.zeros(cells, dtype=np.complex128)  # the terms i < k[0]
-    for k, n, at in chunks:
-        kernel = _on_cells(spec, _multipliers("fejer", k, spec), cells)  # K_i, i in k
-        sums = np.empty((len(k) + 1, cells), dtype=np.complex128)
-        sums[0] = partial
-        np.multiply(((q[k] - q[k + 1]) * k)[:, None], kernel, out=sums[1:])
-        np.cumsum(sums, axis=0, out=sums)  # row r: the terms i < k[r]
-        partial = sums[-1].copy()
-        if not n.size:
-            continue
-        rhs = kernel[at]
-        np.multiply((q[n - 1] * (n - 1))[:, None], rhs, out=rhs)
-        np.add(sums[at], rhs, out=rhs)
-        np.divide(rhs, Q[n][:, None], out=rhs)
-        del kernel, sums
-        lhs = _on_cells(spec, _multipliers("t", n, spec, weights), cells)
-        gap = np.subtract(lhs, rhs, out=rhs)
-        yield from zip(n.tolist(), np.max(np.abs(gap), axis=-1).tolist())
-
-
-@dataclass(frozen=True)
-class KernelProfileRow:
+class KernelProfileRow(NamedTuple):
     """L1 size, Haar integral and off-interval tail of one kernel order."""
 
     n: int

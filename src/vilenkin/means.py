@@ -26,22 +26,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import _abel_walk, multiplier
-from .transform import (
-    GridFunction,
-    _analyse,
-    _characters,
-    _chunk_rows,
-    convolve,
-    forward,
-    synthesize,
-)
+from .group import _Value
+from .kernels import multiplier
+from .transform import GridFunction, _analyse, convolve, synthesize
 
 _ALPHA_KINDS = frozenset({"cesaro", "inverse-cesaro", "power", "log-power"})
 _PLAIN_KINDS = frozenset({"constant", "riesz-log", "norlund-log"})
@@ -75,23 +67,26 @@ def binomial_sequence(order: float, count: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(_Value):
     """One named weight family, hashable so derived arrays can be cached."""
 
+    __slots__ = ("kind", "alpha")
     kind: str
-    alpha: float | None = None
+    alpha: float | None
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind in _ALPHA_KINDS:
-            if self.alpha is None or not 0 < self.alpha < 1:
-                raise ValueError(
-                    f"{self.kind} needs alpha in (0, 1), got {self.alpha}"
-                )
-        elif self.alpha is not None:
-            raise ValueError(f"{self.kind} takes no alpha")
+    def __init__(self, kind: str, alpha: float | None = None) -> None:
+        if kind not in KINDS:
+            raise ValueError(f"unknown weight kind {kind!r}")
+        if kind in _ALPHA_KINDS:
+            if alpha is None or not 0 < alpha < 1:
+                raise ValueError(f"{kind} needs alpha in (0, 1), got {alpha}")
+        elif alpha is not None:
+            raise ValueError(f"{kind} takes no alpha")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "alpha", alpha)
+
+    def _fields(self) -> tuple:
+        return self.kind, self.alpha
 
     def q_array(self, count: int) -> np.ndarray:
         """Weights q_0 .. q_{count-1} as a read-only vector.
@@ -193,8 +188,7 @@ def parse_weights(text: str) -> WeightSequence:
 # --- classification ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Numerical evidence for the summability hypotheses on one family."""
 
     label: str
@@ -280,79 +274,16 @@ def t_mean(
     other: 'convolution' convolves f with the forward-frame kernel, 'direct'
     accumulates partial sums term by term, and 'abel' rebuilds T_n from
     Fejer means via summation by parts.  The last two are oracles, computed
-    by one order of the t_mean_oracles() pass.
+    by one order of the vilenkin.oracles.t_mean_oracles() pass.
     """
     if method == "convolution":
         return convolve(f, synthesize(f.spec, multiplier("t", n, f.spec, w)))
     if method not in ("direct", "abel"):
         raise ValueError(f"unknown method {method!r}")
-    _, direct, abel = next(t_mean_oracles(f, w, [n]))
+    from . import oracles
+
+    _, direct, abel = next(oracles.t_mean_oracles(f, w, [n]))
     return GridFunction._own(f.spec, (direct if method == "direct" else abel)[0])
-
-
-def t_mean_oracles(
-    f: GridFunction, w: WeightSequence, ns: Sequence[int]
-) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
-    """(orders, direct T_n f, abel T_n f) for ascending ns, in one pass, a chunk at a time.
-
-    With S_k = sum_{i<k} fhat(i) psi_i and R_k = S_1 + ... + S_k (so that
-    R_k = k sigma_k f), the two oracle routes are
-
-        direct  Q_n T_n f = sum_{k<n} q_k S_k
-        abel    Q_n T_n f = sum_{j=1}^{n-2} (q_j - q_{j+1}) R_j + q_{n-1} R_{n-1}
-
-    Both are running sums in k, so one forward(f) and one character row per
-    k < max(ns) - 1 serve every order.  The full forward(f), not an
-    analysis up to max(ns), keeps every order's value independent of the
-    other orders in ns.  The steps k run in chunks of _chunk_rows(M_N): one
-    stack of character rows psi_{k-1}, and each running sum (S_k, R_k, the
-    direct and the Abel sums) one cumulative sum down the stack of its
-    terms, started from the previous chunk's last row, so every value is a
-    loop's additions in the loop's order.  A chunk yields the orders n with
-    n - 1 among its steps, both routes as fresh (orders x M_N) stacks, in
-    O(_SYNTH_CHUNK_CELLS + M_N) working memory.
-    """
-    spec = f.spec
-    top = max(ns, default=0)
-    low, chunks = _abel_walk(spec, w, ns, _chunk_rows(spec.size))
-    if not top:  # no orders, and no transform
-        return
-    fh = forward(f).coeffs
-    q, Q = w.q_array(top + 1), w.Q_array(top)  # q_top weighs a term no order reads
-    if low:  # order 1 reads step 0, where every sum is still zero
-        zero = np.zeros((len(low), spec.size), dtype=np.complex128)
-        yield low, zero, zero.copy()
-    # S_{k-1}, R_{k-1}, the direct sum and the Abel terms j < k, k = k[0]
-    S, R, direct, abel = (np.zeros(spec.size, dtype=np.complex128) for _ in range(4))
-    for k, n, at in chunks:
-        Ss = _characters(spec, k - 1)
-        np.multiply(fh[k - 1][:, None], Ss, out=Ss)
-        _accumulate(S, Ss)
-        Rs = Ss.copy()
-        _accumulate(R, Rs)
-        As = np.empty((len(k) + 1, spec.size), dtype=np.complex128)
-        As[0] = abel
-        np.multiply((q[k] - q[k + 1])[:, None], Rs, out=As[1:])
-        np.cumsum(As, axis=0, out=As)  # row r: the terms j < k[r]
-        S, R, abel = Ss[-1].copy(), Rs[-1].copy(), As[-1].copy()
-        np.multiply(q[k][:, None], Ss, out=Ss)
-        _accumulate(direct, Ss)
-        direct = Ss[-1].copy()
-        if not n.size:
-            continue
-        Ds, Rs, As = Ss[at], Rs[at], As[at]
-        np.multiply(q[n - 1][:, None], Rs, out=Rs)  # R_{n-1} is q_{n-1}'s term
-        np.add(As, Rs, out=Rs)
-        del As
-        np.divide(Ds, Q[n][:, None], out=Ds)
-        np.divide(Rs, Q[n][:, None], out=Rs)
-        yield n.tolist(), Ds, Rs
-
-
-def _accumulate(start: np.ndarray, terms: np.ndarray) -> None:
-    """Running sums start + terms[0], ... + terms[i] down a stack, in place, in loop order."""
-    np.add(start, terms[0], out=terms[0])
-    np.cumsum(terms, axis=0, out=terms)
 
 
 def norlund_mean(f: GridFunction, w: WeightSequence, n: int) -> GridFunction:
@@ -387,19 +318,3 @@ def named_mean(
     if frame == "t":
         return t_mean(f, w, n)
     return norlund_mean(f, w, n)
-
-
-def abel_weight_residual(w: WeightSequence, n: int) -> float:
-    """|Q_n - (q_0 + sum_{j=1}^{n-2} (q_j - q_{j+1}) j + q_{n-1} (n-1))|.
-
-    Summation by parts rewrites Q_n in the form the kernel estimates use;
-    the residual should be at machine-noise level for every family.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    q = w.q_array(n)
-    rhs = q[0]
-    if n >= 2:
-        j = np.arange(1, n - 1)
-        rhs += float(np.sum((q[j] - q[j + 1]) * j)) + q[n - 1] * (n - 1)
-    return abs(w.Q(n) - rhs)

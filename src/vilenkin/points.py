@@ -9,9 +9,8 @@ quantity controlling a.e. convergence of the reversed-frame means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,8 +61,7 @@ def w_modulus(f: GridFunction, x: Element, rank: int) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """Error of one mean order, either at a point or in an L_p norm."""
 
     n: int

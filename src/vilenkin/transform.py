@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .group import Element, GroupSpec
+from .group import Element, GroupSpec, _Frozen
 
 __all__ = [
     "GridFunction",
@@ -39,9 +38,6 @@ __all__ = [
     "weak_norm",
 ]
 
-# Cells (rows x M_N) per chunk of the naive transform: about 10 MB of
-# working memory at any M_N.
-_NAIVE_CHUNK_CELLS = 2**18
 # Cells (rows x M_s) per butterfly call of a batched synthesis, and per chunk
 # of the sweeps that build rows of coefficients, kernels or characters a
 # stack at a time: a sweep over many orders runs one stacked butterfly per
@@ -153,15 +149,19 @@ def psi(n: int, x: Element) -> complex:
     return complex(_roots(spec)[phase % L])
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """A complex-valued function sampled on the grid, immutable once built."""
+class GridFunction(_Frozen):
+    """A complex-valued function sampled on the grid, immutable once built.
 
+    Equal only to itself; its values are a read-only copy of the input.
+    """
+
+    __slots__ = ("spec", "values")
     spec: GroupSpec
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen(self.spec, self.values, copy=True))
+    def __init__(self, spec: GroupSpec, values) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "values", _frozen(spec, values, copy=True))
 
     @classmethod
     def _own(cls, spec: GroupSpec, values: np.ndarray) -> "GridFunction":
@@ -252,17 +252,19 @@ class GridFunction:
         return cls(spec, _read_complex_csv(path, spec.size))
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Fourier coefficients in Paley order, immutable once built."""
+class Spectrum(_Frozen):
+    """Fourier coefficients in Paley order, immutable once built.
 
+    Equal only to itself; its coefficients are a read-only copy of the input.
+    """
+
+    __slots__ = ("spec", "coeffs")
     spec: GroupSpec
     coeffs: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coeffs", _frozen(self.spec, self.coeffs, copy=True, name="coeffs")
-        )
+    def __init__(self, spec: GroupSpec, coeffs) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "coeffs", _frozen(spec, coeffs, copy=True, name="coeffs"))
 
     def to_csv(self, path) -> None:
         _write_complex_csv(path, self.coeffs)
@@ -389,34 +391,20 @@ def _analyse(f: GridFunction, count: int) -> np.ndarray:
     return _apply_stages(spec, values, inverse=False)[:count] / spec.size
 
 
-def _forward_naive(f: GridFunction) -> np.ndarray:
-    """Direct quadratic-cost analysis: one conjugated character row per n.
-
-    Each chunk holds its phases, rows and their conjugate, about 40 bytes
-    per row and cell, so the rows per chunk shrink as M_N grows to keep a
-    chunk near _NAIVE_CHUNK_CELLS cells.
-    """
-    spec = f.spec
-    out = np.empty(spec.size, dtype=np.complex128)
-    chunk = max(1, _NAIVE_CHUNK_CELLS // spec.size)
-    for start in range(0, spec.size, chunk):
-        ns = np.arange(start, min(start + chunk, spec.size), dtype=np.int64)
-        rows = _characters(spec, ns)
-        out[ns] = rows.conj() @ f.values
-    return out / spec.size
-
-
 def forward(f: GridFunction, method: str = "fast") -> Spectrum:
     """Analysis transform: Fourier coefficients of f in Paley order.
 
     ``method="fast"`` runs the separable mixed-radix butterfly;
-    ``method="naive"`` evaluates the defining sums directly.  Both compute
+    ``method="naive"`` evaluates the defining sums directly, an oracle of
+    ``vilenkin.oracles``.  Both compute
     fhat(n) = (1/M_N) * sum_x f(x) * conj(psi_n(x)).
     """
     if method == "fast":
         return Spectrum(f.spec, _analyse(f, f.spec.size))
     if method == "naive":
-        return Spectrum(f.spec, _forward_naive(f))
+        from . import oracles
+
+        return Spectrum(f.spec, oracles._forward_naive(f))
     raise ValueError(f"unknown method {method!r}; expected 'fast' or 'naive'")
 
 

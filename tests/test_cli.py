@@ -14,8 +14,7 @@ import pytest
 
 import vilenkin
 import vilenkin.cli
-import vilenkin.kernels
-import vilenkin.means
+import vilenkin.oracles
 import vilenkin.transform
 from vilenkin.cli import FAST_REPEATS, ExperimentConfig, load_config, main, run
 from vilenkin.group import make_group
@@ -82,16 +81,18 @@ def test_identity_check_passes_correct_identities_on_large_blocks(tmp_path, caps
 def test_identity_check_tolerance_scales_with_block_size_only_for_block_kernels(
     tmp_path, capsys, monkeypatch, name, check, factor, status
 ):
-    # Reflection and block are held to 1e-12 * M_r, every other check to an
-    # absolute 1e-12: a weight-sum residual of 2e-12 fails although it is
-    # below 1e-12 * M_r for every rank r >= 1.
+    # Reflection and block are held to 1e-12 * M_r, weight-sum to
+    # 1e-12 * max(1, Q_n) and abel-kernel to 1e-12 * max(1, n).  A weight-sum
+    # residual of 2e-12 is below 1e-12 * M_r for every rank r >= 1, and it
+    # still fails because riesz weights keep Q_n below 2 at the first orders
+    # (Q_2 = 1, Q_3 = 1.5).
     if name == "reflection_residuals":
         fake = lambda spec: ((r, 0, factor * 1e-12 * spec.M[r]) for r in range(4))
     elif name == "identity_residual":
         fake = lambda kind, spec, weights, rank: factor * 1e-12 * spec.M[rank]
     else:
         fake = lambda w, n: factor * 1e-12
-    monkeypatch.setattr(vilenkin.cli, name, fake)
+    monkeypatch.setattr(vilenkin.oracles, name, fake)
     args = ["--group", "2,3", "--levels", "3", "--weights", "riesz"]
     assert main(["identity-check", *args, "--out", str(tmp_path / "i.csv")]) == status
     lines = capsys.readouterr().out.splitlines()
@@ -113,7 +114,7 @@ def test_identity_check_tolerance_follows_the_size_of_each_sum(tmp_path, capsys,
 
     # A t kernel off by 1e-9 fails even at the largest order, where the
     # abel-kernel tolerance 1e-12 * 511 is loosest.
-    multipliers = vilenkin.kernels._multipliers
+    multipliers = vilenkin.oracles._multipliers
 
     def perturbed(family, ns, spec, weights=None):
         out = multipliers(family, ns, spec, weights)
@@ -121,7 +122,7 @@ def test_identity_check_tolerance_follows_the_size_of_each_sum(tmp_path, capsys,
             out[np.asarray(ns) == 511, 0] += 1e-9  # + 1e-9 * psi_0, a constant
         return out
 
-    monkeypatch.setattr(vilenkin.kernels, "_multipliers", perturbed)
+    monkeypatch.setattr(vilenkin.oracles, "_multipliers", perturbed)
     assert main([*args, "--out", str(out)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line.endswith("FAIL")] == [
@@ -162,8 +163,8 @@ def test_identity_check_cost_is_linear_in_blocks_and_orders(
     #   block: one per kernel                                   3 B
     calls = {"character rows": 0, "oracle batches": 0, "forward": 0}
     phase_rows = vilenkin.transform._phase_rows
-    oracle_characters = vilenkin.means._characters
-    forward = vilenkin.means.forward
+    oracle_characters = vilenkin.oracles._characters
+    forward = vilenkin.oracles.forward
 
     def rows_built(spec, ns, *args):
         # every character row, by whichever route, is built from its phases here
@@ -179,8 +180,8 @@ def test_identity_check_cost_is_linear_in_blocks_and_orders(
         return forward(*args)
 
     monkeypatch.setattr(vilenkin.transform, "_phase_rows", rows_built)
-    monkeypatch.setattr(vilenkin.means, "_characters", oracle_batch)
-    monkeypatch.setattr(vilenkin.means, "forward", counted_forward)
+    monkeypatch.setattr(vilenkin.oracles, "_characters", oracle_batch)
+    monkeypatch.setattr(vilenkin.oracles, "forward", counted_forward)
     args = ["--group", "2,3", "--levels", "3", "--weights", family]
     assert main(["identity-check", *args, "--out", str(tmp_path / "i.csv")]) == 0
     spec, w = make_group([2, 3], 3), parse_weights(family)
@@ -274,6 +275,58 @@ def test_entry_returns_the_status_of_main_and_freezes_the_heap(tmp_path, tail, s
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == f"0 True {status}"
+
+
+# Modules a converge job does without: the oracle routes, and what only
+# frozen dataclasses and a --config file need.
+LAZY_MODULES = ("dataclasses", "json", "vilenkin.oracles")
+SWEEP_ARGV = "converge --group 2,3 --levels 7 --weights riesz --form t --p 1 --function random:5"
+
+
+def lazy_modules_after(code, argv=()):
+    """The LAZY_MODULES that a fresh interpreter holds once it has run code."""
+    script = f"{code}\nimport sys\nprint('loaded:', *[m for m in {LAZY_MODULES!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split()[1:])
+
+
+def test_import_loads_no_oracle_dataclasses_or_json():
+    assert lazy_modules_after("import vilenkin") == set()
+    # the five oracle names stay reachable from the package, loaded on first use
+    code = (
+        "from vilenkin import abel_kernel_residuals, abel_weight_residual, identity_residual,"
+        " reflection_residuals, t_mean_oracles\n"
+        "import vilenkin, vilenkin.oracles\n"
+        "assert vilenkin.identity_residual is vilenkin.oracles.identity_residual\n"
+        "assert t_mean_oracles is vilenkin.oracles.t_mean_oracles\n"
+        "assert not hasattr(vilenkin, 'mystery')\n"
+    )
+    assert lazy_modules_after(code) == {"vilenkin.oracles"}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (SWEEP_ARGV, set()),
+        ("identity-check --group 2,3 --levels 3 --weights riesz", {"vilenkin.oracles"}),
+        ("bench-transform --group 2,3 --levels 3", {"vilenkin.oracles"}),
+        (SWEEP_ARGV.replace("7", "3") + " --config CONFIG", {"json"}),
+    ],
+    ids=["sweep", "identity-check", "bench-transform", "config"],
+)
+def test_cli_jobs_load_oracles_and_json_only_when_they_use_them(tmp_path, argv, loaded):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"seed": 3}')
+    argv = argv.replace("CONFIG", str(config)).split() + ["--out", str(tmp_path / "x.csv")]
+    code = "import sys, vilenkin.cli\nassert vilenkin.cli.entry(sys.argv[1:]) == 0"
+    assert lazy_modules_after(code, argv) == loaded
 
 
 @pytest.mark.parametrize("module", ["vilenkin", "vilenkin.cli"])
@@ -464,7 +517,7 @@ def test_bench_transform_refuses_hour_long_naive_runs(tmp_path, monkeypatch, cap
     def refused(*args, **kwargs):
         raise AssertionError("no transform may run on a refused grid")
 
-    monkeypatch.setattr(vilenkin.transform, "_forward_naive", refused)
+    monkeypatch.setattr(vilenkin.oracles, "_forward_naive", refused)
     monkeypatch.setattr(vilenkin.cli, "forward", refused)
     out = tmp_path / "bench.csv"
     args = ["bench-transform", "--group", "2", "--levels", "16", "--out", str(out)]

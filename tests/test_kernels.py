@@ -10,21 +10,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import vilenkin.means
+import vilenkin.oracles
 import vilenkin.transform
 from vilenkin.group import Element, interval_members, make_group
 from vilenkin.kernels import (
-    abel_kernel_residuals,
     dirichlet,
     domination_constant,
     fejer,
-    identity_residual,
     l1_profile,
     norlund_kernel,
-    reflection_residuals,
     t_kernel,
 )
-from vilenkin.means import parse_weights, t_mean_oracles
+from vilenkin.means import parse_weights
+from vilenkin.oracles import (
+    abel_kernel_residuals,
+    identity_residual,
+    reflection_residuals,
+    t_mean_oracles,
+)
 from vilenkin.transform import _SYNTH_CHUNK_CELLS, GridFunction, character_row, norm
 
 FAMILIES = ("constant", "cesaro:0.5", "icesaro:0.5", "power:0.5", "riesz", "nlog", "logpow:0.5")
@@ -323,7 +326,7 @@ def test_abel_sweeps_check_their_orders_before_any_transform(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a transform ran before the orders were checked")
 
-    monkeypatch.setattr(vilenkin.means, "forward", refused)
+    monkeypatch.setattr(vilenkin.oracles, "forward", refused)
     monkeypatch.setattr(vilenkin.transform, "_apply_stages", refused)
     sweeps = {
         "abel-kernel": lambda ns: abel_kernel_residuals(spec, w, ns),

@@ -11,7 +11,6 @@ from vilenkin.kernels import norlund_kernel
 from vilenkin.means import (
     WeightSequence,
     _q_cache,
-    abel_weight_residual,
     binomial_sequence,
     classify,
     named_mean,
@@ -21,6 +20,7 @@ from vilenkin.means import (
     t_mean,
     weights,
 )
+from vilenkin.oracles import abel_weight_residual
 from vilenkin.transform import GridFunction, convolve, norm, partial_sum
 
 ALL_FAMILIES = (

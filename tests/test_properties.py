@@ -33,18 +33,21 @@ from vilenkin.kernels import (
     _FAMILIES,
     _leading_position,
     _order_sweep,
-    abel_kernel_residuals,
     dirichlet,
     domination_constant,
     fejer,
-    identity_residual,
     l1_profile,
     multiplier,
     norlund_kernel,
-    reflection_residuals,
     t_kernel,
 )
-from vilenkin.means import norlund_mean, parse_weights, t_mean, t_mean_oracles
+from vilenkin.means import norlund_mean, parse_weights, t_mean
+from vilenkin.oracles import (
+    abel_kernel_residuals,
+    identity_residual,
+    reflection_residuals,
+    t_mean_oracles,
+)
 from vilenkin.points import _FORM_FAMILY, _mean_stacks, convergence_profile, maximal_profile
 from vilenkin.transform import (
     GridFunction,
