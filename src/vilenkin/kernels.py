@@ -18,12 +18,13 @@ two sides travel different numerical paths, live in vilenkin.oracles.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .group import GroupSpec
-from .transform import GridFunction, _order_chunks, _synthesize_bands, synthesize
+from .transform import GridFunction, _order_chunks, _runs, _synthesize_bands, synthesize
 
 if TYPE_CHECKING:  # circular at runtime: means imports the multiplier core
     from .means import WeightSequence
@@ -139,18 +140,6 @@ def _order_stacks(
     return _synthesize_bands(spec, blocks)
 
 
-def _order_sweep(
-    family: str,
-    coeffs: np.ndarray,
-    ns: Iterable[int],
-    spec: GroupSpec,
-    weights: "WeightSequence | None" = None,
-) -> Iterator[np.ndarray]:
-    """The rows of _order_stacks(), one per order of ns."""
-    for stack in _order_stacks(family, coeffs, ns, spec, weights):
-        yield from stack
-
-
 def dirichlet(n: int, spec: GroupSpec) -> GridFunction:
     """Dirichlet kernel D_n; D_0 is the zero function."""
     return synthesize(spec, multiplier("dirichlet", n, spec))
@@ -206,21 +195,18 @@ def l1_profile(
     tail_block = spec.M[tail_rank]
     rows = []
     ns = sorted(ns)
+    orders = iter(ns)
     unit = np.broadcast_to(1.0, spec.size)  # the unit impulse's coefficients
-    for n, values in zip(ns, _order_sweep(family, unit, ns, spec, weights)):
+    for stack in _order_stacks(family, unit, ns, spec, weights):
         # |k_n| and the outside of I_tail_rank(0) both have period
         # max(M_s, M_tail_rank), so the averages over M_N cells are
         # averages over that many
-        cells = max(len(values), tail_block)
-        mags = np.tile(np.abs(values), cells // len(values))
-        rows.append(
-            KernelProfileRow(
-                n=n,
-                l1=float(mags.mean()),
-                integral=complex(values.mean()),
-                tail=float(mags.reshape(-1, tail_block)[:, 1:].sum() / cells),
-            )
-        )
+        cells = max(stack.shape[1], tail_block)
+        for run in _runs(stack, cells):
+            mags = np.tile(np.abs(run), (1, cells // stack.shape[1]))
+            l1, integral = mags.mean(axis=1).tolist(), run.mean(axis=1).tolist()
+            tail = mags.reshape(len(run), -1, tail_block)[:, :, 1:].sum(axis=(1, 2)) / cells
+            rows += map(KernelProfileRow, islice(orders, len(run)), l1, integral, tail.tolist())
     return rows
 
 
@@ -240,25 +226,26 @@ def domination_constant(ns: Sequence[int], spec: GroupSpec) -> float:
     """
     if len(ns) == 0:
         raise ValueError("need at least one n")
-    top = max(_leading_position(n, spec) for n in ns)
-    blocks = spec.M[: top + 1]
+    ns = sorted(ns)
+    leads = [_leading_position(n, spec) for n in ns]
+    blocks = spec.M[: max(leads) + 1]
+    top = blocks[-1]
     unit = np.broadcast_to(1.0, spec.size)  # the unit impulse's coefficients
     # the denominators live on the band M_top of K_{M_top}, which nests the
     # bands of the others; each ratio is taken on the larger of that band
     # and its numerator's
-    denoms = np.cumsum(
-        [
-            M * np.tile(np.abs(values), blocks[-1] // len(values))
-            for M, values in zip(blocks, _order_sweep("fejer", unit, blocks, spec))
-        ],
-        axis=0,
-    )
+    stacks = _order_stacks("fejer", unit, blocks, spec)
+    terms = np.vstack([np.tile(np.abs(stack), (1, top // stack.shape[1])) for stack in stacks])
+    denoms = np.cumsum(np.array(blocks)[:, None] * terms, axis=0)
     best = 0.0
-    ns = sorted(ns)
-    for n, values in zip(ns, _order_sweep("fejer", unit, ns, spec)):
-        cells = max(len(values), blocks[-1])
-        num = np.tile(n * np.abs(values), cells // len(values))
-        den = np.tile(denoms[_leading_position(n, spec)], cells // blocks[-1])
-        ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        best = max(best, float(ratio.max()))
+    at = 0
+    for stack in _order_stacks("fejer", unit, ns, spec):
+        cells = max(stack.shape[1], top)
+        for run in _runs(stack, cells):
+            order = np.array(ns[at : at + len(run)])[:, None]
+            num = np.tile(order * np.abs(run), (1, cells // stack.shape[1]))
+            den = np.tile(denoms[leads[at : at + len(run)]], (1, cells // top))
+            ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+            best = max(best, float(ratio.max()))
+            at += len(run)
     return best

@@ -43,24 +43,24 @@ __all__ = [
 # stack at a time: a sweep over many orders runs one stacked butterfly per
 # chunk of rows sharing a band.
 _SYNTH_CHUNK_CELLS = 2**12
-# Cells per leaf of an L_p error or norm (at least _PAIRWISE_BLOCK).  On a
-# larger grid each row runs alone, a leaf at a time, so the leaf's complex
-# difference, its |g - f|^p and the row repeated over a leaf are all the
-# scratch at any M_N, about 0.6 MiB.  A smaller grid is one leaf, and its
-# rows run as many to a pass as a butterfly's chunk holds: numpy may buffer
-# their broadcast subtraction through up to 8192 cells per operand, and a
-# sweep's peak stays that of its butterflies.
-_ERROR_CHUNK_CELLS = 2**14
+# Cells per buffer of a streamed pass over the grid: a leaf of an L_p error
+# or norm (at least _PAIRWISE_BLOCK), whose row, difference and |g - f|^p
+# are about 0.6 MiB at any M_N, and a draw of GridFunction.random.
+_STREAM_CELLS = 2**14
 # np.add.reduce sums a run of at most this many floats in one pass of eight
 # accumulators and splits a longer run in two (numpy's PW_BLOCKSIZE).
 _PAIRWISE_BLOCK = 128
-# Floats per draw of GridFunction.random.
-_DRAW_CHUNK_CELLS = 2**14
 
 
 def _chunk_rows(cells: int) -> int:
     """Rows of cells cells each that fill one chunk of _SYNTH_CHUNK_CELLS (at least one)."""
     return max(1, _SYNTH_CHUNK_CELLS // cells)
+
+
+def _runs(stack: np.ndarray, cells: int) -> Iterator[np.ndarray]:
+    """The rows of a stack in runs of _chunk_rows(cells): a run tiled to cells fills a chunk."""
+    step = _chunk_rows(cells)
+    return (stack[at : at + step] for at in range(0, len(stack), step))
 
 
 def _order_chunks(ns: Iterable[int]) -> Iterator[list[int]]:
@@ -212,7 +212,7 @@ class GridFunction(_Frozen):
 
         The M_rank real parts, then the imaginary parts, are drawn from
         default_rng(seed) through one float buffer of at most
-        _DRAW_CHUNK_CELLS cells (a chunked draw continues the stream
+        _STREAM_CELLS cells (a chunked draw continues the stream
         bitwise), so the complex result is the only grid-sized array.
         """
         if rank is None:
@@ -222,7 +222,7 @@ class GridFunction(_Frozen):
         rng = np.random.default_rng(seed)
         stride = spec.M[rank]
         base = np.empty(stride, dtype=np.complex128)
-        draw = np.empty(min(stride, _DRAW_CHUNK_CELLS))
+        draw = np.empty(min(stride, _STREAM_CELLS))
         for part in (base.real, base.imag):
             for start in range(0, stride, len(draw)):
                 chunk = draw[: stride - start]
@@ -520,49 +520,41 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
 def norm(f: GridFunction, p: float) -> float:
     """Strong L_p norm under normalized Haar measure; p may be math.inf.
 
-    The g-free case of _lp_norms(): bitwise
-    np.mean(np.abs(f.values) ** p) ** (1 / p) (the max of |f| for
+    The L_p error of f against the zero function, through _lp_norms():
+    bitwise np.mean(np.abs(f.values) ** p) ** (1 / p) (the max of |f| for
     p = inf), summed a leaf at a time with no grid-sized temporary.
     """
     if not p >= 1:  # also refuses NaN
         raise ValueError(f"strong norm needs p >= 1, got {p}")
-    return _lp_norms(f.values, p)[0]
+    return _lp_norms(f.values, p, np.zeros((1, 1)))[0]
 
 
-def _lp_norms(values: np.ndarray, p: float, g: np.ndarray | None = None) -> list[float]:
-    """norm(g_i - f, p) for each row g_i of g, or [norm(f, p)] when g is None.
+def _lp_norms(values: np.ndarray, p: float, g: np.ndarray) -> list[float]:
+    """norm(g_i - f, p) for each row g_i of g.
 
     values is f on the grid; g is a (rows x M_s) stack of M_s-periodic
-    functions given on the cells x < M_s, never tiled to the grid.  Each
-    result is bitwise np.mean(np.abs(g_i - f) ** p) ** (1 / p) on the tiled
-    g_i (the max of |g_i - f| for p = inf), in O(_ERROR_CHUNK_CELLS) memory
-    at any M_N.  A grid of more cells is cut into contiguous leaves where
-    np.add.reduce's pairwise summation (Higham 1993) cuts it: a run of more
-    than _PAIRWISE_BLOCK cells splits at n2 = n//2 - (n//2) % 8, down to
-    runs of at most _ERROR_CHUNK_CELLS cells.  Each leaf's |g - f|^p goes
-    into reused scratch, is summed by np.add.reduce, and the leaf sums are
-    added back as numpy adds the halves.  Each row's root is taken as a
-    scalar, as np.mean's result is.
+    functions given on the cells x < M_s.  Each result is bitwise
+    np.mean(np.abs(g_i - f) ** p) ** (1 / p) on the tiled g_i (the max of
+    |g_i - f| for p = inf), in O(_STREAM_CELLS) memory at any M_N.  A grid
+    of more cells is cut into contiguous leaves where np.add.reduce's
+    pairwise summation (Higham 1993) cuts it: a run of more than
+    _PAIRWISE_BLOCK cells splits at n2 = n//2 - (n//2) % 8, down to runs of
+    at most _STREAM_CELLS cells.  The rows run in _runs() of M_N-cell rows,
+    each tiled once to the grid, or to a leaf and a period, or left bare if
+    a period is at least a leaf long.  So every leaf reads a slice from
+    column x mod M_s on; its |g - f|^p is summed by np.add.reduce, and the
+    leaf sums are added back as numpy adds the halves.  Each row's root is
+    taken as a scalar, as np.mean's result is.
     """
     size = len(values)
-    cells = max(_PAIRWISE_BLOCK, _ERROR_CHUNK_CELLS)
-    step = 1  # rows per pass
-    if g is None:
-        passes = [(None, 0)]
-    elif size <= cells:  # whole rows, as many to a leaf as a butterfly's chunk holds
-        step = _chunk_rows(size)
-        passes = [(g[at : at + step], g.shape[1]) for at in range(0, len(g), step)]
-    else:  # one row at a time; a leaf at x reads it from column x mod M_s on
-        period = g.shape[1]
-        reps = -(-(cells + period - 1) // period)  # a leaf and a period, if longer
-        passes = ((np.tile(row, reps) if period < cells else row, period) for row in g[:, None])
-    scratch = step * min(cells, size)
-    diff = None if g is None else np.empty(scratch, dtype=np.complex128)
-    mags = np.empty(scratch)
+    cells = max(_PAIRWISE_BLOCK, _STREAM_CELLS)
+    period = g.shape[1]
+    width = period if period >= cells else min(size, period * -(-(cells + period - 1) // period))
     combine = np.maximum if p == math.inf else np.add
     totals = []
-    for rows, period in passes:
-        leaf = partial(_lp_leaf, values, rows, period, p, diff, mags)
+    for rows in _runs(g, size):
+        tiled = rows if width == period else np.tile(rows, (1, width // period))
+        leaf = partial(_lp_leaf, values, tiled, period, p)
         totals.extend(_pairwise(leaf, combine, 0, size, cells))
     if p == math.inf:
         return [float(t) for t in totals]
@@ -573,7 +565,7 @@ def _pairwise(leaf, combine, start: int, n: int, width: int) -> np.ndarray:
     """leaf(start, n), or combine() of the two halves np.add.reduce splits n cells into.
 
     A module-level recursion: a nested function that called itself would
-    hold a reference cycle, keeping the scratch alive until a collection.
+    hold a reference cycle, keeping the tiled rows alive until a collection.
     """
     if n <= width:
         return leaf(start, n)
@@ -585,49 +577,24 @@ def _pairwise(leaf, combine, start: int, n: int, width: int) -> np.ndarray:
 
 
 def _lp_leaf(
-    values: np.ndarray,
-    g: np.ndarray | None,
-    period: int,
-    p: float,
-    diff: np.ndarray | None,
-    mags: np.ndarray,
-    start: int,
-    n: int,
+    values: np.ndarray, g: np.ndarray, period: int, p: float, start: int, n: int
 ) -> np.ndarray:
     """Each row's sum of |g - f|^p (max of |g - f| for p = inf) over cells start .. start + n - 1.
 
-    g holds rows of period M_s = period, each given on its first period
-    cells or on more, and is read from column x mod M_s on: one row on any
-    leaf, or several on a leaf of whole periods.  g = None sums |f|^p.
-    diff and mags are flat scratch whose first rows * n cells are used as
-    contiguous (rows x n) arrays.
+    g holds rows of period M_s = period, tiled so that the leaf's n cells
+    from column start mod M_s on are one slice, or, on a bare row, the slice
+    to its end joined to the row's first cells.
     """
-    end = start + n
-    if g is None:
-        out = mags[:n].reshape(1, n)
-        np.abs(values[start:end], out=out[0])
-    else:
-        out = mags[: len(g) * n].reshape(len(g), n)
-        here = diff[: out.size].reshape(out.shape)
-        phase = start % period
-        if phase + n <= g.shape[1]:
-            np.subtract(g[:, phase : phase + n], values[start:end], out=here)
-        elif phase == 0 and n % period == 0:
-            np.subtract(
-                g[:, None, :period],
-                values[start:end].reshape(-1, period),
-                out=here.reshape(len(g), -1, period),
-            )
-        else:  # across one period boundary, n <= period
-            head = period - phase
-            np.subtract(g[:, phase:period], values[start : start + head], out=here[:, :head])
-            np.subtract(g[:, : n - head], values[start + head : end], out=here[:, head:])
-        np.abs(here, out=out)
+    phase = start % period
+    rows = g[:, phase : phase + n]
+    if rows.shape[1] < n:  # across the end of a bare row, n <= period
+        rows = np.concatenate([rows, g[:, : n - rows.shape[1]]], axis=1)
+    mags = np.abs(rows - values[start : start + n])
     if p == math.inf:
-        return out.max(axis=1)
+        return mags.max(axis=1)
     if p != 1:  # x ** 1 is x
-        out **= p
-    return np.add.reduce(out, axis=1)
+        mags **= p
+    return np.add.reduce(mags, axis=1)
 
 
 def weak_norm(f: GridFunction, p: float) -> float:

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line drivers."""
 
+import errno
 import gc
 import json
 import os
@@ -629,6 +630,18 @@ def test_unwritable_out_exits_2_before_any_transform(
     assert "Traceback" not in err
     assert butterflies == []
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("command", COMMANDS)
+def test_csv_refused_after_the_run_exits_2(capsys, command):
+    # /dev/full opens but takes no data, so the write fails only after the
+    # work; it used to end in an OSError traceback and exit 1, the code of
+    # a failed numeric check
+    argv = [command, "--group", "2,3", "--levels", "3", "--weights", "riesz"]
+    assert main([*argv, "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize("command", ["converge", "kernel-profile"])

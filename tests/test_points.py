@@ -20,7 +20,7 @@ from vilenkin.points import (
     w_modulus,
 )
 from vilenkin.transform import (
-    _ERROR_CHUNK_CELLS,
+    _STREAM_CELLS,
     _SYNTH_CHUNK_CELLS,
     GridFunction,
     _analyse,
@@ -336,7 +336,7 @@ def _plain_norm(x, p):
     "radices, levels", [([2], 17), ([3], 11), ([7, 4, 2], 6), ([7, 4, 2], 7)]
 )
 def test_lp_errors_and_norms_equal_the_plain_expression(radices, levels):
-    # Beyond one leaf of _ERROR_CHUNK_CELLS cells (all but 7,4,2 x 6, a
+    # Beyond one leaf of _STREAM_CELLS cells (all but 7,4,2 x 6, a
     # single leaf) the pairwise tree splits at sizes that are not powers of
     # two (3^11, 7*4*2*7*4*2*7).  The orders reach bands of one cell, bands
     # below a leaf (the row repeated over a leaf), bands above one (a leaf
@@ -351,7 +351,7 @@ def test_lp_errors_and_norms_equal_the_plain_expression(radices, levels):
         got = [r.err for r in convergence_profile(f, w, ns, p=p)]
         assert got == [_plain_norm(means[n] - f.values, p) for n in ns]
         assert norm(f, p) == _plain_norm(f.values, p)
-    assert spec.size > _ERROR_CHUNK_CELLS or radices == [7, 4, 2]
+    assert spec.size > _STREAM_CELLS or radices == [7, 4, 2]
 
 
 def test_lp_errors_reduce_once_per_butterfly_stack(monkeypatch, butterflies):

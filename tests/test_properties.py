@@ -13,10 +13,12 @@ the batch size and the row's place in it, and the rows share butterflies by
 their bands and the chunk size alone, whatever blocks they arrive in.  The
 sweeps that reduce a mean or a kernel on its band M_s instead of the whole
 grid return the very errors, maxima and residuals of the tiled full-grid
-route (the L1 profile, a sum in another order, to 1e-12), and the L_p
-errors and norms streamed a leaf at a time are bitwise the plain numpy
-expression, whatever the leaf size.  The group laws, the character homomorphism,
-inverse(forward(f)) = f and Parseval hold on every random group.
+route (the L1 profile, a sum in another order, to 1e-12); the kernel
+profiles, reduced a whole stack at a time, are bitwise the one-order
+reduction on each band; and the L_p errors and norms streamed a leaf at a
+time are bitwise the plain numpy expression, whatever the leaf size.  The
+group laws, the character homomorphism, inverse(forward(f)) = f and
+Parseval hold on every random group.
 """
 
 import itertools
@@ -31,8 +33,9 @@ import vilenkin.transform
 from vilenkin.group import Element, add, generator, make_group, subtract
 from vilenkin.kernels import (
     _FAMILIES,
+    KernelProfileRow,
     _leading_position,
-    _order_sweep,
+    _order_stacks,
     dirichlet,
     domination_constant,
     fejer,
@@ -53,6 +56,7 @@ from vilenkin.transform import (
     GridFunction,
     Spectrum,
     _analyse,
+    _band,
     _on_cells,
     _synthesize_bands,
     character_row,
@@ -297,7 +301,7 @@ def test_batched_kernels_and_means_equal_single_syntheses(case, more):
     # the sweeps leave each row on its band M_s; tiled, it is the public result
     unit = np.broadcast_to(1.0, spec.size)  # a kernel is the mean of the unit impulse
     for family in _FAMILIES:
-        batched = _order_sweep(family, unit, ns, spec, w)
+        batched = itertools.chain.from_iterable(_order_stacks(family, unit, ns, spec, w))
         for n, got in zip(ns, batched, strict=True):
             want = synthesize(spec, multiplier(family, n, spec, w))
             assert np.array_equal(np.tile(got, spec.size // len(got)), want.values)
@@ -371,8 +375,8 @@ def test_streamed_lp_errors_and_norms_equal_the_plain_expression(case, form, lea
     spec, w, ns, f, _, _ = case
     ns = sorted({*ns, spec.size})
     means = dict(_tiled_means(f, w, ns, _FORM_FAMILY[form]))
-    default = vilenkin.transform._ERROR_CHUNK_CELLS
-    vilenkin.transform._ERROR_CHUNK_CELLS = leaf
+    default = vilenkin.transform._STREAM_CELLS
+    vilenkin.transform._STREAM_CELLS = leaf
     try:
         for p in (1, 1.5, 2, math.inf):
             got = convergence_profile(f, w, ns, form=form, p=p)
@@ -381,7 +385,7 @@ def test_streamed_lp_errors_and_norms_equal_the_plain_expression(case, form, lea
             ]
             assert norm(f, p) == _plain_norm(f.values, p)
     finally:
-        vilenkin.transform._ERROR_CHUNK_CELLS = default
+        vilenkin.transform._STREAM_CELLS = default
 
 
 def _abel_on_grid(spec, w, ns):
@@ -446,6 +450,38 @@ def test_quotient_kernel_sweeps_equal_the_tiled_route(case):
             assert abs(row.tail - mags[outside].sum() / spec.size) < TOL
 
 
+def _on_band(spec, coeffs):
+    """synthesize(spec, coeffs) cut to the band M_s of its last nonzero coefficient."""
+    return synthesize(spec, coeffs).values[: _band(spec, len(np.trim_zeros(coeffs, "b")))]
+
+
+def _profile_by_order(family, ns, spec, w, tail_rank):
+    """l1_profile's rows, each kernel synthesized alone and reduced on max(M_s, M_tail) cells."""
+    tail_block = spec.M[tail_rank]
+    for n in ns:
+        values = _on_band(spec, multiplier(family, n, spec, w))
+        cells = max(len(values), tail_block)
+        mags = np.tile(np.abs(values), cells // len(values))
+        tail = mags.reshape(-1, tail_block)[:, 1:].sum() / cells
+        yield KernelProfileRow(n, float(mags.mean()), complex(values.mean()), float(tail))
+
+
+@settings(max_examples=25, deadline=None)
+@given(quotient_cases(), st.lists(st.integers(1, 2**9), max_size=40))
+def test_kernel_profiles_equal_a_reduction_order_by_order(case, more):
+    # l1_profile and domination_constant reduce whole butterfly stacks, in
+    # runs of rows when tiled to a larger tail or denominator band: each row
+    # must be bitwise the one-order reduction of the order it belongs to, so
+    # an order paired with a neighbour's row fails here (the extra orders
+    # put several rows in one stack)
+    spec, w, ns, _, _, tail_rank = case
+    ns = sorted({*ns, *(min(spec.size, max(w.n0, n)) for n in more)})
+    for family in _FAMILIES:
+        got = l1_profile(family, ns, spec, weights=w, tail_rank=tail_rank)
+        assert got == list(_profile_by_order(family, ns, spec, w, tail_rank))
+    assert domination_constant(ns, spec) == _domination_on_grid(ns, spec)
+
+
 def _chunked_sweeps(spec, w, ns, f):
     """Every batched sweep's output, as plain lists of numbers and arrays."""
     out = {
@@ -462,7 +498,8 @@ def _chunked_sweeps(spec, w, ns, f):
         out[form] = list(itertools.chain.from_iterable(_mean_stacks(f, w, ns, form)))
     unit = np.broadcast_to(1.0, spec.size)
     for family in _FAMILIES:
-        out[family + " kernels"] = list(_order_sweep(family, unit, ns, spec, w))
+        kernels = _order_stacks(family, unit, ns, spec, w)
+        out[family + " kernels"] = list(itertools.chain.from_iterable(kernels))
     return out
 
 
