@@ -2,10 +2,10 @@
 
 Five subcommands: kernel-profile, identity-check, converge, classify-weights
 and bench-transform.  Options come from an optional JSON config file plus
-flags (flags win).  Numeric artifacts are written as CSV with 15 significant
-digits and rows sorted by order n, so reruns are byte-identical; one summary
-line per check goes to stdout.  Exit status: 0 success, 1 a numerical check
-failed its tolerance, 2 bad configuration.
+flags (flags win).  Each subcommand returns a Report and run() alone writes
+it: first the CSV, with 15 significant digits and rows sorted by order n, so
+reruns are byte-identical; then one summary line per check on stdout.  Exit
+status: 0 success, 1 a numerical check failed its tolerance, 2 bad configuration.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _say(line: str) -> None:
     """Print one summary line; once the reader of stdout has gone, discard the rest.
 
     A closed pipe (``vilenkin ... | head -1``) must not abort the run: the CSV
-    is still written and the exit status still reports the checks.
+    is already written and the exit status still reports the checks.
     """
     try:
         print(line, flush=True)
@@ -207,7 +207,16 @@ def _orders(start: int, n_max: int, spec: GroupSpec, mode: str) -> list[int]:
 # --- subcommands -------------------------------------------------------------
 
 
-def _run_kernel_profile(cfg: ExperimentConfig, out: Path) -> int:
+class Report(NamedTuple):
+    """What a subcommand found: its CSV, its stdout summary and whether a check failed."""
+
+    header: list[str]
+    rows: list[list[str]]
+    summary: list[str]
+    failed: bool = False
+
+
+def _run_kernel_profile(cfg: ExperimentConfig) -> Report:
     spec = _build_spec(cfg)
     w = _build_weights(cfg)
     n_max = _resolve_n_max(cfg, spec)
@@ -222,17 +231,15 @@ def _run_kernel_profile(cfg: ExperimentConfig, out: Path) -> int:
         [str(r.n), _fmt(r.l1), _fmt(r.integral.real), _fmt(r.integral.imag), _fmt(r.tail)]
         for r in rows
     ]
-    _write_csv(out, ["n", "l1", "integral_re", "integral_im", "tail"], csv_rows)
     sup_l1 = max(r.l1 for r in rows)
-    _say(
+    summary = (
         f"kernel-profile {cfg.family}[{w.label()}] on {spec}: {len(rows)} rows, "
         f"sup l1 = {sup_l1:.6g}, final tail(rank {cfg.tail_rank}) = {rows[-1].tail:.6g}"
     )
-    _say(f"wrote {out}")
-    return 0
+    return Report(["n", "l1", "integral_re", "integral_im", "tail"], csv_rows, [summary])
 
 
-def _run_identity_check(cfg: ExperimentConfig, out: Path) -> int:
+def _run_identity_check(cfg: ExperimentConfig) -> Report:
     from . import oracles
 
     spec = _build_spec(cfg)
@@ -279,24 +286,23 @@ def _run_identity_check(cfg: ExperimentConfig, out: Path) -> int:
         ),
     ]
     rows: list[list[str]] = []
-    failed: set[str] = set()
+    summary: list[str] = []
+    failed = False
     for check, scale, cases in checks:
         got: list[float] = []
+        bad = False
         for n, j, residual in cases:
-            if residual > CHECK_TOL * scale(n):
-                failed.add(check)
+            bad |= residual > CHECK_TOL * scale(n)
             rows.append([check, str(n), "" if j is None else str(j), _fmt(residual)])
             got.append(residual)
-        status = "FAIL" if check in failed else "ok"
-        _say(
+        failed |= bad
+        summary.append(
             f"identity-check {check}: max residual {max(got, default=0.0):.3e} "
-            f"over {len(got)} cases -> {status}"
+            f"over {len(got)} cases -> {'FAIL' if bad else 'ok'}"
         )
 
     rows.sort(key=lambda row: (row[0], int(row[1]), int(row[2] or -1)))
-    _write_csv(out, ["check", "n", "j", "residual"], rows)
-    _say(f"wrote {out}")
-    return 1 if failed else 0
+    return Report(["check", "n", "j", "residual"], rows, summary, failed)
 
 
 def _row_gaps(direct: np.ndarray, abel: np.ndarray) -> list[float]:
@@ -304,7 +310,7 @@ def _row_gaps(direct: np.ndarray, abel: np.ndarray) -> list[float]:
     return np.max(np.abs(np.subtract(direct, abel, out=abel)), axis=1).tolist()
 
 
-def _run_converge(cfg: ExperimentConfig, out: Path) -> int:
+def _run_converge(cfg: ExperimentConfig) -> Report:
     spec = _build_spec(cfg)
     w = _build_weights(cfg)
     n_max = _resolve_n_max(cfg, spec)
@@ -330,17 +336,15 @@ def _run_converge(cfg: ExperimentConfig, out: Path) -> int:
         p=None if point is not None else cfg.p,
     )
     csv_rows = [[str(r.n), _fmt(r.err), r.mean_id, cfg.mode] for r in rows]
-    _write_csv(out, ["n", "err", "mean_id", "mode"], csv_rows)
     where = f"point {cfg.point}" if point is not None else f"L{cfg.p:g} norm"
-    _say(
+    summary = (
         f"converge {rows[0].mean_id} ({cfg.mode}, {where}) on {spec}: "
         f"{len(rows)} rows, final err = {rows[-1].err:.6e}"
     )
-    _say(f"wrote {out}")
-    return 0
+    return Report(["n", "err", "mean_id", "mode"], csv_rows, [summary])
 
 
-def _run_classify_weights(cfg: ExperimentConfig, out: Path) -> int:
+def _run_classify_weights(cfg: ExperimentConfig) -> Report:
     w = _build_weights(cfg)
     n_max = cfg.n_max if cfg.n_max is not None else 10_000
     if n_max > MAX_CLASSIFY_N:
@@ -373,17 +377,15 @@ def _run_classify_weights(cfg: ExperimentConfig, out: Path) -> int:
         _fmt(c.growth_ratio),
         c.gate,
     ]
-    _write_csv(out, header, [row])
-    _say(
+    summary = (
         f"classify-weights {c.label}: monotonicity={c.monotonicity}, "
         f"fn01_sup={c.fn01_sup:.6g}, fn011_sup={c.fn011_sup:.6g}, "
         f"regular={c.regular}, gate={c.gate}"
     )
-    _say(f"wrote {out}")
-    return 0
+    return Report(header, [row], [summary])
 
 
-def _run_bench_transform(cfg: ExperimentConfig, out: Path) -> int:
+def _run_bench_transform(cfg: ExperimentConfig) -> Report:
     spec = _build_spec(cfg)
     if spec.size > MAX_NAIVE_SIZE:
         raise ConfigError(
@@ -405,23 +407,14 @@ def _run_bench_transform(cfg: ExperimentConfig, out: Path) -> int:
         fast_times.append(time.perf_counter() - t0)
     fast_s = sorted(fast_times)[FAST_REPEATS // 2]
     diff = float(np.max(np.abs(naive.coeffs - fast.coeffs)))
-    ok = diff <= AGREE_TOL
-    _write_csv(
-        out,
-        ["method", "seconds", "max_abs_diff"],
-        [
-            ["naive", f"{naive_s:.6g}", _fmt(diff)],
-            ["fast", f"{fast_s:.6g}", _fmt(diff)],
-        ],
-    )
-    status = "ok" if ok else "FAIL"
+    failed = not diff <= AGREE_TOL
     speed = naive_s / fast_s if fast_s > 0 else float("inf")
-    _say(
+    summary = (
         f"bench-transform on {spec} (M_N = {spec.size}): naive {naive_s:.4g}s, "
-        f"fast {fast_s:.4g}s (x{speed:.1f}), agreement {diff:.3e} -> {status}"
+        f"fast {fast_s:.4g}s (x{speed:.1f}), agreement {diff:.3e} -> {'FAIL' if failed else 'ok'}"
     )
-    _say(f"wrote {out}")
-    return 0 if ok else 1
+    rows = [["naive", f"{naive_s:.6g}", _fmt(diff)], ["fast", f"{fast_s:.6g}", _fmt(diff)]]
+    return Report(["method", "seconds", "max_abs_diff"], rows, [summary], failed)
 
 
 _COMMANDS = {
@@ -434,7 +427,10 @@ _COMMANDS = {
 
 
 def run(command: str, cfg: ExperimentConfig) -> int:
-    """Run one subcommand against a fully merged config; returns exit status."""
+    """Run one subcommand against a fully merged config; returns exit status.
+
+    The one writer: the CSV, then the summary lines, then ``wrote <out>``.
+    """
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     if cfg.mode == "block" and command not in _BLOCK_COMMANDS:
@@ -447,7 +443,12 @@ def run(command: str, cfg: ExperimentConfig) -> int:
         raise ConfigError(f"output path {out} is a directory")
     if not out.parent.is_dir():
         raise ConfigError(f"output directory {out.parent} does not exist")
-    return _COMMANDS[command](cfg, out)
+    report = _COMMANDS[command](cfg)
+    _write_csv(out, report.header, report.rows)
+    for line in report.summary:
+        _say(line)
+    _say(f"wrote {out}")
+    return 1 if report.failed else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

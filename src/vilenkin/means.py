@@ -80,6 +80,10 @@ class WeightSequence(_Value):
         if kind in _ALPHA_KINDS:
             if alpha is None or not 0 < alpha < 1:
                 raise ValueError(f"{kind} needs alpha in (0, 1), got {alpha}")
+            if kind in ("cesaro", "inverse-cesaro") and alpha - 1.0 == -1.0:
+                raise ValueError(
+                    f"{kind} alpha {alpha} too small: alpha - 1 rounds to -1, every q_k to 0"
+                )
         elif alpha is not None:
             raise ValueError(f"{kind} takes no alpha")
         object.__setattr__(self, "kind", kind)
@@ -266,16 +270,19 @@ def passes_gate(c: Classification) -> bool:
 
 
 def t_mean(
-    f: GridFunction, w: WeightSequence, n: int, method: str = "convolution"
+    f: GridFunction, w: WeightSequence, n: int, method: str = "multiplier"
 ) -> GridFunction:
     """Forward-frame mean T_n f = (1/Q_n) sum_{k<n} q_k S_k f.
 
-    Three routes are kept deliberately distinct so they can cross-check each
-    other: 'convolution' convolves f with the forward-frame kernel, 'direct'
+    The default 'multiplier' route is synthesize(fhat[:n] * lambda_n), as in
+    norlund_mean().  The oracle routes are kept deliberately distinct:
+    'convolution' convolves f with the forward-frame kernel, 'direct'
     accumulates partial sums term by term, and 'abel' rebuilds T_n from
-    Fejer means via summation by parts.  The last two are oracles, computed
-    by one order of the vilenkin.oracles.t_mean_oracles() pass.
+    Fejer means via summation by parts.  The last two are computed by one
+    order of the vilenkin.oracles.t_mean_oracles() pass.
     """
+    if method == "multiplier":
+        return synthesize(f.spec, _analyse(f, n) * multiplier("t", n, f.spec, w))
     if method == "convolution":
         return convolve(f, synthesize(f.spec, multiplier("t", n, f.spec, w)))
     if method not in ("direct", "abel"):

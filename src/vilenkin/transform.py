@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache, partial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -244,13 +244,6 @@ class GridFunction(_Frozen):
 
     __rmul__ = __mul__
 
-    def to_csv(self, path) -> None:
-        _write_complex_csv(path, self.values)
-
-    @classmethod
-    def from_csv(cls, spec: GroupSpec, path) -> "GridFunction":
-        return cls(spec, _read_complex_csv(path, spec.size))
-
 
 class Spectrum(_Frozen):
     """Fourier coefficients in Paley order, immutable once built.
@@ -265,13 +258,6 @@ class Spectrum(_Frozen):
     def __init__(self, spec: GroupSpec, coeffs) -> None:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "coeffs", _frozen(spec, coeffs, copy=True, name="coeffs"))
-
-    def to_csv(self, path) -> None:
-        _write_complex_csv(path, self.coeffs)
-
-    @classmethod
-    def from_csv(cls, spec: GroupSpec, path) -> "Spectrum":
-        return cls(spec, _read_complex_csv(path, spec.size))
 
 
 def _repeated(spec: GroupSpec, base: np.ndarray) -> np.ndarray:
@@ -288,37 +274,6 @@ def _frozen(
         raise ValueError(f"{name} must have shape ({spec.size},), got {arr.shape}")
     arr.setflags(write=False)
     return arr
-
-
-def _write_complex_csv(path, data: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("index,re,im\n")
-        for i, z in enumerate(data):
-            fh.write(f"{i},{z.real:.17g},{z.imag:.17g}\n")
-
-
-def _read_complex_csv(path, expected: int) -> np.ndarray:
-    out = np.zeros(expected, dtype=np.complex128)
-    seen = np.zeros(expected, dtype=bool)
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "index,re,im":
-            raise ValueError(f"unexpected CSV header {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            i_s, re_s, im_s = line.strip().split(",")
-            i = int(i_s)
-            if not 0 <= i < expected:
-                raise ValueError(f"row index {i} outside [0, {expected})")
-            if seen[i]:
-                raise ValueError(f"duplicate row index {i}")
-            seen[i] = True
-            out[i] = float(re_s) + 1j * float(im_s)
-    count = int(seen.sum())
-    if count != expected:
-        raise ValueError(f"expected {expected} rows, got {count}")
-    return out
 
 
 @lru_cache(maxsize=128)
@@ -610,13 +565,3 @@ def weak_norm(f: GridFunction, p: float) -> float:
     fractions = np.arange(1, len(mags) + 1) / len(mags)
     return float(np.max(mags * fractions ** (1.0 / p)))
 
-
-def lift_step(spec: GroupSpec, rank: int, base: Sequence[complex]) -> GridFunction:
-    """Extend values on the M_rank rank-n cells to a step function on the grid."""
-    if not 0 <= rank <= spec.levels:
-        raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
-    stride = spec.M[rank]
-    base_arr = np.asarray(base, dtype=np.complex128)
-    if base_arr.shape != (stride,):
-        raise ValueError(f"expected {stride} cell values, got {base_arr.shape}")
-    return GridFunction._own(spec, np.tile(base_arr, spec.size // stride))

@@ -637,11 +637,30 @@ def test_unwritable_out_exits_2_before_any_transform(
 def test_csv_refused_after_the_run_exits_2(capsys, command):
     # /dev/full opens but takes no data, so the write fails only after the
     # work; it used to end in an OSError traceback and exit 1, the code of
-    # a failed numeric check
+    # a failed numeric check.  The summary follows the write, so stdout
+    # reports nothing: identity-check used to print five "-> ok" lines first
     argv = [command, "--group", "2,3", "--levels", "3", "--weights", "riesz"]
     assert main([*argv, "--out", "/dev/full"]) == 2
-    err = capsys.readouterr().err
-    assert err == f"config error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "bench-transform"])
+@pytest.mark.parametrize("spelling", ["cesaro", "icesaro"])
+def test_tiny_cesaro_order_exits_2(tmp_path, capsys, command, spelling):
+    # at alpha <= 2^-54, alpha - 1 rounds to -1 and every weight to 0: three
+    # commands ended in a "Q(2) not positive" traceback and exit 1, and
+    # classify-weights called the family identically zero
+    out = tmp_path / "x.csv"
+    argv = [command, "--group", "2,3", "--levels", "3", "--weights", f"{spelling}:1e-17"]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("config error: ")
+    assert "alpha - 1 rounds to -1" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["converge", "kernel-profile"])

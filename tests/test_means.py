@@ -85,6 +85,15 @@ def test_weight_validation():
         parse_weights("cesaro:x")
 
 
+@pytest.mark.parametrize("kind", ["cesaro", "inverse-cesaro"])
+def test_cesaro_alpha_whose_order_rounds_to_minus_one_is_refused(kind):
+    # at alpha <= 2^-54, alpha - 1.0 == -1.0 and every q_k would be 0
+    with pytest.raises(ValueError, match="alpha - 1 rounds to -1"):
+        weights(kind, 2.0**-54)
+    above = math.nextafter(2.0**-54, 1.0)
+    assert weights(kind, above).q(1) > 0
+
+
 def test_parse_weights_labels_round_trip():
     for text in ALL_FAMILIES:
         w = parse_weights(text)
@@ -141,7 +150,7 @@ def test_t_mean_route_agreement():
         w = parse_weights(fam)
         for n in (w.n0, 5, 12, 36):
             base = t_mean(f, w, n, method="direct").values
-            for method in ("abel", "convolution"):
+            for method in ("multiplier", "abel", "convolution"):
                 got = t_mean(f, w, n, method=method).values
                 assert np.max(np.abs(got - base)) < 1e-10
 

@@ -20,7 +20,6 @@ from vilenkin.transform import (
     convolve,
     forward,
     inverse,
-    lift_step,
     norm,
     partial_sum,
     psi,
@@ -420,54 +419,3 @@ def test_grid_function_validation_and_immutability():
         f + GridFunction.constant(make_group([2, 2]))
     assert np.max(np.abs((f - g + g).values - f.values)) < 1e-15
     assert np.max(np.abs((2.0 * g).values - 2.0 * g.values)) == 0
-
-
-def test_lift_step_refuses_ranks_outside_the_grid():
-    # rank -1 used to wrap round to rank N, and rank N + 1 raised IndexError
-    spec = make_group([2, 3, 2])
-    with pytest.raises(ValueError, match=r"rank -1 outside \[0, 3\]"):
-        lift_step(spec, -1, np.zeros(spec.size))
-    with pytest.raises(ValueError, match=r"rank 4 outside \[0, 3\]"):
-        lift_step(spec, 4, np.zeros(spec.size))
-    assert np.array_equal(lift_step(spec, 1, [1.0, 2.0]).values, np.tile([1.0, 2.0], 6))
-
-
-def test_csv_round_trips(tmp_path):
-    spec = make_group([2, 3, 2])
-    f = GridFunction.random(spec, seed=3)
-    path = tmp_path / "f.csv"
-    f.to_csv(path)
-    back = GridFunction.from_csv(spec, path)
-    assert np.array_equal(back.values, f.values)
-    s = forward(f)
-    spath = tmp_path / "s.csv"
-    s.to_csv(spath)
-    sback = Spectrum.from_csv(spec, spath)
-    assert np.array_equal(sback.coeffs, s.coeffs)
-    with pytest.raises(ValueError):
-        GridFunction.from_csv(make_group([2, 3, 2, 3]), path)
-
-
-def _write_rows(path, indices):
-    path.write_text("index,re,im\n" + "".join(f"{i},{i}.5,0\n" for i in indices))
-
-
-def test_csv_rejects_negative_index(tmp_path):
-    path = tmp_path / "f.csv"
-    _write_rows(path, [0, 1, 2, -1])
-    with pytest.raises(ValueError, match="outside"):
-        GridFunction.from_csv(make_group([2, 2]), path)
-
-
-def test_csv_rejects_out_of_range_index(tmp_path):
-    path = tmp_path / "f.csv"
-    _write_rows(path, [0, 1, 2, 4])
-    with pytest.raises(ValueError, match="outside"):
-        GridFunction.from_csv(make_group([2, 2]), path)
-
-
-def test_csv_rejects_duplicate_index(tmp_path):
-    path = tmp_path / "f.csv"
-    _write_rows(path, [0, 0, 2, 3])
-    with pytest.raises(ValueError, match="duplicate"):
-        GridFunction.from_csv(make_group([2, 2]), path)
