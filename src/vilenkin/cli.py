@@ -22,7 +22,7 @@ import numpy as np
 
 from .group import GroupSpec, parse_element, parse_group
 from .kernels import _FAMILIES, l1_profile
-from .means import WeightSequence, classify, parse_weights
+from .means import Classification, classify, parse_weights
 from .points import convergence_profile
 from .transform import GridFunction, forward
 
@@ -64,8 +64,6 @@ class ExperimentConfig(NamedTuple):
 
 _CONFIG_KEYS = frozenset(ExperimentConfig._fields)
 _MODES = ("all", "block")
-# the subcommands whose orders mode selects; the others refuse mode "block"
-_BLOCK_COMMANDS = ("converge", "kernel-profile")
 
 
 def load_config(path: str | Path | None, overrides: dict) -> ExperimentConfig:
@@ -76,7 +74,8 @@ def load_config(path: str | Path | None, overrides: dict) -> ExperimentConfig:
 
         try:
             raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError: bad JSON or UTF-8, or a NUL in the path; RecursionError: deep nesting
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
@@ -142,23 +141,21 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _build_spec(cfg: ExperimentConfig) -> GroupSpec:
+def _checked(call, *args):
+    """call(*args), with a ValueError it raises reported as bad configuration."""
     try:
-        spec = parse_group(cfg.group, cfg.levels)
+        return call(*args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _build_spec(cfg: ExperimentConfig) -> GroupSpec:
+    spec = _checked(parse_group, cfg.group, cfg.levels)
     if spec.size > MAX_CLI_SIZE:
         raise ConfigError(
             f"resolution overflow: M_N = {spec.size} exceeds the CLI cap {MAX_CLI_SIZE}"
         )
     return spec
-
-
-def _build_weights(cfg: ExperimentConfig) -> WeightSequence:
-    try:
-        return parse_weights(cfg.weights)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _build_function(cfg: ExperimentConfig, spec: GroupSpec) -> GridFunction:
@@ -186,20 +183,17 @@ def _build_function(cfg: ExperimentConfig, spec: GroupSpec) -> GridFunction:
     )
 
 
-def _resolve_n_max(cfg: ExperimentConfig, spec: GroupSpec) -> int:
+def _orders(cfg: ExperimentConfig, spec: GroupSpec, start: int) -> list[int]:
+    """The orders start .. n-max (default M_N), or the block sizes M_r among them."""
     n_max = cfg.n_max if cfg.n_max is not None else spec.size
     if not 1 <= n_max <= spec.size:
         raise ConfigError(f"n-max {n_max} outside [1, M_N = {spec.size}]")
-    return n_max
-
-
-def _orders(start: int, n_max: int, spec: GroupSpec, mode: str) -> list[int]:
-    if mode == "block":
+    if cfg.mode == "block":
         ns = [b for b in spec.M if start <= b <= n_max]
     else:
         ns = list(range(start, n_max + 1))
     if not ns:
-        what = "block sizes M_r" if mode == "block" else "orders"
+        what = "block sizes M_r" if cfg.mode == "block" else "orders"
         raise ConfigError(f"no {what} in [{start}, {n_max}]; raise --n-max")
     return ns
 
@@ -218,14 +212,12 @@ class Report(NamedTuple):
 
 def _run_kernel_profile(cfg: ExperimentConfig) -> Report:
     spec = _build_spec(cfg)
-    w = _build_weights(cfg)
-    n_max = _resolve_n_max(cfg, spec)
+    w = _checked(parse_weights, cfg.weights)
+    ns = _orders(cfg, spec, 1 if cfg.family in ("dirichlet", "fejer") else w.n0)
     if cfg.family not in _FAMILIES:
         raise ConfigError(f"unknown kernel family {cfg.family!r}")
     if not 0 <= cfg.tail_rank <= spec.levels:
         raise ConfigError(f"tail-rank {cfg.tail_rank} outside [0, {spec.levels}]")
-    start = 1 if cfg.family in ("dirichlet", "fejer") else w.n0
-    ns = _orders(start, n_max, spec, cfg.mode)
     rows = l1_profile(cfg.family, ns, spec, weights=w, tail_rank=cfg.tail_rank)
     csv_rows = [
         [str(r.n), _fmt(r.l1), _fmt(r.integral.real), _fmt(r.integral.imag), _fmt(r.tail)]
@@ -243,9 +235,8 @@ def _run_identity_check(cfg: ExperimentConfig) -> Report:
     from . import oracles
 
     spec = _build_spec(cfg)
-    w = _build_weights(cfg)
-    n_max = _resolve_n_max(cfg, spec)
-    ns = _orders(w.n0, n_max, spec, "all")
+    w = _checked(parse_weights, cfg.weights)
+    ns = _orders(cfg, spec, w.n0)
     f = _build_function(cfg, spec)
     blocks = [rank for rank in range(spec.levels + 1) if w.Q(spec.M[rank]) > 0]
     # (check, scale of case n, rows of (n, j, residual)): a case passes when
@@ -312,28 +303,16 @@ def _row_gaps(direct: np.ndarray, abel: np.ndarray) -> list[float]:
 
 def _run_converge(cfg: ExperimentConfig) -> Report:
     spec = _build_spec(cfg)
-    w = _build_weights(cfg)
-    n_max = _resolve_n_max(cfg, spec)
+    w = _checked(parse_weights, cfg.weights)
+    ns = _orders(cfg, spec, 1 if cfg.form == "partial" else w.n0)
     f = _build_function(cfg, spec)
-    point = None
-    if cfg.point is not None:
-        try:
-            point = parse_element(cfg.point, spec)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    point = None if cfg.point is None else _checked(parse_element, cfg.point, spec)
     if cfg.form not in ("t", "norlund", "partial"):
         raise ConfigError(f"unknown mean form {cfg.form!r}")
     if point is None and not cfg.p >= 1:  # also refuses NaN
         raise ConfigError(f"p must be >= 1, got {cfg.p}")
-    start = 1 if cfg.form == "partial" else w.n0
-    ns = _orders(start, n_max, spec, cfg.mode)
     rows = convergence_profile(
-        f,
-        w,
-        ns,
-        form=cfg.form,
-        point=point,
-        p=None if point is not None else cfg.p,
+        f, w, ns, form=cfg.form, point=point, p=cfg.p if point is None else None
     )
     csv_rows = [[str(r.n), _fmt(r.err), r.mean_id, cfg.mode] for r in rows]
     where = f"point {cfg.point}" if point is not None else f"L{cfg.p:g} norm"
@@ -345,44 +324,23 @@ def _run_converge(cfg: ExperimentConfig) -> Report:
 
 
 def _run_classify_weights(cfg: ExperimentConfig) -> Report:
-    w = _build_weights(cfg)
+    w = _checked(parse_weights, cfg.weights)
     n_max = cfg.n_max if cfg.n_max is not None else 10_000
     if n_max > MAX_CLASSIFY_N:
         raise ConfigError(
             f"classify-weights: n-max {n_max} exceeds the limit {MAX_CLASSIFY_N}"
         )
-    try:
-        c = classify(w, n_max)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    header = [
-        "family",
-        "n_max",
-        "q0",
-        "monotonicity",
-        "fn01_sup",
-        "fn011_sup",
-        "regular",
-        "growth_ratio",
-        "gate",
-    ]
+    c = _checked(classify, w, n_max)
     row = [
-        c.label,
-        str(c.n_max),
-        _fmt(c.q0),
-        c.monotonicity,
-        _fmt(c.fn01_sup),
-        _fmt(c.fn011_sup),
-        str(int(c.regular)),
-        _fmt(c.growth_ratio),
-        c.gate,
+        str(int(v)) if isinstance(v, bool) else _fmt(v) if isinstance(v, float) else str(v)
+        for v in c
     ]
     summary = (
         f"classify-weights {c.label}: monotonicity={c.monotonicity}, "
         f"fn01_sup={c.fn01_sup:.6g}, fn011_sup={c.fn011_sup:.6g}, "
         f"regular={c.regular}, gate={c.gate}"
     )
-    return Report(header, [row], [summary])
+    return Report(["family", *Classification._fields[1:]], [row], [summary])
 
 
 def _run_bench_transform(cfg: ExperimentConfig) -> Report:
@@ -417,12 +375,17 @@ def _run_bench_transform(cfg: ExperimentConfig) -> Report:
     return Report(["method", "seconds", "max_abs_diff"], rows, [summary], failed)
 
 
+# name -> (runner, --help text, whether --block selects its orders)
 _COMMANDS = {
-    "kernel-profile": _run_kernel_profile,
-    "identity-check": _run_identity_check,
-    "converge": _run_converge,
-    "classify-weights": _run_classify_weights,
-    "bench-transform": _run_bench_transform,
+    "kernel-profile": (_run_kernel_profile, "L1 norms, integrals and tails of a kernel family", True),
+    "identity-check": (
+        _run_identity_check,
+        "run the algebraic identity suite at tolerance 1e-12 x the size of each sum",
+        False,
+    ),
+    "converge": (_run_converge, "pointwise or L_p error profile of a summability mean", True),
+    "classify-weights": (_run_classify_weights, "monotonicity and sup statistics of a weight family", False),
+    "bench-transform": (_run_bench_transform, "time the naive vs fast transform and check agreement", False),
 }
 
 
@@ -433,17 +396,20 @@ def run(command: str, cfg: ExperimentConfig) -> int:
     """
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    if cfg.mode == "block" and command not in _BLOCK_COMMANDS:
-        raise ConfigError(
-            f"--block applies only to {' and '.join(_BLOCK_COMMANDS)}, not to {command}"
-        )
+    runner, _, takes_block = _COMMANDS[command]
+    if cfg.mode == "block" and not takes_block:
+        blocks = sorted(name for name, (_, _, block) in _COMMANDS.items() if block)
+        raise ConfigError(f"--block applies only to {' and '.join(blocks)}, not to {command}")
     out = Path(cfg.out) if cfg.out is not None else Path(f"{command.replace('-', '_')}.csv")
-    # checked before any work, so that a long run cannot end in an unwritable CSV
+    # checked before any work, so that a long run cannot end in an unwritable
+    # CSV; is_dir() would take a NUL for a missing file, and open() refuse it
+    if "\0" in str(out):
+        raise ConfigError(f"output path {str(out)!r} holds a NUL character")
     if out.is_dir():
         raise ConfigError(f"output path {out} is a directory")
     if not out.parent.is_dir():
         raise ConfigError(f"output directory {out.parent} does not exist")
-    report = _COMMANDS[command](cfg)
+    report = runner(cfg)
     _write_csv(out, report.header, report.rows)
     for line in report.summary:
         _say(line)
@@ -479,16 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Harmonic analysis diagnostics on bounded Vilenkin groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("kernel-profile", "L1 norms, integrals and tails of a kernel family"),
-        (
-            "identity-check",
-            "run the algebraic identity suite at tolerance 1e-12 x the size of each sum",
-        ),
-        ("converge", "pointwise or L_p error profile of a summability mean"),
-        ("classify-weights", "monotonicity and sup statistics of a weight family"),
-        ("bench-transform", "time the naive vs fast transform and check agreement"),
-    ]:
+    for name, (_, help_text, _) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
@@ -503,8 +460,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, flag_values)
         return run(args.command, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except ConfigError as exc:  # one line, though a path it names may hold a newline
+        print(f"config error: {exc}".replace("\n", "\\n"), file=sys.stderr)
         return 2
 
 

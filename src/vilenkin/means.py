@@ -24,7 +24,6 @@ exact for every family.
 
 from __future__ import annotations
 
-import math
 import operator
 from functools import lru_cache
 from typing import NamedTuple
@@ -193,13 +192,14 @@ def parse_weights(text: str) -> WeightSequence:
 
 
 class Classification(NamedTuple):
-    """Numerical evidence for the summability hypotheses on one family."""
+    """Numerical evidence for the summability hypotheses on one family.
+
+    The fields are the columns of a classify-weights CSV row, in order.
+    """
 
     label: str
     n_max: int
     q0: float
-    non_increasing: bool
-    non_decreasing: bool
     monotonicity: str
     fn01_sup: float
     fn011_sup: float
@@ -215,8 +215,8 @@ def classify(w: WeightSequence, n_max: int = 10_000) -> Classification:
     over n0 <= n <= n_max.  Monotonicity is judged after skipping a leading
     zero weight, so families with q_0 = 0 and decreasing tail still classify
     as non-increasing.  The gate field tells which summability hypothesis
-    pattern the family matches: 'a' (non-increasing), 'b' (non-decreasing
-    with finite fn01_sup), 'a+b', or 'none'.
+    pattern the family matches: 'a' (non-increasing), 'b' (non-decreasing;
+    its fn01_sup is finite, since Q_n > 0 from n0 on), 'a+b', or 'none'.
     """
     if n_max < w.n0 + 1:
         raise ValueError(f"n_max {n_max} too small for this family")
@@ -227,32 +227,21 @@ def classify(w: WeightSequence, n_max: int = 10_000) -> Classification:
         raise ValueError("weight sequence is identically zero")
     tail = q[positive[0] :]
     diffs = np.diff(tail)
-    non_inc = bool(np.all(diffs <= 0))
-    non_dec = bool(np.all(diffs >= 0))
-    if non_inc and non_dec:
-        mono = "both"
-    elif non_inc:
-        mono = "non-increasing"
-    elif non_dec:
-        mono = "non-decreasing"
-    else:
-        mono = "neither"
+    mono, gate = {
+        (True, True): ("both", "a+b"),
+        (True, False): ("non-increasing", "a"),
+        (False, True): ("non-decreasing", "b"),
+        (False, False): ("neither", "none"),
+    }[bool(np.all(diffs <= 0)), bool(np.all(diffs >= 0))]
     ns = np.arange(w.n0, n_max + 1)
     fn01 = float(np.max(ns * q[ns - 1] / Q[ns]))
     fn011 = float(np.max(ns * q[0] / Q[ns]))
     half = max(n_max // 2, w.n0)
     growth = float(Q[n_max] / Q[half])
-    gate_a = non_inc
-    gate_b = non_dec and math.isfinite(fn01)
-    gate = {(True, True): "a+b", (True, False): "a", (False, True): "b"}.get(
-        (gate_a, gate_b), "none"
-    )
     return Classification(
         label=w.label(),
         n_max=n_max,
         q0=float(q[0]),
-        non_increasing=non_inc,
-        non_decreasing=non_dec,
         monotonicity=mono,
         fn01_sup=fn01,
         fn011_sup=fn011,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache, partial
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -490,30 +491,59 @@ def _lp_norms(values: np.ndarray, p: float, g: np.ndarray) -> list[float]:
     values is f on the grid; g is a (rows x M_s) stack of M_s-periodic
     functions given on the cells x < M_s.  Each result is bitwise
     np.mean(np.abs(g_i - f) ** p) ** (1 / p) on the tiled g_i (the max of
-    |g_i - f| for p = inf), in O(_STREAM_CELLS) memory at any M_N.  A grid
-    of more cells is cut into contiguous leaves where np.add.reduce's
-    pairwise summation (Higham 1993) cuts it: a run of more than
-    _PAIRWISE_BLOCK cells splits at n2 = n//2 - (n//2) % 8, down to runs of
-    at most _STREAM_CELLS cells.  The rows run in _runs() of M_N-cell rows,
-    each tiled once to the grid, or to a leaf and a period, or left bare if
-    a period is at least a leaf long.  So every leaf reads a slice from
-    column x mod M_s on; its |g - f|^p is summed by np.add.reduce, and the
-    leaf sums are added back as numpy adds the halves.  Each row's root is
-    taken as a scalar, as np.mean's result is.
+    |g_i - f| for p = inf), taken from _lp_sums() in O(_STREAM_CELLS) memory
+    at any M_N, and each row's root is taken as a scalar, as np.mean's
+    result is.  A row whose sum over- or underflows (it is not in
+    [M_N * tiny, inf), as at p = 1000 or for |g - f| far below 1) is rescaled by
+    its peak, the largest |g - f|, found by the p = inf leaves: it is
+    peak * mean((|g - f| / peak) ** p) ** (1 / p), after Blue (ACM TOMS 4,
+    1978).  The quotients lie in [0, 1] and the peak's own is exactly 1, so
+    that sum neither overflows nor vanishes.
+    """
+    size = len(values)
+    with np.errstate(over="ignore"):
+        sums = _lp_sums(values, p, g)
+    if p == math.inf:
+        return [float(t) for t in sums]
+    norms = [float((t / size) ** (1.0 / p)) for t in sums]
+    low = size * np.finfo(float).tiny
+    redo = [i for i, t in enumerate(sums) if not low <= t < math.inf]
+    if redo:
+        peaks = np.array(_lp_sums(values, math.inf, g[redo]))
+        scaled = [k for k, peak in enumerate(peaks) if 0 < peak < math.inf]
+        rescaled = _lp_sums(values, p, g[[redo[k] for k in scaled]], peaks[scaled])
+        for k, t in zip(scaled, rescaled):
+            norms[redo[k]] = float(peaks[k] * (t / size) ** (1.0 / p))
+    return norms
+
+
+def _lp_sums(
+    values: np.ndarray, p: float, g: np.ndarray, peaks: np.ndarray | None = None
+) -> list[np.float64]:
+    """Each row's sum of |g_i - f|^p, or of (|g_i - f| / peaks_i)^p; at p = inf, its max |g_i - f|.
+
+    A grid of more than _STREAM_CELLS cells is cut into contiguous leaves
+    where np.add.reduce's pairwise summation (Higham 1993) cuts it: a run of
+    more than _PAIRWISE_BLOCK cells splits at n2 = n//2 - (n//2) % 8, down
+    to runs of at most _STREAM_CELLS cells.  The rows run in _runs() of
+    M_N-cell rows, each tiled once to the grid, or to a leaf and a period,
+    or left bare if a period is at least a leaf long.  So every leaf reads a
+    slice from column x mod M_s on; its |g - f|^p is summed by
+    np.add.reduce, and the leaf sums are added back as numpy adds the halves.
     """
     size = len(values)
     cells = max(_PAIRWISE_BLOCK, _STREAM_CELLS)
     period = g.shape[1]
     width = period if period >= cells else min(size, period * -(-(cells + period - 1) // period))
     combine = np.maximum if p == math.inf else np.add
-    totals = []
-    for rows in _runs(g, size):
+    # the peaks' column runs in the same slices as the rows it divides
+    scales = _runs(peaks[:, None], size) if peaks is not None else repeat(None)
+    sums = []
+    for rows, scale in zip(_runs(g, size), scales):
         tiled = rows if width == period else np.tile(rows, (1, width // period))
-        leaf = partial(_lp_leaf, values, tiled, period, p)
-        totals.extend(_pairwise(leaf, combine, 0, size, cells))
-    if p == math.inf:
-        return [float(t) for t in totals]
-    return [float((t / size) ** (1.0 / p)) for t in totals]
+        leaf = partial(_lp_leaf, values, tiled, period, p, scale)
+        sums.extend(_pairwise(leaf, combine, 0, size, cells))
+    return sums
 
 
 def _pairwise(leaf, combine, start: int, n: int, width: int) -> np.ndarray:
@@ -532,19 +562,28 @@ def _pairwise(leaf, combine, start: int, n: int, width: int) -> np.ndarray:
 
 
 def _lp_leaf(
-    values: np.ndarray, g: np.ndarray, period: int, p: float, start: int, n: int
+    values: np.ndarray,
+    g: np.ndarray,
+    period: int,
+    p: float,
+    scale: np.ndarray | None,
+    start: int,
+    n: int,
 ) -> np.ndarray:
     """Each row's sum of |g - f|^p (max of |g - f| for p = inf) over cells start .. start + n - 1.
 
     g holds rows of period M_s = period, tiled so that the leaf's n cells
     from column start mod M_s on are one slice, or, on a bare row, the slice
-    to its end joined to the row's first cells.
+    to its end joined to the row's first cells.  A scale column divides each
+    row's |g - f| before the power.
     """
     phase = start % period
     rows = g[:, phase : phase + n]
     if rows.shape[1] < n:  # across the end of a bare row, n <= period
         rows = np.concatenate([rows, g[:, : n - rows.shape[1]]], axis=1)
     mags = np.abs(rows - values[start : start + n])
+    if scale is not None:
+        mags /= scale
     if p == math.inf:
         return mags.max(axis=1)
     if p != 1:  # x ** 1 is x

@@ -19,7 +19,7 @@ import vilenkin.oracles
 import vilenkin.transform
 from vilenkin.cli import FAST_REPEATS, ExperimentConfig, load_config, main, run
 from vilenkin.group import make_group
-from vilenkin.means import parse_weights
+from vilenkin.means import Classification, parse_weights
 
 
 def read_csv(path):
@@ -483,6 +483,8 @@ def test_classify_weights_row(tmp_path):
     assert row["monotonicity"] == "non-decreasing"
     assert row["gate"] == "b"
     assert np.isfinite(float(row["fn01_sup"]))
+    # the header is the Classification record's fields, its label as family
+    assert list(row) == ["family", *Classification._fields[1:]]
 
 
 def test_bench_transform_agrees(tmp_path):
@@ -646,6 +648,62 @@ def test_csv_refused_after_the_run_exits_2(capsys, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_nul_in_output_path_exits_2_before_any_transform(
+    tmp_path, capsys, butterflies, monkeypatch, command
+):
+    # is_dir() takes a NUL for a missing file, so the whole job ran and then
+    # open() raised "embedded null byte": a traceback and exit 1
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "nul.json"
+    cfg_path.write_text(json.dumps({"out": "x\u0000y"}))
+    argv = [command, "--config", str(cfg_path), "--group", "2,3", "--levels", "3"]
+    assert main([*argv, "--weights", "riesz"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: output path 'x\\x00y' holds a NUL character\n"
+    assert captured.out == ""
+    assert butterflies == []
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+@pytest.mark.parametrize(
+    "raw, reason",
+    [
+        (b'\xff\xfe{"p": 2}', "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["non-utf8", "deeply-nested"],
+)
+def test_unreadable_config_exits_2(tmp_path, capsys, raw, reason):
+    # read_text() raised UnicodeDecodeError, and json.loads() RecursionError,
+    # past the JSON error handler: a traceback and exit 1
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_bytes(raw)
+    out = tmp_path / "x.csv"
+    assert main(["converge", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {cfg_path}: {reason}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", ["1000", "1e308"])
+def test_large_p_errors_are_finite(tmp_path, capsys, p):
+    # --p 1000 wrote inf at n = 2 and --p 1e308 a 0 or inf, each with an
+    # overflow warning; a sum of |g - f|^p that overflows is rescaled by the
+    # row's largest |g - f|, so 1e308 gives the L_inf errors
+    argv = ["converge", "--group", "2,3", "--levels", "3", "--weights", "riesz"]
+    assert main([*argv, "--p", p, "--out", str(tmp_path / "p.csv")]) == 0
+    assert main([*argv, "--p", "inf", "--out", str(tmp_path / "inf.csv")]) == 0
+    capsys.readouterr()
+    _, rows = read_csv(tmp_path / "p.csv")
+    _, inf_rows = read_csv(tmp_path / "inf.csv")
+    assert all(np.isfinite(float(r["err"])) for r in rows)
+    assert all(float(r["err"]) <= float(i["err"]) for r, i in zip(rows, inf_rows))
+    if p == "1e308":
+        assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "inf.csv").read_bytes()
+
+
 @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "bench-transform"])
 @pytest.mark.parametrize("spelling", ["cesaro", "icesaro"])
 def test_tiny_cesaro_order_exits_2(tmp_path, capsys, command, spelling):
@@ -778,3 +836,12 @@ def test_run_rejects_unknown_command():
 
     with pytest.raises(ConfigError):
         run("mystery", ExperimentConfig())
+
+
+def test_config_error_naming_a_two_line_path_is_one_line(tmp_path, capsys):
+    # the path was printed as is, so a newline in it split the error in two
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"out": str(tmp_path / "x\ny" / "z.csv")}))
+    assert main(["classify-weights", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: output directory {tmp_path}/x\\ny does not exist\n"

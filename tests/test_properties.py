@@ -388,6 +388,48 @@ def test_streamed_lp_errors_and_norms_equal_the_plain_expression(case, form, lea
         vilenkin.transform._STREAM_CELLS = default
 
 
+def _rescaled_norm(x, p):
+    """The plain expression, or Blue's form scaled by max |x| where its sum over- or underflows."""
+    mags = np.abs(x)
+    with np.errstate(over="ignore"):
+        total = np.add.reduce(mags**p)
+    peak = np.max(mags)
+    if len(x) * np.finfo(float).tiny <= total < math.inf or not 0 < peak < math.inf:
+        return float((total / len(x)) ** (1 / p))
+    return float(peak * np.mean((mags / peak) ** p) ** (1 / p))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    quotient_cases(),
+    st.sampled_from(sorted(_FORM_FAMILY)),
+    st.sampled_from([1, 64, 4096]),
+    st.sampled_from([1e-200, 1e-3, 1.0, 1e3]),
+    st.sampled_from([1.0, 2.5, 60.0, 200.0, 1000.0, 1e308]),
+)
+def test_lp_errors_whose_sums_over_or_underflow_are_rescaled_by_their_peak(
+    case, form, leaf, scale, p
+):
+    # Each error is the plain expression wherever its sum of |g - f|^p is a
+    # normal float, and peak * mean((|g - f| / peak)^p)^(1/p) where it over-
+    # or underflows; at p = 1e308 that is the peak itself, the L_inf error.
+    spec, w, ns, f, _, _ = case
+    f = GridFunction._own(spec, scale * f.values)
+    ns = sorted({*ns, spec.size})
+    means = dict(_tiled_means(f, w, ns, _FORM_FAMILY[form]))
+    default = vilenkin.transform._STREAM_CELLS
+    vilenkin.transform._STREAM_CELLS = leaf
+    try:
+        got = [r.err for r in convergence_profile(f, w, ns, form=form, p=p)]
+        inf = [r.err for r in convergence_profile(f, w, ns, form=form, p=math.inf)]
+    finally:
+        vilenkin.transform._STREAM_CELLS = default
+    assert got == [_rescaled_norm(means[n].values - f.values, p) for n in ns]
+    assert all(math.isfinite(err) for err in got)
+    if p == 1e308:
+        assert got == inf
+
+
 def _abel_on_grid(spec, w, ns):
     """The abel-kernel residuals with every kernel synthesized on the whole grid."""
     partial = np.zeros(spec.size, dtype=complex)

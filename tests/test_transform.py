@@ -354,6 +354,21 @@ def test_norm_examples():
             norm(f, p)
 
 
+def test_norm_at_large_p_is_rescaled_by_its_peak():
+    # |f|^p over- or underflowed: norm(f, 1e308) was inf with an overflow
+    # warning, and norm(1e-3 f, 200) was 0.0 with none
+    spec = make_group([2, 3], 3)
+    f = GridFunction.random(spec, seed=0)
+    small = GridFunction._own(spec, 1e-3 * f.values)
+    assert norm(small, 200) == 2.2996771843625426e-3
+    peak = float(np.max(np.abs(small.values)))
+    rescaled = peak * np.mean((np.abs(small.values) / peak) ** 200) ** (1 / 200)
+    assert norm(small, 200) == float(rescaled)
+    assert norm(f, 1e308) == norm(f, math.inf)
+    assert norm(f, math.inf) * 12 ** (-1 / 1000) <= norm(f, 1000) <= norm(f, math.inf)
+    assert norm(GridFunction._own(spec, np.zeros(12)), 1000) == 0.0
+
+
 def test_norm_needs_no_grid_sized_temporary():
     # |f|^p is summed a leaf at a time, bitwise the one-expression mean; as
     # one M_N-float array (and np.abs's own) it took 16.0 MiB traced at 2^20
