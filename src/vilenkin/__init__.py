@@ -3,11 +3,9 @@
 from .group import (
     Element,
     GroupSpec,
-    add,
     generator,
     interval_members,
     make_group,
-    subtract,
 )
 from .kernels import (
     KernelProfileRow,
@@ -24,12 +22,10 @@ from .means import (
     WeightSequence,
     binomial_sequence,
     classify,
-    named_mean,
     norlund_mean,
     parse_weights,
     passes_gate,
     t_mean,
-    weights,
 )
 from .points import (
     ConvergenceRow,
@@ -47,8 +43,6 @@ from .transform import (
     inverse,
     norm,
     partial_sum,
-    psi,
-    rademacher,
     synthesize,
     weak_norm,
 )

@@ -56,7 +56,6 @@ class ExperimentConfig(NamedTuple):
     function: str = "random"
     point: str | None = None
     p: float = 1.0
-    seed: int = 0
     form: str = "t"
     mode: str = "all"
     out: str | None = None
@@ -171,7 +170,7 @@ def _build_function(cfg: ExperimentConfig, spec: GroupSpec) -> GridFunction:
             return GridFunction.indicator(spec, int(rank_s), int(cell_s or 0))
         if name == "random":
             if not rest:
-                return GridFunction.random(spec, cfg.seed)
+                return GridFunction.random(spec, 0)
             seed_s, _, rank_s = rest.partition(",")
             rank = int(rank_s) if rank_s else None
             return GridFunction.random(spec, int(seed_s), rank)
@@ -426,10 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--family", help="kernel family: dirichlet | fejer | t | norlund")
     common.add_argument("--n-max", dest="n_max", type=int, help="largest order n")
     common.add_argument("--tail-rank", dest="tail_rank", type=int, help="interval rank for kernel tails")
-    common.add_argument("--function", help="constant | character:K | indicator:RANK,CELL | random:SEED[,RANK]")
+    common.add_argument("--function", help="constant | character:K | indicator:RANK,CELL | random[:SEED[,RANK]] (seed 0 if omitted)")
     common.add_argument("--point", help="digit vector, e.g. 0,1,0")
     common.add_argument("--p", type=float, help="L_p exponent for norm errors")
-    common.add_argument("--seed", type=int, help="seed for random functions")
     common.add_argument("--form", help="mean form: t | norlund | partial")
     common.add_argument(
         "--block",

@@ -10,6 +10,7 @@ indices congruent to it mod M_n, i.e. an arithmetic progression of stride M_n.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -102,7 +103,7 @@ class GroupSpec(_Value):
         return total
 
     def __str__(self) -> str:
-        return format_group(self)
+        return ",".join(str(r) for r in self.m)
 
 
 def make_group(m: Sequence[int], levels: int | None = None) -> GroupSpec:
@@ -112,7 +113,7 @@ def make_group(m: Sequence[int], levels: int | None = None) -> GroupSpec:
     ``make_group([2, 3], 4)`` gives radices (2, 3, 2, 3).  Every radix must
     be an integer >= 2 and the total size M_N must stay below 2**62.
     """
-    pattern = [int(r) for r in m]
+    pattern = [operator.index(r) for r in m]  # numpy integers pass, floats raise TypeError
     if not pattern:
         raise ValueError("radix pattern must be non-empty")
     for r in pattern:
@@ -144,6 +145,7 @@ class Element(_Value):
     digits: tuple[int, ...]
 
     def __init__(self, spec: GroupSpec, digits: tuple[int, ...]) -> None:
+        digits = tuple(map(operator.index, digits))  # numpy integers pass, floats raise TypeError
         if len(digits) != spec.levels:
             raise ValueError(f"expected {spec.levels} digits, got {len(digits)}")
         for j, (d, r) in enumerate(zip(digits, spec.m)):
@@ -168,32 +170,21 @@ class Element(_Value):
         return self.spec.index_of(self.digits)
 
     def __add__(self, other: "Element") -> "Element":
-        return add(self, other)
+        """Coordinatewise sum mod the radices."""
+        if self.spec != other.spec:
+            raise ValueError("elements belong to different groups")
+        d = tuple((a + b) % r for a, b, r in zip(self.digits, other.digits, self.spec.m))
+        return Element(self.spec, d)
 
     def __sub__(self, other: "Element") -> "Element":
-        return subtract(self, other)
+        """Coordinatewise difference mod the radices."""
+        if self.spec != other.spec:
+            raise ValueError("elements belong to different groups")
+        d = tuple((a - b) % r for a, b, r in zip(self.digits, other.digits, self.spec.m))
+        return Element(self.spec, d)
 
     def __str__(self) -> str:
-        return format_element(self)
-
-
-def _check_same_spec(x: Element, y: Element) -> None:
-    if x.spec != y.spec:
-        raise ValueError("elements belong to different groups")
-
-
-def add(x: Element, y: Element) -> Element:
-    """Coordinatewise sum mod the radices."""
-    _check_same_spec(x, y)
-    d = tuple((a + b) % r for a, b, r in zip(x.digits, y.digits, x.spec.m))
-    return Element(x.spec, d)
-
-
-def subtract(x: Element, y: Element) -> Element:
-    """Coordinatewise difference mod the radices."""
-    _check_same_spec(x, y)
-    d = tuple((a - b) % r for a, b, r in zip(x.digits, y.digits, x.spec.m))
-    return Element(x.spec, d)
+        return ",".join(str(d) for d in self.digits)
 
 
 def generator(s: int, spec: GroupSpec) -> Element:
@@ -218,11 +209,7 @@ def interval_members(x: Element, rank: int) -> np.ndarray:
     return np.arange(x.index % stride, spec.size, stride, dtype=np.int64)
 
 
-# --- plain-text round trips used by the CLI ---------------------------------
-
-
-def format_group(spec: GroupSpec) -> str:
-    return ",".join(str(r) for r in spec.m)
+# --- the CLI's parsers, inverse to str() of a GroupSpec and an Element -------
 
 
 def parse_group(text: str, levels: int | None = None) -> GroupSpec:
@@ -231,10 +218,6 @@ def parse_group(text: str, levels: int | None = None) -> GroupSpec:
     except ValueError as exc:
         raise ValueError(f"bad group spec {text!r}: {exc}") from None
     return make_group(pattern, levels)
-
-
-def format_element(x: Element) -> str:
-    return ",".join(str(d) for d in x.digits)
 
 
 def parse_element(text: str, spec: GroupSpec) -> Element:

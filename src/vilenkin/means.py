@@ -6,15 +6,19 @@ two matrix means of the Fourier partial sums S_k f (with S_0 f = 0):
     forward frame    T_n f = (1/Q_n) * sum_{k=0}^{n-1} q_k S_k f
     reversed frame   t_n f = (1/Q_n) * sum_{k=1}^{n}   q_{n-k} S_k f
 
-Built-in families (alpha always in (0, 1)):
+Built-in families (alpha always in (0, 1)), each with the frame of the
+classical mean it gives:
 
-    constant        q_k = 1                       both frames give Fejer-type means
+    constant        q_k = 1                       reversed frame: Fejer means (both Fejer-type)
     cesaro          q_k = A_k^(alpha-1), q_0 = 0  reversed frame: (C, alpha) means
     inverse-cesaro  same weights as cesaro        forward frame
-    power           q_k = k^(alpha-1), q_0 = 0    forward frame
+    power           q_k = k^(alpha-1), q_0 = 0    forward frame: V-alpha means
     riesz-log       q_k = 1/k, q_0 = 0            forward frame: Riesz log means
-    norlund-log     q_k = 1/k, q_0 = 0            reversed frame
-    log-power       q_k = log(k+1)**alpha         forward frame
+    norlund-log     q_k = 1/k, q_0 = 0            reversed frame: Norlund log means
+    log-power       q_k = log(k+1)**alpha         forward frame: B-alpha means
+
+So the Riesz mean of order n is t_mean(f, WeightSequence("riesz-log"), n)
+and the (C, alpha) mean norlund_mean(f, WeightSequence("cesaro", alpha), n).
 
 A_k^beta is the generalized binomial coefficient prod_{i=1..k} (beta+i)/i,
 taken to be 0 at k = 0 so that every family normalizes by the plain sum of
@@ -151,7 +155,7 @@ def _q_cache(w: WeightSequence, count: int) -> np.ndarray:
             q[1:] = 1.0 / k[1:]
     elif w.kind == "log-power":
         q = np.log(k + 1.0) ** w.alpha
-    else:  # pragma: no cover - guarded by __post_init__
+    else:  # pragma: no cover - WeightSequence.__init__ admits only KINDS
         raise ValueError(w.kind)
     q.setflags(write=False)
     return q
@@ -163,11 +167,6 @@ def _Q_cache(w: WeightSequence, n: int) -> np.ndarray:
     out[1:] = np.cumsum(w.q_array(n))
     out.setflags(write=False)
     return out
-
-
-def weights(kind: str, alpha: float | None = None) -> WeightSequence:
-    """Build a weight family from its canonical kind name."""
-    return WeightSequence(kind=kind, alpha=alpha)
 
 
 def parse_weights(text: str) -> WeightSequence:
@@ -286,31 +285,3 @@ def norlund_mean(f: GridFunction, w: WeightSequence, n: int) -> GridFunction:
     """Reversed-frame mean t_n f = (1/Q_n) sum_{k=1}^{n} q_{n-k} S_k f."""
     lam = multiplier("norlund", n, f.spec, w)
     return synthesize(f.spec, _analyse(f, n) * lam)
-
-
-_NAMED = {
-    "fejer": ("norlund", "constant", False),
-    "cesaro": ("norlund", "cesaro", True),
-    "inverse-cesaro": ("t", "inverse-cesaro", True),
-    "v-alpha": ("t", "power", True),
-    "riesz": ("t", "riesz-log", False),
-    "norlund-log": ("norlund", "norlund-log", False),
-    "b-alpha": ("t", "log-power", True),
-}
-
-
-def named_mean(
-    name: str, f: GridFunction, n: int, alpha: float | None = None
-) -> GridFunction:
-    """Classical summability methods, dispatched onto the two frames."""
-    if name not in _NAMED:
-        raise ValueError(f"unknown mean {name!r}; expected one of {sorted(_NAMED)}")
-    frame, kind, needs_alpha = _NAMED[name]
-    if needs_alpha and alpha is None:
-        raise ValueError(f"mean {name!r} needs alpha")
-    if not needs_alpha and alpha is not None:
-        raise ValueError(f"mean {name!r} takes no alpha")
-    w = WeightSequence(kind=kind, alpha=alpha)
-    if frame == "t":
-        return t_mean(f, w, n)
-    return norlund_mean(f, w, n)

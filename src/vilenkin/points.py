@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .group import Element, generator, interval_members, subtract
+from .group import Element, generator, interval_members
 from .kernels import _order_stacks
 from .means import WeightSequence
 from .transform import GridFunction, _analyse, _lp_norms
@@ -55,7 +55,7 @@ def w_modulus(f: GridFunction, x: Element, rank: int) -> float:
         e_s = generator(s, spec)
         shifted = x
         for _ in range(1, spec.m[s]):
-            shifted = subtract(shifted, e_s)
+            shifted = shifted - e_s
             members = interval_members(shifted, rank)
             total += spec.M[s] * float(np.abs(f.values[members] - fx).sum()) / spec.size
     return total

@@ -15,6 +15,7 @@ instead of accumulating independent rounding.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from functools import lru_cache, partial
 from itertools import repeat
@@ -22,13 +23,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .group import Element, GroupSpec, _Frozen
+from .group import GroupSpec, _Frozen
 
 __all__ = [
     "GridFunction",
     "Spectrum",
-    "rademacher",
-    "psi",
     "character_row",
     "forward",
     "inverse",
@@ -121,33 +120,16 @@ def _characters(spec: GroupSpec, ns, cells: int | None = None) -> np.ndarray:
 
 
 def character_row(spec: GroupSpec, n: int) -> np.ndarray:
-    """psi_n sampled on the whole grid, as a read-only complex vector."""
+    """psi_n sampled on the whole grid, as a read-only complex vector.
+
+    psi_n(x) is row[x.index]; the Rademacher function r_k is psi_{M_k}.
+    """
+    n = operator.index(n)  # numpy integers pass, floats raise TypeError
     if not 0 <= n < spec.size:
         raise ValueError(f"character index {n} outside [0, {spec.size})")
     row = _characters(spec, [n])[0]
     row.setflags(write=False)
     return row
-
-
-def rademacher(k: int, x: Element) -> complex:
-    """Generalized Rademacher function r_k(x) = exp(2*pi*i * x_k / m_k)."""
-    spec = x.spec
-    if not 0 <= k < spec.levels:
-        raise ValueError(f"coordinate {k} outside [0, {spec.levels})")
-    L = len(_roots(spec))
-    return complex(_roots(spec)[(x.digits[k] * (L // spec.m[k])) % L])
-
-
-def psi(n: int, x: Element) -> complex:
-    """Character value psi_n(x), a product of Rademacher powers."""
-    spec = x.spec
-    if not 0 <= n < spec.size:
-        raise ValueError(f"character index {n} outside [0, {spec.size})")
-    L = len(_roots(spec))
-    phase = 0
-    for k, (nk, xk) in enumerate(zip(spec.digits(n), x.digits)):
-        phase += nk * xk * (L // spec.m[k])
-    return complex(_roots(spec)[phase % L])
 
 
 class GridFunction(_Frozen):

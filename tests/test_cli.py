@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from bisect import bisect_left
 from collections import Counter
 from pathlib import Path
@@ -312,6 +313,42 @@ def test_import_loads_no_oracle_dataclasses_or_json():
     assert lazy_modules_after(code) == {"vilenkin.oracles"}
 
 
+# The package's public names other than its modules: one name per operation.
+PUBLIC_NAMES = [
+    "Classification", "ConvergenceRow", "Element", "GridFunction", "GroupSpec",
+    "KernelProfileRow", "Spectrum", "WeightSequence", "binomial_sequence",
+    "character_row", "classify", "convergence_profile", "convolve", "dirichlet",
+    "domination_constant", "fejer", "forward", "generator", "interval_members",
+    "inverse", "l1_profile", "lebesgue_modulus", "make_group", "maximal_profile",
+    "multiplier", "norlund_kernel", "norlund_mean", "norm", "parse_weights",
+    "partial_sum", "passes_gate", "synthesize", "t_kernel", "t_mean", "w_modulus",
+    "weak_norm",
+]
+# Deleted duplicates, with the route that replaces each: psi_n(x) is
+# character_row(spec, n)[x.index], r_k is character_row(spec, M_k), add and
+# subtract are x + y and x - y, weights() is WeightSequence(), and a named
+# mean is t_mean or norlund_mean with the family the means module lists.
+DELETED_NAMES = ["add", "named_mean", "psi", "rademacher", "subtract", "weights"]
+ORACLE_NAMES = [
+    "abel_kernel_residuals", "abel_weight_residual", "identity_residual",
+    "reflection_residuals", "t_mean_oracles",
+]
+
+
+def test_public_surface_is_pinned():
+    public = sorted(
+        name
+        for name in dir(vilenkin)
+        if not name.startswith("_") and not isinstance(getattr(vilenkin, name), types.ModuleType)
+    )
+    assert public == PUBLIC_NAMES
+    for name in DELETED_NAMES:
+        with pytest.raises(AttributeError):
+            getattr(vilenkin, name)
+    for name in ORACLE_NAMES:
+        assert getattr(vilenkin, name) is getattr(vilenkin.oracles, name)
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [
@@ -324,7 +361,7 @@ def test_import_loads_no_oracle_dataclasses_or_json():
 )
 def test_cli_jobs_load_oracles_and_json_only_when_they_use_them(tmp_path, argv, loaded):
     config = tmp_path / "cfg.json"
-    config.write_text('{"seed": 3}')
+    config.write_text('{"weights": "riesz"}')
     argv = argv.replace("CONFIG", str(config)).split() + ["--out", str(tmp_path / "x.csv")]
     code = "import sys, vilenkin.cli\nassert vilenkin.cli.entry(sys.argv[1:]) == 0"
     assert lazy_modules_after(code, argv) == loaded
@@ -489,9 +526,8 @@ def test_classify_weights_row(tmp_path):
 
 def test_bench_transform_agrees(tmp_path):
     out = tmp_path / "bench.csv"
-    code = main(
-        ["bench-transform", "--group", "2,3", "--levels", "4", "--seed", "3", "--out", str(out)]
-    )
+    argv = ["bench-transform", "--group", "2,3", "--levels", "4", "--function", "random:3"]
+    code = main([*argv, "--out", str(out)])
     assert code == 0
     _, rows = read_csv(out)
     assert [r["method"] for r in rows] == ["naive", "fast"]
@@ -775,7 +811,7 @@ def test_nan_p_exits_2_from_flag_and_config(tmp_path, capsys):
     [
         {"levels": "3"},
         {"levels": 3.0},
-        {"seed": True},
+        {"n_max": True},
         {"p": "1"},
         {"tail_rank": "1"},
         {"weights": None},
@@ -803,6 +839,27 @@ def test_unknown_command_and_flags_exit_2(capsys):
     assert main(["mystery-command"]) == 2
     assert main(["kernel-profile", "--mystery"]) == 2
     capsys.readouterr()
+
+
+def test_seed_is_no_flag_or_config_key(tmp_path, capsys):
+    # the seed of a random function is written in its spec, random:SEED; a
+    # bare random draws seed 0
+    argv = ["converge", "--group", "2,3", "--levels", "3", "--weights", "riesz"]
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--seed", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: vilenkin ")
+    assert err[-1] == "vilenkin: error: unrecognized arguments: --seed 3"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 3}))
+    assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: unknown config keys ['seed']\n"
+    assert not out.exists()
+    bare, zero = tmp_path / "bare.csv", tmp_path / "zero.csv"
+    assert main([*argv, "--function", "random", "--out", str(bare)]) == 0
+    assert main([*argv, "--function", "random:0", "--out", str(zero)]) == 0
+    capsys.readouterr()
+    assert bare.read_bytes() == zero.read_bytes()
 
 
 def test_csv_artifacts_are_deterministic(tmp_path):

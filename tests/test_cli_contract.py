@@ -44,7 +44,6 @@ VALID = {
     ],
     "--point": ["0", "1,0", "0,1,0", "1,2,1", "1,1,1,1", "0,0,0,0,0,0"],
     "--p": ["1", "1.5", "2", "2.5", "60", "200", "1000", "1e19", "1e308", "inf"],
-    "--seed": ["0", "7"],
     "--form": ["t", "norlund", "partial"],
 }
 

@@ -13,12 +13,10 @@ from vilenkin.means import (
     _q_cache,
     binomial_sequence,
     classify,
-    named_mean,
     norlund_mean,
     parse_weights,
     passes_gate,
     t_mean,
-    weights,
 )
 from vilenkin.oracles import abel_weight_residual
 from vilenkin.transform import GridFunction, convolve, norm, partial_sum
@@ -46,7 +44,7 @@ def test_binomial_sequence_values():
 
 
 def test_weight_values():
-    const = weights("constant")
+    const = WeightSequence("constant")
     assert const.Q(7) == 7.0 and const.q(0) == 1.0
     riesz = parse_weights("riesz")
     assert riesz.q(0) == 0.0
@@ -70,13 +68,13 @@ def test_weight_values():
 
 def test_weight_validation():
     with pytest.raises(ValueError):
-        weights("mystery")
+        WeightSequence("mystery")
     with pytest.raises(ValueError):
-        weights("cesaro")  # alpha required
+        WeightSequence("cesaro")  # alpha required
     with pytest.raises(ValueError):
-        weights("cesaro", 1.5)
+        WeightSequence("cesaro", 1.5)
     with pytest.raises(ValueError):
-        weights("constant", 0.5)
+        WeightSequence("constant", 0.5)
     with pytest.raises(ValueError):
         parse_weights("logpow")
     with pytest.raises(ValueError):
@@ -89,9 +87,9 @@ def test_weight_validation():
 def test_cesaro_alpha_whose_order_rounds_to_minus_one_is_refused(kind):
     # at alpha <= 2^-54, alpha - 1.0 == -1.0 and every q_k would be 0
     with pytest.raises(ValueError, match="alpha - 1 rounds to -1"):
-        weights(kind, 2.0**-54)
+        WeightSequence(kind, 2.0**-54)
     above = math.nextafter(2.0**-54, 1.0)
-    assert weights(kind, above).q(1) > 0
+    assert WeightSequence(kind, above).q(1) > 0
 
 
 def test_parse_weights_labels_round_trip():
@@ -139,7 +137,7 @@ def test_classify_validation():
 def test_t_mean_constant_weights_value():
     spec = make_group([2, 3, 2, 3])
     one = GridFunction.constant(spec)
-    got = t_mean(one, weights("constant"), 4)
+    got = t_mean(one, WeightSequence("constant"), 4)
     assert np.max(np.abs(got.values - 0.75)) < 1e-13
 
 
@@ -159,7 +157,7 @@ def test_t_mean_constant_frame_link():
     # with unit weights the forward frame is a shrunk Fejer mean
     spec = make_group([2, 3, 2, 3])
     f = GridFunction.random(spec, seed=22)
-    w = weights("constant")
+    w = WeightSequence("constant")
     for n in (2, 5, 12):
         lhs = t_mean(f, w, n).values
         rhs = (n - 1) / n * norlund_mean(f, w, n - 1).values
@@ -202,10 +200,11 @@ def test_constant_reproduction():
 
 
 def test_named_mean_fejer_fixes_constant_character():
+    # the Fejer mean is the reversed frame with constant weights
     spec = make_group([2, 3, 2, 3])
     chi0 = GridFunction.character(spec, 0)
     for n in (1, 5, 36):
-        got = named_mean("fejer", chi0, n)
+        got = norlund_mean(chi0, WeightSequence("constant"), n)
         assert np.max(np.abs(got.values - 1)) < 1e-13
 
 
@@ -218,7 +217,7 @@ def test_named_mean_riesz_expansion():
         + partial_sum(f, 2).values / 2
         + partial_sum(f, 3).values / 3
     ) / (11 / 6)
-    got = named_mean("riesz", f, 4)
+    got = t_mean(f, WeightSequence("riesz-log"), 4)
     assert np.max(np.abs(got.values - want)) < 1e-12
 
 
@@ -233,35 +232,8 @@ def test_named_mean_cesaro_expansion():
     for k in range(1, n + 1):
         want += a[n - k] * partial_sum(f, k).values
     want /= a.sum()
-    got = named_mean("cesaro", f, n, alpha=alpha)
+    got = norlund_mean(f, WeightSequence("cesaro", alpha), n)
     assert np.max(np.abs(got.values - want)) < 1e-12
-
-
-def test_named_mean_dispatch_matches_frames():
-    spec = make_group([2, 3, 2, 3])
-    f = GridFunction.random(spec, seed=27)
-    n = 9
-    pairs = [
-        ("inverse-cesaro", t_mean(f, parse_weights("icesaro:0.5"), n)),
-        ("v-alpha", t_mean(f, parse_weights("power:0.5"), n)),
-        ("b-alpha", t_mean(f, parse_weights("logpow:0.5"), n)),
-        ("norlund-log", norlund_mean(f, parse_weights("nlog"), n)),
-    ]
-    for name, want in pairs:
-        alpha = 0.5 if name in ("inverse-cesaro", "v-alpha", "b-alpha") else None
-        got = named_mean(name, f, n, alpha=alpha)
-        assert np.max(np.abs(got.values - want.values)) == 0
-
-
-def test_named_mean_validation():
-    spec = make_group([2, 2])
-    f = GridFunction.constant(spec)
-    with pytest.raises(ValueError):
-        named_mean("mystery", f, 2)
-    with pytest.raises(ValueError):
-        named_mean("cesaro", f, 2)  # alpha required
-    with pytest.raises(ValueError):
-        named_mean("fejer", f, 2, alpha=0.5)
 
 
 def test_mean_order_validation():

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import vilenkin.points
-from vilenkin.group import Element, generator, make_group, subtract
+from vilenkin.group import Element, generator, make_group
 from vilenkin.kernels import multiplier
-from vilenkin.means import parse_weights, weights
+from vilenkin.means import WeightSequence, parse_weights
 from vilenkin.points import (
     convergence_profile,
     lebesgue_modulus,
@@ -40,7 +40,7 @@ def oracle_w_modulus(f, x, rank):
         for r in range(1, spec.m[s]):
             shifted = x
             for _ in range(r):
-                shifted = subtract(shifted, generator(s, spec))
+                shifted = shifted - generator(s, spec)
             for t in range(spec.size):
                 if spec.digits(t)[:rank] == shifted.digits[:rank]:
                     total += spec.M[s] * abs(f.values[t] - fx) / spec.size
@@ -122,7 +122,7 @@ def test_convergence_profile_fejer_pointwise_oracle():
     spec = make_group([2], 3)
     f = GridFunction.indicator(spec, 1, 0)
     rows = convergence_profile(
-        f, weights("constant"), range(2, 9), form="norlund", point=Element.zero(spec)
+        f, WeightSequence("constant"), range(2, 9), form="norlund", point=Element.zero(spec)
     )
     assert [r.n for r in rows] == list(range(2, 9))
     for r in rows:
@@ -156,7 +156,7 @@ def test_convergence_profile_norm_matches_direct_norm():
 def test_convergence_profile_validation():
     spec = make_group([2, 3, 2])
     f = GridFunction.constant(spec)
-    w = weights("constant")
+    w = WeightSequence("constant")
     with pytest.raises(ValueError):
         convergence_profile(f, w, [2], point=Element.zero(spec), p=1)
     with pytest.raises(ValueError):
@@ -183,17 +183,17 @@ def test_maximal_profile_character():
     # |sigma_n psi_1| = (n-1)/n everywhere, so the running max is the last one
     spec = make_group([2], 4)
     f = GridFunction.character(spec, 1)
-    got = maximal_profile(f, weights("constant"), 8, form="norlund")
+    got = maximal_profile(f, WeightSequence("constant"), 8, form="norlund")
     assert np.max(np.abs(got.values - 7 / 8)) < 1e-13
     one = GridFunction.constant(spec)
-    assert np.max(np.abs(maximal_profile(one, weights("constant"), 8).values - 1)) < 1e-13
+    assert np.max(np.abs(maximal_profile(one, WeightSequence("constant"), 8).values - 1)) < 1e-13
 
 
 def test_maximal_profile_weak_type_statistic_is_tame():
     # weak-L1 size of the Fejer maximal function stays within a small
     # multiple of ||f||_1 on seeded data
     spec = make_group([2], 5)
-    w = weights("constant")
+    w = WeightSequence("constant")
     worst = 0.0
     for seed in range(5):
         f = GridFunction.random(spec, seed=seed)
@@ -207,9 +207,9 @@ def test_maximal_profile_validation():
     spec = make_group([2, 3, 2])
     f = GridFunction.constant(spec)
     with pytest.raises(ValueError):
-        maximal_profile(f, weights("constant"), 0)
+        maximal_profile(f, WeightSequence("constant"), 0)
     with pytest.raises(ValueError):
-        maximal_profile(f, weights("constant"), spec.size + 1)
+        maximal_profile(f, WeightSequence("constant"), spec.size + 1)
     with pytest.raises(ValueError):
         maximal_profile(f, None, 4, form="t")
 

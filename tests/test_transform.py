@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vilenkin.group import Element, make_group, subtract
+from vilenkin.group import Element, make_group
 from vilenkin.transform import (
     GridFunction,
     Spectrum,
@@ -22,8 +22,6 @@ from vilenkin.transform import (
     inverse,
     norm,
     partial_sum,
-    psi,
-    rademacher,
     weak_norm,
 )
 
@@ -53,38 +51,45 @@ def oracle_convolve(spec, f, g):
         acc = 0.0 + 0.0j
         for ti in range(spec.size):
             t = Element.from_index(spec, ti)
-            acc += f[subtract(x, t).index] * g[ti]
+            acc += f[(x - t).index] * g[ti]
         out[xi] = acc / spec.size
     return out
 
 
 def test_rademacher_values():
+    # the generalized Rademacher function r_k(x) = exp(2 pi i x_k / m_k) is psi_{M_k}
     spec = make_group([2, 3, 2])
-    zero = Element.zero(spec)
-    assert rademacher(0, zero) == 1
-    assert rademacher(0, Element(spec, (1, 0, 0))) == pytest.approx(-1)
+    r0, r1 = character_row(spec, spec.M[0]), character_row(spec, spec.M[1])
+    assert r0[Element.zero(spec).index] == 1
+    assert r0[Element(spec, (1, 0, 0)).index] == pytest.approx(-1)
     third_root = cmath.exp(2j * cmath.pi / 3)
-    assert rademacher(1, Element(spec, (0, 1, 0))) == pytest.approx(third_root)
+    assert r1[Element(spec, (0, 1, 0)).index] == pytest.approx(third_root)
+    for k in range(spec.levels):
+        row = character_row(spec, spec.M[k])
+        for x in range(spec.size):
+            want = cmath.exp(2j * cmath.pi * spec.digits(x)[k] / spec.m[k])
+            assert row[x] == pytest.approx(want, abs=1e-14)
     with pytest.raises(ValueError):
-        rademacher(3, zero)
+        character_row(spec, spec.M[3])  # no coordinate 3: M_3 = M_N
 
 
 def test_psi_matches_oracle_exhaustively():
     spec = make_group([2, 3, 2])
     for n in range(spec.size):
+        row = character_row(spec, n)
         for x in range(spec.size):
-            got = psi(n, Element.from_index(spec, x))
-            assert got == pytest.approx(oracle_psi(spec, n, x), abs=1e-14)
+            assert row[x] == pytest.approx(oracle_psi(spec, n, x), abs=1e-14)
 
 
 def test_psi_is_multiplicative_in_x():
     spec = make_group([2, 3, 2])
     els = [Element.from_index(spec, i) for i in range(spec.size)]
     for n in range(spec.size):
+        row = character_row(spec, n)
         for x in els:
             for y in els:
-                lhs = psi(n, x + y)
-                rhs = psi(n, x) * psi(n, y)
+                lhs = row[(x + y).index]
+                rhs = row[x.index] * row[y.index]
                 assert abs(lhs - rhs) < 1e-13
 
 
@@ -93,7 +98,7 @@ def test_character_row_matches_psi():
     for n in (0, 1, 7, 35):
         row = character_row(spec, n)
         for x in range(spec.size):
-            assert row[x] == psi(n, Element.from_index(spec, x))
+            assert row[x] == pytest.approx(oracle_psi(spec, n, x), abs=1e-14)
     with pytest.raises(ValueError):
         character_row(spec, spec.size)
 
@@ -110,7 +115,8 @@ def test_character_row_memory_is_linear_in_grid_size():
         tracemalloc.stop()
     assert peak < 48 * spec.size  # the complex row is 16 B per cell
     x = Element.from_index(spec, 3)
-    assert row[x.index] == psi(spec.size - 1, x) == 1.0
+    assert row[x.index] == 1.0
+    assert oracle_psi(spec, spec.size - 1, x.index) == pytest.approx(1.0)
 
 
 def test_random_draws_as_before_without_grid_sized_temporaries():

@@ -10,7 +10,7 @@ import pytest
 from vilenkin.cli import ConfigError, load_config
 from vilenkin.group import Element, make_group
 from vilenkin.means import WeightSequence, parse_weights
-from vilenkin.transform import GridFunction, Spectrum, _roots, forward
+from vilenkin.transform import GridFunction, Spectrum, _roots, character_row, forward
 
 
 def test_equal_group_specs_share_one_cache_entry():
@@ -56,6 +56,26 @@ def test_value_types_keep_their_validation():
         GridFunction(spec, np.zeros(3))
     with pytest.raises(ValueError, match=r"coeffs must have shape \(36,\)"):
         Spectrum(spec, np.zeros(3))
+
+
+SPEC = make_group([2, 3])
+
+
+@pytest.mark.parametrize(
+    "build, bad, good, plain",
+    [
+        (lambda m: make_group(m, 2), [2.7, 3.9], np.array([2, 3]), [2, 3]),
+        (lambda d: Element(SPEC, d).index, (0.5, 1), (np.int64(1), np.int64(1)), (1, 1)),
+        (lambda n: character_row(SPEC, n).tolist(), 2.5, np.int64(2), 2),
+    ],
+    ids=["radices", "digits", "character-index"],
+)
+def test_non_integer_inputs_are_refused_and_numpy_integers_pass(build, bad, good, plain):
+    # int() would truncate silently: the radices 2.7, 3.9 would give the
+    # group 2,3, the digits (0.5, 1) the index 2.5 and the character index 2.5 psi_2
+    with pytest.raises(TypeError):
+        build(bad)
+    assert build(good) == build(plain)
 
 
 def test_no_field_of_a_value_type_can_be_assigned():
