@@ -1,51 +1,11 @@
 """Harmonic analysis on bounded Vilenkin groups at finite resolution."""
 
-from .group import (
-    Element,
-    GroupSpec,
-    generator,
-    interval_members,
-    make_group,
-)
-from .kernels import (
-    KernelProfileRow,
-    dirichlet,
-    domination_constant,
-    fejer,
-    l1_profile,
-    multiplier,
-    norlund_kernel,
-    t_kernel,
-)
-from .means import (
-    Classification,
-    WeightSequence,
-    binomial_sequence,
-    classify,
-    norlund_mean,
-    parse_weights,
-    passes_gate,
-    t_mean,
-)
-from .points import (
-    ConvergenceRow,
-    convergence_profile,
-    lebesgue_modulus,
-    maximal_profile,
-    w_modulus,
-)
-from .transform import (
-    GridFunction,
-    Spectrum,
-    character_row,
-    convolve,
-    forward,
-    inverse,
-    norm,
-    partial_sum,
-    synthesize,
-    weak_norm,
-)
+# each module's __all__ is its list of public names
+from .group import *  # noqa: F403
+from .kernels import *  # noqa: F403
+from .means import *  # noqa: F403
+from .points import *  # noqa: F403
+from .transform import *  # noqa: F403
 
 __version__ = "0.1.0"
 

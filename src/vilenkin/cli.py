@@ -22,8 +22,8 @@ import numpy as np
 
 from .group import GroupSpec, parse_element, parse_group
 from .kernels import _FAMILIES, l1_profile
-from .means import Classification, classify, parse_weights
-from .points import convergence_profile
+from .means import _ALIASES, _ALPHA_KINDS, Classification, classify, parse_weights
+from .points import _FORM_FAMILY, convergence_profile
 from .transform import GridFunction, forward
 
 CHECK_TOL = 1e-12
@@ -306,7 +306,7 @@ def _run_converge(cfg: ExperimentConfig) -> Report:
     ns = _orders(cfg, spec, 1 if cfg.form == "partial" else w.n0)
     f = _build_function(cfg, spec)
     point = None if cfg.point is None else _checked(parse_element, cfg.point, spec)
-    if cfg.form not in ("t", "norlund", "partial"):
+    if cfg.form not in _FORM_FAMILY:
         raise ConfigError(f"unknown mean form {cfg.form!r}")
     if point is None and not cfg.p >= 1:  # also refuses NaN
         raise ConfigError(f"p must be >= 1, got {cfg.p}")
@@ -421,14 +421,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--group", help="radix pattern, e.g. 2,3,2")
     common.add_argument("--levels", type=int, help="resolution N (pattern cycles)")
-    common.add_argument("--weights", help="constant | cesaro:A | icesaro:A | power:A | riesz | nlog | logpow:A")
-    common.add_argument("--family", help="kernel family: dirichlet | fejer | t | norlund")
+    weights = (f"{alias}:A" if kind in _ALPHA_KINDS else alias for alias, kind in _ALIASES.items())
+    common.add_argument("--weights", help=" | ".join(weights))
+    common.add_argument("--family", help="kernel family: " + " | ".join(_FAMILIES))
     common.add_argument("--n-max", dest="n_max", type=int, help="largest order n")
     common.add_argument("--tail-rank", dest="tail_rank", type=int, help="interval rank for kernel tails")
     common.add_argument("--function", help="constant | character:K | indicator:RANK,CELL | random[:SEED[,RANK]] (seed 0 if omitted)")
     common.add_argument("--point", help="digit vector, e.g. 0,1,0")
     common.add_argument("--p", type=float, help="L_p exponent for norm errors")
-    common.add_argument("--form", help="mean form: t | norlund | partial")
+    common.add_argument("--form", help="mean form: " + " | ".join(_FORM_FAMILY))
     common.add_argument(
         "--block",
         action="store_const",

@@ -1,7 +1,7 @@
 """Finite-resolution model of a bounded Vilenkin group.
 
-A group spec fixes radices m_0, ..., m_{N-1} (all >= 2) together with the
-place values M_0 = 1, M_{k+1} = m_k * M_k.  A point of the group is a digit
+A group spec is fixed by its radices m_0, ..., m_{N-1} (all >= 2), which give
+the place values M_0 = 1, M_{k+1} = m_k * M_k.  A point of the group is a digit
 vector (x_0, ..., x_{N-1}) with x_j in Z_{m_j}, added coordinatewise mod m_j.
 The grid index sum(x_j * M_j) enumerates cells so that the rank-n interval
 around a point (all points sharing its first n digits) is exactly the set of
@@ -11,9 +11,12 @@ indices congruent to it mod M_n, i.e. an arithmetic progression of stride M_n.
 from __future__ import annotations
 
 import operator
-from typing import Sequence
+from itertools import cycle, islice
+from typing import Iterable, Sequence
 
 import numpy as np
+
+__all__ = ["Element", "GroupSpec", "generator", "interval_members", "make_group"]
 
 # Grid indices are manipulated as int64 arrays; keep M_N comfortably inside.
 MAX_SIZE = 2**62
@@ -41,14 +44,18 @@ class _Frozen:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
+    def _fields(self) -> tuple:
+        """The arguments of __init__ that rebuild this instance: by default its fields in order."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
     def __reduce__(self):
-        # pickle and copy rebuild through __init__, which takes the fields in
-        # __slots__ order, since restoring them one by one would assign
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        # pickle and copy rebuild through __init__, since restoring the
+        # fields one by one would assign
+        return type(self), self._fields()
 
 
 class _Value(_Frozen):
-    """A _Frozen class whose instances compare and hash by _fields(), their field values."""
+    """A _Frozen class whose instances compare and hash by _fields(), spelled out per subclass."""
 
     __slots__ = ()
 
@@ -61,19 +68,36 @@ class _Value(_Frozen):
         return hash(self._fields())
 
 
+def _radix(r) -> int:
+    r = operator.index(r)  # numpy integers pass, floats raise TypeError
+    if r < 2:
+        raise ValueError(f"radix {r} invalid: every m_k must be >= 2")
+    return r
+
+
 class GroupSpec(_Value):
-    """Radices of one group resolution plus the derived place values."""
+    """One group resolution, built from its radices; the place values M are derived."""
 
     __slots__ = ("m", "M")
     m: tuple[int, ...]
     M: tuple[int, ...]
 
-    def __init__(self, m: tuple[int, ...], M: tuple[int, ...]) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "M", M)
+    def __init__(self, m: Iterable[int]) -> None:
+        # Every radix is >= 2, so the overflow check stops this loop within
+        # 62 radices however long m is.
+        radices, places = [], [1]
+        for r in m:
+            radices.append(_radix(r))
+            places.append(places[-1] * radices[-1])
+            if places[-1] > MAX_SIZE:
+                raise ValueError(f"resolution overflow: M_N exceeds {MAX_SIZE}")
+        if not radices:
+            raise ValueError("radix pattern must be non-empty")
+        object.__setattr__(self, "m", tuple(radices))
+        object.__setattr__(self, "M", tuple(places))
 
     def _fields(self) -> tuple:
-        return self.m, self.M
+        return (self.m,)
 
     @property
     def levels(self) -> int:
@@ -85,8 +109,15 @@ class GroupSpec(_Value):
         """Total number of grid cells M_N."""
         return self.M[-1]
 
+    def _place(self, rank: int) -> int:
+        """M_rank, the stride of a rank-n interval, for a rank in [0, N]."""
+        if not 0 <= rank <= self.levels:
+            raise ValueError(f"rank {rank} outside [0, {self.levels}]")
+        return self.M[rank]
+
     def digits(self, n: int) -> tuple[int, ...]:
         """Digit vector of grid index n in the mixed-radix system."""
+        n = operator.index(n)  # numpy integers pass, floats raise TypeError
         if not 0 <= n < self.size:
             raise ValueError(f"index {n} outside [0, {self.size})")
         return tuple((n // self.M[j]) % self.m[j] for j in range(self.levels))
@@ -110,31 +141,16 @@ def make_group(m: Sequence[int], levels: int | None = None) -> GroupSpec:
     """Build a GroupSpec from a radix pattern.
 
     When ``levels`` exceeds the pattern length the pattern is cycled, so
-    ``make_group([2, 3], 4)`` gives radices (2, 3, 2, 3).  Every radix must
-    be an integer >= 2 and the total size M_N must stay below 2**62.
+    ``make_group([2, 3], 4)`` gives radices (2, 3, 2, 3).  Every radix of
+    the pattern must be an integer >= 2, used or not, and the total size
+    M_N must stay below 2**62.
     """
-    pattern = [operator.index(r) for r in m]  # numpy integers pass, floats raise TypeError
-    if not pattern:
-        raise ValueError("radix pattern must be non-empty")
-    for r in pattern:
-        if r < 2:
-            raise ValueError(f"radix {r} invalid: every m_k must be >= 2")
+    pattern = [_radix(r) for r in m]
     if levels is None:
-        levels = len(pattern)
+        return GroupSpec(pattern)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    # Every radix is >= 2, so the overflow check stops this loop within 62
-    # steps however large levels is.
-    radices = []
-    places = [1]
-    for k in range(levels):
-        r = pattern[k % len(pattern)]
-        nxt = places[-1] * r
-        if nxt > MAX_SIZE:
-            raise ValueError(f"resolution overflow: M_N exceeds {MAX_SIZE}")
-        radices.append(r)
-        places.append(nxt)
-    return GroupSpec(m=tuple(radices), M=tuple(places))
+    return GroupSpec(islice(cycle(pattern), levels))
 
 
 class Element(_Value):
@@ -146,11 +162,7 @@ class Element(_Value):
 
     def __init__(self, spec: GroupSpec, digits: tuple[int, ...]) -> None:
         digits = tuple(map(operator.index, digits))  # numpy integers pass, floats raise TypeError
-        if len(digits) != spec.levels:
-            raise ValueError(f"expected {spec.levels} digits, got {len(digits)}")
-        for j, (d, r) in enumerate(zip(digits, spec.m)):
-            if not 0 <= d < r:
-                raise ValueError(f"digit {d} at position {j} outside [0, {r})")
+        spec.index_of(digits)  # refuses a wrong length or a digit outside [0, m_j)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "digits", digits)
 
@@ -189,6 +201,7 @@ class Element(_Value):
 
 def generator(s: int, spec: GroupSpec) -> Element:
     """Unit digit vector e_s (digit 1 in coordinate s, zero elsewhere)."""
+    s = operator.index(s)  # numpy integers pass, floats raise TypeError
     if not 0 <= s < spec.levels:
         raise ValueError(f"coordinate {s} outside [0, {spec.levels})")
     d = tuple(1 if j == s else 0 for j in range(spec.levels))
@@ -202,11 +215,8 @@ def interval_members(x: Element, rank: int) -> np.ndarray:
     all indices congruent to x mod M_rank; rank 0 is the whole group and
     rank N the singleton {x}.
     """
-    spec = x.spec
-    if not 0 <= rank <= spec.levels:
-        raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
-    stride = spec.M[rank]
-    return np.arange(x.index % stride, spec.size, stride, dtype=np.int64)
+    stride = x.spec._place(rank)
+    return np.arange(x.index % stride, x.spec.size, stride, dtype=np.int64)
 
 
 # --- the CLI's parsers, inverse to str() of a GroupSpec and an Element -------

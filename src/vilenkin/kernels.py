@@ -17,6 +17,7 @@ two sides travel different numerical paths, live in vilenkin.oracles.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
@@ -62,9 +63,13 @@ def multiplier(
 
 
 def _check_orders(
-    family: str, ns: np.ndarray, spec: GroupSpec, weights: "WeightSequence | None"
-) -> None:
-    """Raise ValueError unless every order of ns has a kernel of this family."""
+    family: str, ns: Iterable[int], spec: GroupSpec, weights: "WeightSequence | None"
+) -> np.ndarray:
+    """ns as an int64 array, once every order has a kernel of this family.
+
+    numpy integers pass; a float order raises TypeError instead of being truncated.
+    """
+    ns = np.array([operator.index(n) for n in ns], dtype=np.int64)
     if family not in _FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}; expected {_FAMILIES}")
     lowest = 0 if family in ("dirichlet", "fejer") else 1
@@ -72,12 +77,13 @@ def _check_orders(
     if outside.size:
         raise ValueError(f"order {outside[0]} outside [{lowest}, {spec.size}]")
     if family in ("dirichlet", "fejer"):
-        return
+        return ns
     if weights is None:
         raise ValueError(f"kernel family {family!r} needs weights")
     flat = ns[weights.Q_array(int(ns.max(initial=0)))[ns] <= 0]
     if flat.size:
         raise ValueError(f"Q({flat[0]}) not positive for {weights.label()}")
+    return ns
 
 
 def _multipliers(
@@ -92,8 +98,7 @@ def _multipliers(
     formula, elementwise, or for t a sequential cumulative sum along its row
     starting at q_{n-1}, so every row is bitwise the one-order result.
     """
-    ns = np.asarray(ns, dtype=np.int64)
-    _check_orders(family, ns, spec, weights)
+    ns = _check_orders(family, ns, spec, weights)
     j = np.arange(ns.max(initial=0))
     n = ns[:, None]
     inside = j < n
@@ -190,9 +195,7 @@ def l1_profile(
     The tail is (1/M_N) * sum over x outside the rank-tail_rank interval at 0
     of |k_n(x)|, the quantity the localization estimates bound.
     """
-    if not 0 <= tail_rank <= spec.levels:
-        raise ValueError(f"tail rank {tail_rank} outside [0, {spec.levels}]")
-    tail_block = spec.M[tail_rank]
+    tail_block = spec._place(tail_rank)
     rows = []
     ns = sorted(ns)
     orders = iter(ns)

@@ -38,6 +38,11 @@ from .group import _Value
 from .kernels import multiplier
 from .transform import GridFunction, _analyse, convolve, synthesize
 
+__all__ = [
+    "Classification", "WeightSequence", "binomial_sequence", "classify", "norlund_mean",
+    "parse_weights", "passes_gate", "t_mean",
+]
+
 _ALPHA_KINDS = frozenset({"cesaro", "inverse-cesaro", "power", "log-power"})
 _PLAIN_KINDS = frozenset({"constant", "riesz-log", "norlund-log"})
 KINDS = _ALPHA_KINDS | _PLAIN_KINDS

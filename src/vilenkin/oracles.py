@@ -106,9 +106,7 @@ def identity_residual(
             raise ValueError("block residual needs weights and rank")
     else:
         raise ValueError(f"unknown identity kind {kind!r}")
-    if not 0 <= rank <= spec.levels:
-        raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
-    block = spec.M[rank]
+    block = spec._place(rank)
     if kind == "reflection":
         if not 0 <= j < block:
             raise ValueError(f"offset {j} outside [0, {block})")
@@ -202,7 +200,7 @@ def _abel_walk(
     for previous, n in zip(ns, ns[1:]):
         if n < previous:
             raise ValueError(f"orders must ascend, got {n} after {previous}")
-    _check_orders("t", np.asarray(ns, dtype=np.int64), spec, weights)
+    _check_orders("t", ns, spec, weights)
     top = max(ns, default=0)
 
     def chunks() -> Iterator[tuple[np.ndarray, np.ndarray, slice | np.ndarray]]:

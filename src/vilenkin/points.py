@@ -47,8 +47,7 @@ def w_modulus(f: GridFunction, x: Element, rank: int) -> float:
     spec = f.spec
     if x.spec != spec:
         raise ValueError("point belongs to a different group")
-    if not 0 <= rank <= spec.levels:
-        raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
+    spec._place(rank)  # refuses a rank outside [0, N], for which the loop would not run
     fx = f.values[x.index]
     total = 0.0
     for s in range(rank):

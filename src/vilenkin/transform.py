@@ -132,31 +132,45 @@ def character_row(spec: GroupSpec, n: int) -> np.ndarray:
     return row
 
 
-class GridFunction(_Frozen):
-    """A complex-valued function sampled on the grid, immutable once built.
+class _Sampled(_Frozen):
+    """Base of GridFunction and Spectrum, immutable once built and equal only to itself.
 
-    Equal only to itself; its values are a read-only copy of the input.
+    Its fields are a spec and, named by the second slot, a read-only
+    complex128 vector of length M_N.  The public constructor copies its
+    input, so arrays passed in by users stay theirs.
     """
+
+    __slots__ = ()
+
+    def __init__(self, spec: GroupSpec, data) -> None:
+        self._hold(spec, data, copy=True)
+
+    @classmethod
+    def _own(cls, spec: GroupSpec, data: np.ndarray):
+        """Wrap an array the library has just created, freezing it instead of copying.
+
+        The caller must hold no other writable reference to the array.
+        """
+        self = object.__new__(cls)
+        self._hold(spec, data, copy=None)
+        return self
+
+    def _hold(self, spec: GroupSpec, data, copy: bool | None) -> None:
+        name = self.__slots__[1]  # "values" or "coeffs"
+        arr = np.array(data, dtype=np.complex128, copy=copy)
+        if arr.shape != (spec.size,):
+            raise ValueError(f"{name} must have shape ({spec.size},), got {arr.shape}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, name, arr)
+
+
+class GridFunction(_Sampled):
+    """A complex-valued function sampled on the grid, immutable once built."""
 
     __slots__ = ("spec", "values")
     spec: GroupSpec
     values: np.ndarray
-
-    def __init__(self, spec: GroupSpec, values) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "values", _frozen(spec, values, copy=True))
-
-    @classmethod
-    def _own(cls, spec: GroupSpec, values: np.ndarray) -> "GridFunction":
-        """Wrap an array the library has just created, freezing it instead of copying.
-
-        The caller must hold no other writable reference to the array; the
-        public constructor copies, so arrays passed in by users stay theirs.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "values", _frozen(spec, values, copy=None))
-        return self
 
     @property
     def integral(self) -> complex:
@@ -178,9 +192,7 @@ class GridFunction(_Frozen):
         A rank-n interval is a residue class mod M_n, so ``cell`` may be given
         either as a class representative below M_n or as any member index.
         """
-        if not 0 <= rank <= spec.levels:
-            raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
-        stride = spec.M[rank]
+        stride = spec._place(rank)
         if not 0 <= cell < spec.size:
             raise ValueError(f"cell {cell} outside [0, {spec.size})")
         pattern = np.zeros(stride, dtype=np.complex128)
@@ -198,12 +210,8 @@ class GridFunction(_Frozen):
         _STREAM_CELLS cells (a chunked draw continues the stream
         bitwise), so the complex result is the only grid-sized array.
         """
-        if rank is None:
-            rank = spec.levels
-        if not 0 <= rank <= spec.levels:
-            raise ValueError(f"rank {rank} outside [0, {spec.levels}]")
+        stride = spec._place(spec.levels if rank is None else rank)
         rng = np.random.default_rng(seed)
-        stride = spec.M[rank]
         base = np.empty(stride, dtype=np.complex128)
         draw = np.empty(min(stride, _STREAM_CELLS))
         for part in (base.real, base.imag):
@@ -228,35 +236,17 @@ class GridFunction(_Frozen):
     __rmul__ = __mul__
 
 
-class Spectrum(_Frozen):
-    """Fourier coefficients in Paley order, immutable once built.
-
-    Equal only to itself; its coefficients are a read-only copy of the input.
-    """
+class Spectrum(_Sampled):
+    """Fourier coefficients in Paley order, immutable once built."""
 
     __slots__ = ("spec", "coeffs")
     spec: GroupSpec
     coeffs: np.ndarray
 
-    def __init__(self, spec: GroupSpec, coeffs) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coeffs", _frozen(spec, coeffs, copy=True, name="coeffs"))
-
 
 def _repeated(spec: GroupSpec, base: np.ndarray) -> np.ndarray:
     """base, of length some M_s, repeated out to the grid (base itself if M_s = M_N)."""
     return base if len(base) == spec.size else np.tile(base, spec.size // len(base))
-
-
-def _frozen(
-    spec: GroupSpec, data, *, copy: bool | None, name: str = "values"
-) -> np.ndarray:
-    """data as a read-only complex128 vector of length M_N (copy=None: only if needed)."""
-    arr = np.array(data, dtype=np.complex128, copy=copy)
-    if arr.shape != (spec.size,):
-        raise ValueError(f"{name} must have shape ({spec.size},), got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
 
 
 @lru_cache(maxsize=128)
@@ -338,11 +328,11 @@ def forward(f: GridFunction, method: str = "fast") -> Spectrum:
     fhat(n) = (1/M_N) * sum_x f(x) * conj(psi_n(x)).
     """
     if method == "fast":
-        return Spectrum(f.spec, _analyse(f, f.spec.size))
+        return Spectrum._own(f.spec, _analyse(f, f.spec.size))
     if method == "naive":
         from . import oracles
 
-        return Spectrum(f.spec, oracles._forward_naive(f))
+        return Spectrum._own(f.spec, oracles._forward_naive(f))
     raise ValueError(f"unknown method {method!r}; expected 'fast' or 'naive'")
 
 
@@ -451,8 +441,7 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     """
     if f.spec != g.spec:
         raise ValueError("grid functions belong to different groups")
-    prod = forward(f).coeffs * forward(g).coeffs
-    return inverse(Spectrum(f.spec, prod))
+    return synthesize(f.spec, forward(f).coeffs * forward(g).coeffs)
 
 
 def norm(f: GridFunction, p: float) -> float:

@@ -649,6 +649,17 @@ def test_empty_order_range_exits_2_and_names_it(tmp_path, capsys, argv, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tail_rank", ["-1", "7"])
+def test_tail_rank_outside_the_levels_exits_2_and_names_it(tmp_path, capsys, tail_rank):
+    out = tmp_path / "x.csv"
+    argv = ["kernel-profile", "--group", "2", "--levels", "6", "--tail-rank", tail_rank]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: tail-rank {tail_rank} outside [0, 6]\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 COMMANDS = ["identity-check", "converge", "kernel-profile", "classify-weights", "bench-transform"]
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from vilenkin.group import (
     Element,
+    GroupSpec,
     generator,
     interval_members,
     make_group,
@@ -53,6 +54,46 @@ def test_make_group_overflow_stops_before_building_every_radix():
     assert peak < 1 << 20
     with pytest.raises(ValueError, match="overflow"):
         make_group([2, 3], 10**8)
+
+
+@pytest.mark.parametrize(
+    "m, levels, message",
+    [
+        ([], None, "radix pattern must be non-empty"),
+        ([2], 0, "levels must be >= 1, got 0"),
+        ([2, 1], None, "radix 1 invalid: every m_k must be >= 2"),
+        # a radix the levels leave unused is still checked
+        ([2, 1], 1, "radix 1 invalid: every m_k must be >= 2"),
+        ([2], 100, f"resolution overflow: M_N exceeds {2**62}"),
+        ([2, 3], 10**8, f"resolution overflow: M_N exceeds {2**62}"),
+    ],
+)
+def test_make_group_refusals_name_their_cause(m, levels, message):
+    with pytest.raises(ValueError) as info:
+        make_group(m, levels)
+    assert str(info.value) == message
+
+
+def test_make_group_ignores_the_unused_tail_of_a_long_pattern():
+    # the pattern alone would overflow, but only its first three radices are used
+    assert make_group([2] * 70, 3) == make_group([2], 3)
+    assert str(make_group([2] * 70, 3)) == "2,2,2"
+
+
+def test_group_spec_derives_its_place_values_from_its_radices():
+    spec = GroupSpec((2, 3, 2))
+    assert spec == make_group([2, 3, 2]) and spec.M == (1, 2, 6, 12)
+    assert GroupSpec(np.array([2, 3])).m == (2, 3)
+    with pytest.raises(TypeError):
+        GroupSpec((2, 3.0))
+    with pytest.raises(ValueError, match="radix 1 invalid"):
+        GroupSpec((1,))
+    with pytest.raises(ValueError, match="non-empty"):
+        GroupSpec(())
+    with pytest.raises(ValueError, match="overflow"):
+        GroupSpec([3] * 40)
+    with pytest.raises(TypeError):
+        GroupSpec((2, 3), (1, 2, 7))  # the place values are not an input
 
 
 def test_digits_examples():

@@ -336,6 +336,23 @@ def test_characters_are_convolution_eigenfunctions():
         assert np.max(np.abs(got - fhat[n] * chi.values)) < 1e-12
 
 
+def test_convolve_copies_no_array_it_has_just_built():
+    # the two spectra and the product's synthesis are wrapped, not copied:
+    # the traced peak is the second forward transform's working arrays on
+    # top of the first spectrum, about 4 grid-sized complex arrays
+    spec = make_group([2], 18)
+    f = GridFunction.random(spec, seed=11)
+    g = GridFunction.random(spec, seed=12)
+    tracemalloc.start()
+    try:
+        h = convolve(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 16 * spec.size
+    assert not h.values.flags.writeable
+
+
 def test_young_inequality():
     spec = make_group([2, 3, 2, 3])
     for seed in range(5):

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from vilenkin.cli import ConfigError, load_config
-from vilenkin.group import Element, make_group
+from vilenkin.group import Element, generator, make_group
+from vilenkin.kernels import dirichlet, multiplier, t_kernel
 from vilenkin.means import WeightSequence, parse_weights
+from vilenkin.points import convergence_profile
 from vilenkin.transform import GridFunction, Spectrum, _roots, character_row, forward
 
 
@@ -59,6 +61,8 @@ def test_value_types_keep_their_validation():
 
 
 SPEC = make_group([2, 3])
+RIESZ = parse_weights("riesz")
+F = GridFunction.random(SPEC, seed=4)
 
 
 @pytest.mark.parametrize(
@@ -67,12 +71,36 @@ SPEC = make_group([2, 3])
         (lambda m: make_group(m, 2), [2.7, 3.9], np.array([2, 3]), [2, 3]),
         (lambda d: Element(SPEC, d).index, (0.5, 1), (np.int64(1), np.int64(1)), (1, 1)),
         (lambda n: character_row(SPEC, n).tolist(), 2.5, np.int64(2), 2),
+        (lambda n: SPEC.digits(n), 2.5, np.int64(5), 5),
+        (lambda s: generator(s, SPEC).digits, 0.5, np.int64(1), 1),
+        (lambda n: dirichlet(n, SPEC).values.tolist(), 2.5, np.int64(2), 2),
+        (lambda n: t_kernel(RIESZ, n, SPEC).values.tolist(), 2.5, np.int64(3), 3),
+        (lambda n: multiplier("fejer", n, SPEC).tolist(), 2.5, np.int64(2), 2),
+        (
+            lambda ns: convergence_profile(F, RIESZ, ns, p=1),
+            [2.5, 3],
+            np.array([2, 3]),
+            [2, 3],
+        ),
     ],
-    ids=["radices", "digits", "character-index"],
+    ids=[
+        "radices",
+        "digits",
+        "character-index",
+        "grid-index",
+        "generator-coordinate",
+        "dirichlet-order",
+        "t-kernel-order",
+        "multiplier-order",
+        "mean-orders",
+    ],
 )
 def test_non_integer_inputs_are_refused_and_numpy_integers_pass(build, bad, good, plain):
     # int() would truncate silently: the radices 2.7, 3.9 would give the
-    # group 2,3, the digits (0.5, 1) the index 2.5 and the character index 2.5 psi_2
+    # group 2,3, the digits (0.5, 1) the index 2.5 and the character index 2.5 psi_2;
+    # the order 2.5 gave D_2, T_2, the multiplier [1, 0.5] and a row n=2.5
+    # holding the order-2 error, the grid index 2.5 the digits (0.0, 1.0) and
+    # the coordinate 0.5 the zero element
     with pytest.raises(TypeError):
         build(bad)
     assert build(good) == build(plain)
