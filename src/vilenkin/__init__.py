@@ -1,5 +1,7 @@
 """Harmonic analysis on bounded Vilenkin groups at finite resolution."""
 
+import importlib
+
 # each module's __all__ is its list of public names
 from .group import *  # noqa: F403
 from .kernels import *  # noqa: F403
@@ -9,22 +11,12 @@ from .transform import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# The oracle routes of vilenkin.oracles load on first use: every CLI job runs
-# this module, and a job that needs no oracle should not compile them.
-_ORACLES = frozenset(
-    {
-        "abel_kernel_residuals",
-        "abel_weight_residual",
-        "identity_residual",
-        "reflection_residuals",
-        "t_mean_oracles",
-    }
-)
-
 
 def __getattr__(name: str):
-    if name in _ORACLES:
-        from . import oracles
-
-        return getattr(oracles, name)
+    # vilenkin.oracles loads on first use, so a job that runs no oracle never
+    # compiles it; `from . import oracles` here would ask this hook again
+    if not name.startswith("_"):
+        oracles = importlib.import_module(".oracles", __name__)
+        if name in oracles.__all__:
+            return getattr(oracles, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .group import GroupSpec, parse_element, parse_group
 from .kernels import _FAMILIES, l1_profile
-from .means import _ALIASES, _ALPHA_KINDS, Classification, classify, parse_weights
+from .means import _KINDS, Classification, classify, parse_weights
 from .points import _FORM_FAMILY, convergence_profile
 from .transform import GridFunction, forward
 
@@ -169,11 +169,9 @@ def _build_function(cfg: ExperimentConfig, spec: GroupSpec) -> GridFunction:
             rank_s, _, cell_s = rest.partition(",")
             return GridFunction.indicator(spec, int(rank_s), int(cell_s or 0))
         if name == "random":
-            if not rest:
-                return GridFunction.random(spec, 0)
             seed_s, _, rank_s = rest.partition(",")
             rank = int(rank_s) if rank_s else None
-            return GridFunction.random(spec, int(seed_s), rank)
+            return GridFunction.random(spec, int(seed_s) if rest else 0, rank)
     except ValueError as exc:
         raise ConfigError(f"bad function spec {text!r}: {exc}") from None
     raise ConfigError(
@@ -421,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--group", help="radix pattern, e.g. 2,3,2")
     common.add_argument("--levels", type=int, help="resolution N (pattern cycles)")
-    weights = (f"{alias}:A" if kind in _ALPHA_KINDS else alias for alias, kind in _ALIASES.items())
+    weights = (f"{alias}:A" if alpha else alias for alias, alpha in _KINDS.values())
     common.add_argument("--weights", help=" | ".join(weights))
     common.add_argument("--family", help="kernel family: " + " | ".join(_FAMILIES))
     common.add_argument("--n-max", dest="n_max", type=int, help="largest order n")

@@ -111,7 +111,7 @@ class GroupSpec(_Value):
 
     def _place(self, rank: int) -> int:
         """M_rank, the stride of a rank-n interval, for a rank in [0, N]."""
-        if not 0 <= rank <= self.levels:
+        if not 0 <= operator.index(rank) <= self.levels:
             raise ValueError(f"rank {rank} outside [0, {self.levels}]")
         return self.M[rank]
 
@@ -148,7 +148,7 @@ def make_group(m: Sequence[int], levels: int | None = None) -> GroupSpec:
     pattern = [_radix(r) for r in m]
     if levels is None:
         return GroupSpec(pattern)
-    if levels < 1:
+    if operator.index(levels) < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     return GroupSpec(islice(cycle(pattern), levels))
 

@@ -43,21 +43,17 @@ __all__ = [
     "parse_weights", "passes_gate", "t_mean",
 ]
 
-_ALPHA_KINDS = frozenset({"cesaro", "inverse-cesaro", "power", "log-power"})
-_PLAIN_KINDS = frozenset({"constant", "riesz-log", "norlund-log"})
-KINDS = _ALPHA_KINDS | _PLAIN_KINDS
-
-# CLI spelling <-> canonical kind
-_ALIASES = {
-    "constant": "constant",
-    "cesaro": "cesaro",
-    "icesaro": "inverse-cesaro",
-    "power": "power",
-    "riesz": "riesz-log",
-    "nlog": "norlund-log",
-    "logpow": "log-power",
+# canonical kind -> (CLI spelling, whether it takes an alpha)
+_KINDS = {
+    "constant": ("constant", False),
+    "cesaro": ("cesaro", True),
+    "inverse-cesaro": ("icesaro", True),
+    "power": ("power", True),
+    "riesz-log": ("riesz", False),
+    "norlund-log": ("nlog", False),
+    "log-power": ("logpow", True),
 }
-_SHORT = {kind: alias for alias, kind in _ALIASES.items()}
+_ALIASES = {alias: kind for kind, (alias, _) in _KINDS.items()}
 
 
 def binomial_sequence(order: float, count: int) -> np.ndarray:
@@ -69,9 +65,8 @@ def binomial_sequence(order: float, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     out = np.zeros(count)
-    if count > 1:
-        i = np.arange(1, count)
-        out[1:] = np.cumprod((order + i) / i)
+    i = np.arange(1, count)
+    out[1:] = np.cumprod((order + i) / i)
     return out
 
 
@@ -83,9 +78,9 @@ class WeightSequence(_Value):
     alpha: float | None
 
     def __init__(self, kind: str, alpha: float | None = None) -> None:
-        if kind not in KINDS:
+        if kind not in _KINDS:
             raise ValueError(f"unknown weight kind {kind!r}")
-        if kind in _ALPHA_KINDS:
+        if _KINDS[kind][1]:
             if alpha is None or not 0 < alpha < 1:
                 raise ValueError(f"{kind} needs alpha in (0, 1), got {alpha}")
             if kind in ("cesaro", "inverse-cesaro") and alpha - 1.0 == -1.0:
@@ -129,7 +124,7 @@ class WeightSequence(_Value):
         return 1 if self.q(0) > 0 else 2
 
     def label(self) -> str:
-        short = _SHORT[self.kind]
+        short = _KINDS[self.kind][0]
         if self.alpha is None:
             return short
         return f"{short}:{self.alpha:g}"
@@ -149,18 +144,17 @@ def _q_cache(w: WeightSequence, count: int) -> np.ndarray:
     if w.kind == "constant":
         q = np.ones(count)
     elif w.kind in ("cesaro", "inverse-cesaro"):
+        # _capacity never asks for 0 weights, but the uncached _q_cache.__wrapped__(w, 0) may
         q = binomial_sequence(w.alpha - 1.0, count) if count else np.zeros(0)
     elif w.kind == "power":
         q = np.zeros(count)
-        if count > 1:
-            q[1:] = k[1:] ** (w.alpha - 1.0)
+        q[1:] = k[1:] ** (w.alpha - 1.0)
     elif w.kind in ("riesz-log", "norlund-log"):
         q = np.zeros(count)
-        if count > 1:
-            q[1:] = 1.0 / k[1:]
+        q[1:] = 1.0 / k[1:]
     elif w.kind == "log-power":
         q = np.log(k + 1.0) ** w.alpha
-    else:  # pragma: no cover - WeightSequence.__init__ admits only KINDS
+    else:  # pragma: no cover - WeightSequence.__init__ admits only _KINDS
         raise ValueError(w.kind)
     q.setflags(write=False)
     return q
@@ -177,7 +171,7 @@ def _Q_cache(w: WeightSequence, n: int) -> np.ndarray:
 def parse_weights(text: str) -> WeightSequence:
     """Parse a CLI weight spec like 'riesz', 'cesaro:0.5' or 'logpow:0.5'."""
     name, _, alpha_s = text.partition(":")
-    kind = _ALIASES.get(name, name if name in KINDS else None)
+    kind = _ALIASES.get(name, name if name in _KINDS else None)
     if kind is None:
         raise ValueError(
             f"unknown weight family {text!r}; expected one of "
@@ -222,14 +216,11 @@ def classify(w: WeightSequence, n_max: int = 10_000) -> Classification:
     pattern the family matches: 'a' (non-increasing), 'b' (non-decreasing;
     its fn01_sup is finite, since Q_n > 0 from n0 on), 'a+b', or 'none'.
     """
-    if n_max < w.n0 + 1:
+    if operator.index(n_max) < w.n0 + 1:
         raise ValueError(f"n_max {n_max} too small for this family")
     q = w.q_array(n_max)
     Q = w.Q_array(n_max)
-    positive = np.nonzero(q > 0)[0]
-    if len(positive) == 0:
-        raise ValueError("weight sequence is identically zero")
-    tail = q[positive[0] :]
+    tail = q[np.argmax(q > 0) :]  # q_1 > 0 for every family WeightSequence admits
     diffs = np.diff(tail)
     mono, gate = {
         (True, True): ("both", "a+b"),

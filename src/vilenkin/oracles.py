@@ -25,7 +25,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import transform
 from .group import GroupSpec
 from .kernels import _check_orders, _multipliers
 from .means import WeightSequence
@@ -121,7 +120,7 @@ def identity_residual(
 
 def _last_character(spec: GroupSpec, block: int) -> np.ndarray:
     """psi_{M_r - 1} on the M_r cells x < M_r, the character of the reflection and block identities."""
-    return transform._characters(spec, [block - 1], block)[0]
+    return _characters(spec, [block - 1], block)[0]
 
 
 def _reflection_gap(

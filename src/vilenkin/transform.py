@@ -193,7 +193,7 @@ class GridFunction(_Sampled):
         either as a class representative below M_n or as any member index.
         """
         stride = spec._place(rank)
-        if not 0 <= cell < spec.size:
+        if not 0 <= operator.index(cell) < spec.size:
             raise ValueError(f"cell {cell} outside [0, {spec.size})")
         pattern = np.zeros(stride, dtype=np.complex128)
         pattern[cell % stride] = 1.0
@@ -314,7 +314,7 @@ def _analyse(f: GridFunction, count: int) -> np.ndarray:
     block = _band(spec, min(count, spec.size))
     if block < spec.size:
         values = f.values.reshape(-1, block).sum(axis=0)
-    else:
+    else:  # a sum over one fibre would be slower than a copy and turn -0.0 into +0.0
         values = f.values.copy()  # the butterfly overwrites its input
     return _apply_stages(spec, values, inverse=False)[:count] / spec.size
 
@@ -428,7 +428,7 @@ def _butterfly_stack(rows: list[np.ndarray], band: int) -> np.ndarray:
 def partial_sum(f: GridFunction, n: int) -> GridFunction:
     """Fourier partial sum S_n f = sum_{k<n} fhat(k) psi_k; S_0 f = 0."""
     spec = f.spec
-    if not 0 <= n <= spec.size:
+    if not 0 <= operator.index(n) <= spec.size:
         raise ValueError(f"partial sum order {n} outside [0, {spec.size}]")
     return synthesize(spec, _analyse(f, n))
 
@@ -479,7 +479,7 @@ def _lp_norms(values: np.ndarray, p: float, g: np.ndarray) -> list[float]:
     norms = [float((t / size) ** (1.0 / p)) for t in sums]
     low = size * np.finfo(float).tiny
     redo = [i for i, t in enumerate(sums) if not low <= t < math.inf]
-    if redo:
+    if redo:  # in one batch: a pass per row is slower where every row rescales, as at p = 1000
         peaks = np.array(_lp_sums(values, math.inf, g[redo]))
         scaled = [k for k, peak in enumerate(peaks) if 0 < peak < math.inf]
         rescaled = _lp_sums(values, p, g[[redo[k] for k in scaled]], peaks[scaled])
@@ -503,6 +503,7 @@ def _lp_sums(
     np.add.reduce, and the leaf sums are added back as numpy adds the halves.
     """
     size = len(values)
+    # a leaf below numpy's block would split where numpy does not (and, at 1 cell, without end)
     cells = max(_PAIRWISE_BLOCK, _STREAM_CELLS)
     period = g.shape[1]
     width = period if period >= cells else min(size, period * -(-(cells + period - 1) // period))

@@ -173,9 +173,10 @@ def test_identity_check_cost_is_linear_in_blocks_and_orders(
         calls["character rows"] += len(ns)
         return phase_rows(spec, ns, *args)
 
-    def oracle_batch(*args):
-        calls["oracle batches"] += 1
-        return oracle_characters(*args)
+    def oracle_batch(spec, ns, cells=None):
+        # the abel-mean's batches are M_N-cell rows; the identities' single rows take cells
+        calls["oracle batches"] += cells is None
+        return oracle_characters(spec, ns, cells)
 
     def counted_forward(*args):
         calls["forward"] += 1

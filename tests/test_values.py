@@ -8,11 +8,21 @@ import numpy as np
 import pytest
 
 from vilenkin.cli import ConfigError, load_config
-from vilenkin.group import Element, generator, make_group
+from vilenkin.group import Element, generator, interval_members, make_group, parse_element
 from vilenkin.kernels import dirichlet, multiplier, t_kernel
-from vilenkin.means import WeightSequence, parse_weights
-from vilenkin.points import convergence_profile
-from vilenkin.transform import GridFunction, Spectrum, _roots, character_row, forward
+from vilenkin.means import WeightSequence, classify, parse_weights
+from vilenkin.oracles import abel_weight_residual
+from vilenkin.points import convergence_profile, lebesgue_modulus
+from vilenkin.transform import (
+    GridFunction,
+    Spectrum,
+    _roots,
+    character_row,
+    convolve,
+    forward,
+    partial_sum,
+    synthesize,
+)
 
 
 def test_equal_group_specs_share_one_cache_entry():
@@ -82,6 +92,11 @@ F = GridFunction.random(SPEC, seed=4)
             np.array([2, 3]),
             [2, 3],
         ),
+        (lambda n: make_group([2, 3], n), 2.5, np.int64(3), 3),
+        (lambda c: GridFunction.indicator(SPEC, 1, c).values.tolist(), 2.5, np.int64(3), 3),
+        (lambda n: classify(RIESZ, n), 2.5, np.int64(5), 5),
+        (lambda r: interval_members(Element.zero(SPEC), r).tolist(), 0.5, np.int64(1), 1),
+        (lambda n: partial_sum(F, n).values.tolist(), 2.5, np.int64(3), 3),
     ],
     ids=[
         "radices",
@@ -93,6 +108,11 @@ F = GridFunction.random(SPEC, seed=4)
         "t-kernel-order",
         "multiplier-order",
         "mean-orders",
+        "levels",
+        "indicator-cell",
+        "classify-n_max",
+        "interval-rank",
+        "partial-sum-order",
     ],
 )
 def test_non_integer_inputs_are_refused_and_numpy_integers_pass(build, bad, good, plain):
@@ -104,6 +124,42 @@ def test_non_integer_inputs_are_refused_and_numpy_integers_pass(build, bad, good
     with pytest.raises(TypeError):
         build(bad)
     assert build(good) == build(plain)
+
+
+OTHER = GridFunction.random(make_group([2, 3], 3), seed=5)
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: F - OTHER, "grid functions belong to different groups"),
+        (lambda: convolve(F, OTHER), "grid functions belong to different groups"),
+        (lambda: GridFunction.indicator(SPEC, 1, 6), r"cell 6 outside \[0, 6\)"),
+        (lambda: synthesize(SPEC, np.ones((2, 3))), r"row of shape \(2, 3\) is not a vector"),
+        (lambda: synthesize(SPEC, np.ones(7)), r"shape \(1, 7\) does not fit M_N = 6"),
+        (
+            lambda: lebesgue_modulus(F, Element.zero(OTHER.spec), 0),
+            "point belongs to a different group",
+        ),
+        (lambda: parse_element("1,x", SPEC), "bad element '1,x'"),
+        (lambda: WeightSequence("constant").q(-1), "weight index must be >= 0, got -1"),
+        (lambda: abel_weight_residual(RIESZ, 0), "n must be >= 1, got 0"),
+    ],
+    ids=[
+        "subtract-across-groups",
+        "convolve-across-groups",
+        "indicator-cell",
+        "synthesize-matrix",
+        "synthesize-too-long",
+        "point-of-another-group",
+        "element-digit",
+        "negative-weight-index",
+        "weight-residual-order",
+    ],
+)
+def test_refusals_name_their_cause(refused, message):
+    with pytest.raises(ValueError, match=message):
+        refused()
 
 
 def test_no_field_of_a_value_type_can_be_assigned():
