@@ -210,11 +210,11 @@ class Report(NamedTuple):
 def _run_kernel_profile(cfg: ExperimentConfig) -> Report:
     spec = _build_spec(cfg)
     w = _checked(parse_weights, cfg.weights)
-    ns = _orders(cfg, spec, 1 if cfg.family in ("dirichlet", "fejer") else w.n0)
     if cfg.family not in _FAMILIES:
         raise ConfigError(f"unknown kernel family {cfg.family!r}")
     if not 0 <= cfg.tail_rank <= spec.levels:
         raise ConfigError(f"tail-rank {cfg.tail_rank} outside [0, {spec.levels}]")
+    ns = _orders(cfg, spec, 1 if cfg.family in ("dirichlet", "fejer") else w.n0)
     rows = l1_profile(cfg.family, ns, spec, weights=w, tail_rank=cfg.tail_rank)
     csv_rows = [
         [str(r.n), _fmt(r.l1), _fmt(r.integral.real), _fmt(r.integral.imag), _fmt(r.tail)]
@@ -301,13 +301,13 @@ def _row_gaps(direct: np.ndarray, abel: np.ndarray) -> list[float]:
 def _run_converge(cfg: ExperimentConfig) -> Report:
     spec = _build_spec(cfg)
     w = _checked(parse_weights, cfg.weights)
-    ns = _orders(cfg, spec, 1 if cfg.form == "partial" else w.n0)
-    f = _build_function(cfg, spec)
     point = None if cfg.point is None else _checked(parse_element, cfg.point, spec)
     if cfg.form not in _FORM_FAMILY:
         raise ConfigError(f"unknown mean form {cfg.form!r}")
     if point is None and not cfg.p >= 1:  # also refuses NaN
         raise ConfigError(f"p must be >= 1, got {cfg.p}")
+    ns = _orders(cfg, spec, 1 if cfg.form == "partial" else w.n0)
+    f = _build_function(cfg, spec)
     rows = convergence_profile(
         f, w, ns, form=cfg.form, point=point, p=cfg.p if point is None else None
     )

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .group import GroupSpec
-from .transform import GridFunction, _order_chunks, _runs, _synthesize_bands, synthesize
+from .transform import GridFunction, _analyse, _order_chunks, _runs, _synthesize_bands, synthesize
 
 if TYPE_CHECKING:  # circular at runtime: means imports the multiplier core
     from .means import WeightSequence
@@ -59,30 +59,30 @@ def multiplier(
     synthesize(spec, fhat[:n] * lambda_n).  The weighted families need
     1 <= n and Q_n > 0.  This is the one-order case of _multipliers().
     """
-    return _multipliers(family, [n], spec, weights)[0]
+    return _multipliers(family, _check_orders(family, [n], spec, weights), spec, weights)[0]
 
 
 def _check_orders(
     family: str, ns: Iterable[int], spec: GroupSpec, weights: "WeightSequence | None"
-) -> np.ndarray:
-    """ns as an int64 array, once every order has a kernel of this family.
+) -> list[int]:
+    """ns as a list of ints, once every order has a kernel of this family.
 
-    numpy integers pass; a float order raises TypeError instead of being truncated.
+    numpy integers pass; a float order raises TypeError instead of being
+    truncated, and a huge one ValueError before numpy could overflow on it.
     """
-    ns = np.array([operator.index(n) for n in ns], dtype=np.int64)
+    ns = [operator.index(n) for n in ns]
     if family not in _FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}; expected {_FAMILIES}")
     lowest = 0 if family in ("dirichlet", "fejer") else 1
-    outside = ns[(ns < lowest) | (ns > spec.size)]
-    if outside.size:
-        raise ValueError(f"order {outside[0]} outside [{lowest}, {spec.size}]")
-    if family in ("dirichlet", "fejer"):
-        return ns
-    if weights is None:
-        raise ValueError(f"kernel family {family!r} needs weights")
-    flat = ns[weights.Q_array(int(ns.max(initial=0)))[ns] <= 0]
-    if flat.size:
-        raise ValueError(f"Q({flat[0]}) not positive for {weights.label()}")
+    outside = next((n for n in ns if not lowest <= n <= spec.size), None)
+    if outside is not None:
+        raise ValueError(f"order {outside} outside [{lowest}, {spec.size}]")
+    if lowest:  # the weighted families
+        if weights is None:
+            raise ValueError(f"kernel family {family!r} needs weights")
+        flat = np.array(ns, dtype=np.int64)[weights.Q_array(max(ns, default=0))[ns] <= 0]
+        if flat.size:
+            raise ValueError(f"Q({flat[0]}) not positive for {weights.label()}")
     return ns
 
 
@@ -92,13 +92,13 @@ def _multipliers(
     spec: GroupSpec,
     weights: "WeightSequence | None" = None,
 ) -> np.ndarray:
-    """The (len(ns) x max(ns)) stack of the order-n multipliers, zero-padded.
+    """The (len(ns) x max(ns)) stack of the multipliers of checked orders ns, zero-padded.
 
     Row i is lambda_{ns[i]} followed by zeros.  Each entry is the one-order
     formula, elementwise, or for t a sequential cumulative sum along its row
     starting at q_{n-1}, so every row is bitwise the one-order result.
     """
-    ns = _check_orders(family, ns, spec, weights)
+    ns = np.asarray(ns, dtype=np.int64)
     j = np.arange(ns.max(initial=0))
     n = ns[:, None]
     inside = j < n
@@ -122,22 +122,25 @@ def _multipliers(
 
 def _order_stacks(
     family: str,
-    coeffs: np.ndarray,
+    f: GridFunction | None,
     ns: Iterable[int],
     spec: GroupSpec,
     weights: "WeightSequence | None" = None,
 ) -> Iterator[np.ndarray]:
-    """synthesize(coeffs[:n] * lambda_n) on the M_s cells of its band, for each n in ns.
+    """synthesize(fhat[:n] * lambda_n) on the M_s cells of its band, for each n in ns.
 
-    With coeffs = fhat this is the order-n mean of f.  A kernel is the mean
-    of the unit impulse, whose coefficients are all 1, so the kernel sweeps
-    pass np.broadcast_to(1.0, M_N): no array, and x * 1.0 = x bitwise.  A
-    row of band M_s is a function of x mod M_s, so the sweeps reduce it on
-    those M_s cells (or on a larger band that nests it).  The multiplied
-    coefficients are built, and synthesized in stacked butterflies, a chunk
-    of orders at a time; the rows come as the butterflies' (rows x M_s)
-    stacks, in the order of ns.
+    The orders are checked once, before any work.  This is the order-n mean
+    of f, analysed once up to the largest order, since the mean reads only
+    fhat[:n]; with f None it is the order-n kernel, the mean of the unit
+    impulse, read as np.broadcast_to(1.0, M_N): no array, and x * 1.0 = x
+    bitwise.  A row of band M_s is a function of x mod M_s, so the sweeps
+    reduce it on those M_s cells (or on a larger band that nests it).  The
+    multiplied coefficients are built, and synthesized in stacked
+    butterflies, a chunk of orders at a time; the rows come as the
+    butterflies' (rows x M_s) stacks, in the order of ns.
     """
+    ns = _check_orders(family, ns, spec, weights)
+    coeffs = np.broadcast_to(1.0, spec.size) if f is None else _analyse(f, max(ns, default=0))
     blocks = (
         coeffs[: max(chunk)] * _multipliers(family, chunk, spec, weights)
         for chunk in _order_chunks(ns)
@@ -199,8 +202,7 @@ def l1_profile(
     rows = []
     ns = sorted(ns)
     orders = iter(ns)
-    unit = np.broadcast_to(1.0, spec.size)  # the unit impulse's coefficients
-    for stack in _order_stacks(family, unit, ns, spec, weights):
+    for stack in _order_stacks(family, None, ns, spec, weights):
         # |k_n| and the outside of I_tail_rank(0) both have period
         # max(M_s, M_tail_rank), so the averages over M_N cells are
         # averages over that many
@@ -233,16 +235,16 @@ def domination_constant(ns: Sequence[int], spec: GroupSpec) -> float:
     leads = [_leading_position(n, spec) for n in ns]
     blocks = spec.M[: max(leads) + 1]
     top = blocks[-1]
-    unit = np.broadcast_to(1.0, spec.size)  # the unit impulse's coefficients
+    kernels = _order_stacks("fejer", None, ns, spec)  # checks ns before any butterfly
     # the denominators live on the band M_top of K_{M_top}, which nests the
     # bands of the others; each ratio is taken on the larger of that band
     # and its numerator's
-    stacks = _order_stacks("fejer", unit, blocks, spec)
+    stacks = _order_stacks("fejer", None, blocks, spec)
     terms = np.vstack([np.tile(np.abs(stack), (1, top // stack.shape[1])) for stack in stacks])
     denoms = np.cumsum(np.array(blocks)[:, None] * terms, axis=0)
     best = 0.0
     at = 0
-    for stack in _order_stacks("fejer", unit, ns, spec):
+    for stack in kernels:
         cells = max(stack.shape[1], top)
         for run in _runs(stack, cells):
             order = np.array(ns[at : at + len(run)])[:, None]

@@ -64,6 +64,8 @@ def binomial_sequence(order: float, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if not np.isfinite(order):
+        raise ValueError(f"order must be finite, got {order}")
     out = np.zeros(count)
     i = np.arange(1, count)
     out[1:] = np.cumprod((order + i) / i)
@@ -266,7 +268,8 @@ def t_mean(
     order of the vilenkin.oracles.t_mean_oracles() pass.
     """
     if method == "multiplier":
-        return synthesize(f.spec, _analyse(f, n) * multiplier("t", n, f.spec, w))
+        lam = multiplier("t", n, f.spec, w)  # checks n before the analysis reads it
+        return synthesize(f.spec, _analyse(f, n) * lam)
     if method == "convolution":
         return convolve(f, synthesize(f.spec, multiplier("t", n, f.spec, w)))
     if method not in ("direct", "abel"):

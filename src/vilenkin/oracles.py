@@ -20,6 +20,7 @@ lazy attributes import this module, each when first called.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from typing import Iterator, Sequence
 
@@ -107,11 +108,12 @@ def identity_residual(
         raise ValueError(f"unknown identity kind {kind!r}")
     block = spec._place(rank)
     if kind == "reflection":
-        if not 0 <= j < block:
+        if not 0 <= operator.index(j) < block:
             raise ValueError(f"offset {j} outside [0, {block})")
         # D_0 = 0 makes the gap at j = 0 the plain |D_{M_r} - D_{M_r}| = 0
         coeffs = _multipliers("dirichlet", [block - j, block, j], spec)
     else:
+        _check_orders("t", [block], spec, weights)  # M_r has t and norlund kernels
         families = ("t", "dirichlet", "norlund")
         coeffs = np.concatenate([_multipliers(family, [block], spec, weights) for family in families])
     lhs, full, low = _on_cells(spec, coeffs, block)

@@ -10,14 +10,14 @@ quantity controlling a.e. convergence of the reversed-frame means.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .group import Element, generator, interval_members
 from .kernels import _order_stacks
 from .means import WeightSequence
-from .transform import GridFunction, _analyse, _lp_norms
+from .transform import GridFunction, _lp_norms
 
 __all__ = [
     "ConvergenceRow",
@@ -71,22 +71,13 @@ class ConvergenceRow(NamedTuple):
 _FORM_FAMILY = {"t": "t", "norlund": "norlund", "partial": "dirichlet"}
 
 
-def _mean_stacks(
-    f: GridFunction, w: WeightSequence | None, ns: Iterable[int], form: str
-) -> Iterator[np.ndarray]:
-    """The order-n means of f for n in ns, as the order sweep's (rows x M_s) stacks.
-
-    f is analysed once, up to the largest order, since an order-n mean
-    reads only fhat[:n]; the order sweep then synthesizes fhat[:n] *
-    lambda_n a chunk of orders at a time.  Each stack holds the next orders'
-    means, in the order of ns, on the M_s cells of their shared band: a
-    mean is a function of x mod M_s, so it is left there.
-    """
+def _family(form: str, w: WeightSequence | None) -> str:
+    """The kernel family whose multipliers give the means of this form; t and norlund need w."""
     if form not in _FORM_FAMILY:
         raise ValueError(f"unknown mean form {form!r}; expected t, norlund or partial")
-    ns = list(ns)
-    fh = _analyse(f, max(ns, default=0))
-    return _order_stacks(_FORM_FAMILY[form], fh, ns, f.spec, w)
+    if form != "partial" and w is None:
+        raise ValueError(f"form {form!r} needs a weight sequence")
+    return _FORM_FAMILY[form]
 
 
 def convergence_profile(
@@ -108,8 +99,7 @@ def convergence_profile(
         raise ValueError("give exactly one of point= and p=")
     if p is not None and not p >= 1:  # also refuses NaN
         raise ValueError(f"L_p error needs p >= 1, got {p}")
-    if form != "partial" and w is None:
-        raise ValueError(f"form {form!r} needs a weight sequence")
+    family = _family(form, w)
     spec = f.spec
     if point is not None and point.spec != spec:
         raise ValueError("point belongs to a different group")
@@ -117,7 +107,7 @@ def convergence_profile(
     ns = sorted(ns)
     orders = iter(ns)
     rows = []
-    for stack in _mean_stacks(f, w, ns, form):
+    for stack in _order_stacks(family, f, ns, spec, w):
         if point is not None:
             fx = f.values[point.index]
             errs = [abs(values[point.index % len(values)] - fx) for values in stack]
@@ -138,13 +128,12 @@ def maximal_profile(
     spec = f.spec
     if not 1 <= n_max <= spec.size:
         raise ValueError(f"n_max {n_max} outside [1, {spec.size}]")
-    if form != "partial" and w is None:
-        raise ValueError(f"form {form!r} needs a weight sequence")
+    family = _family(form, w)
     start = 1 if form == "partial" else w.n0
     if n_max < start:
         raise ValueError(f"no orders in [{start}, {n_max}] for form {form!r}")
     best = np.zeros(1)  # on the largest band so far; the bands M_s nest
-    for stack in _mean_stacks(f, w, range(start, n_max + 1), form):
+    for stack in _order_stacks(family, f, range(start, n_max + 1), spec, w):
         band = stack.shape[1]
         if band > len(best):
             best = np.tile(best, band // len(best))

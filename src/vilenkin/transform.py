@@ -30,7 +30,6 @@ __all__ = [
     "Spectrum",
     "character_row",
     "forward",
-    "inverse",
     "synthesize",
     "partial_sum",
     "convolve",
@@ -336,21 +335,12 @@ def forward(f: GridFunction, method: str = "fast") -> Spectrum:
     raise ValueError(f"unknown method {method!r}; expected 'fast' or 'naive'")
 
 
-def inverse(s: Spectrum) -> GridFunction:
-    """Synthesis transform: f(x) = sum_n coeffs[n] * psi_n(x).
-
-    A spectrum supported below M_s synthesizes to a function of x mod M_s,
-    so only s stages run, on coeffs[:M_s], and the result is tiled
-    M_N / M_s times: synthesize() of the coefficients.
-    """
-    return synthesize(s.spec, s.coeffs)
-
-
 def synthesize(spec: GroupSpec, coeffs) -> GridFunction:
     """sum_{j < len(coeffs)} coeffs[j] * psi_j, for len(coeffs) <= M_N: one inverse transform.
 
     The one-row case of _on_cells(), the block synthesis every sweep runs,
-    so a row of a sweep equals its single call exactly.
+    so a row of a sweep equals its single call exactly.  A Spectrum s
+    synthesizes as synthesize(s.spec, s.coeffs).
     """
     coeffs = np.asarray(coeffs)
     if coeffs.ndim != 1:
@@ -381,14 +371,13 @@ def _synthesize_bands(spec: GroupSpec, blocks: Iterable) -> Iterator[np.ndarray]
 
     blocks holds (rows x width) stacks of coefficient rows, width <= M_N.
     The rows are walked in input order, across blocks.  A row's band is
-    _band() of its count, one past its last nonzero coefficient (found for
-    a whole block by one scan): the rule inverse() applies to a whole
-    spectrum.  Its synthesis is a function of x mod M_s, so these M_s values
-    tile to the full grid.  The rows waiting for a butterfly run as one
-    (rows x M_s) stack, yielded in input order, when the next row has
-    another band or when _chunk_rows(M_s) rows wait, so a butterfly covers
-    at most _SYNTH_CHUNK_CELLS cells (one row if M_s is larger) and block
-    boundaries do not change which rows share it.  The blocks are read
+    _band() of its count, one past its last nonzero coefficient (found for a
+    whole block by one scan).  Its synthesis is a function of x mod M_s, so
+    these M_s values tile to the full grid.  The rows waiting for a butterfly
+    run as one (rows x M_s) stack, yielded in input order, when the next row
+    has another band or when _chunk_rows(M_s) rows wait, so a butterfly
+    covers at most _SYNTH_CHUNK_CELLS cells (one row if M_s is larger) and
+    block boundaries do not change which rows share it.  The blocks are read
     lazily, so a sweep that reduces each stack on its band holds
     O(_SYNTH_CHUNK_CELLS + M_s) cells besides the block being read.
     """

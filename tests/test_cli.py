@@ -320,16 +320,17 @@ PUBLIC_NAMES = [
     "KernelProfileRow", "Spectrum", "WeightSequence", "binomial_sequence",
     "character_row", "classify", "convergence_profile", "convolve", "dirichlet",
     "domination_constant", "fejer", "forward", "generator", "interval_members",
-    "inverse", "l1_profile", "lebesgue_modulus", "make_group", "maximal_profile",
+    "l1_profile", "lebesgue_modulus", "make_group", "maximal_profile",
     "multiplier", "norlund_kernel", "norlund_mean", "norm", "parse_weights",
     "partial_sum", "passes_gate", "synthesize", "t_kernel", "t_mean", "w_modulus",
     "weak_norm",
 ]
 # Deleted duplicates, with the route that replaces each: psi_n(x) is
 # character_row(spec, n)[x.index], r_k is character_row(spec, M_k), add and
-# subtract are x + y and x - y, weights() is WeightSequence(), and a named
-# mean is t_mean or norlund_mean with the family the means module lists.
-DELETED_NAMES = ["add", "named_mean", "psi", "rademacher", "subtract", "weights"]
+# subtract are x + y and x - y, weights() is WeightSequence(), a named
+# mean is t_mean or norlund_mean with the family the means module lists,
+# and inverse(s) is synthesize(s.spec, s.coeffs).
+DELETED_NAMES = ["add", "inverse", "named_mean", "psi", "rademacher", "subtract", "weights"]
 ORACLE_NAMES = [
     "abel_kernel_residuals", "abel_weight_residual", "identity_residual",
     "reflection_residuals", "t_mean_oracles",
@@ -657,6 +658,36 @@ def test_tail_rank_outside_the_levels_exits_2_and_names_it(tmp_path, capsys, tai
     assert main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"config error: tail-rank {tail_rank} outside [0, 6]\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("converge --p nan", "p must be >= 1, got nan"),
+        ("converge --form bogus", "unknown mean form 'bogus'"),
+        ("converge --point 9", "digit 9 at position 0 outside [0, 2)"),
+        ("kernel-profile --family bogus", "unknown kernel family 'bogus'"),
+        ("kernel-profile --family t --tail-rank 99", "tail-rank 99 outside [0, 4]"),
+    ],
+    ids=["p-nan", "form", "point", "family", "tail-rank"],
+)
+def test_bad_arguments_exit_2_before_the_orders_or_the_function_are_built(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    # these were checked only after the order list (and for converge f) was
+    # built: on a 2^22 grid that took 0.3-0.5 s and 190-260 MiB peak RSS
+    def refused(*args):
+        raise AssertionError("built before the arguments were checked")
+
+    monkeypatch.setattr(vilenkin.cli, "_orders", refused)
+    monkeypatch.setattr(vilenkin.cli, "_build_function", refused)
+    out = tmp_path / "x.csv"
+    grid = ["--group", "2", "--levels", "4", "--weights", "riesz", "--out", str(out)]
+    assert main([*argv.split(), *grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
     assert captured.out == ""
     assert not out.exists()
 

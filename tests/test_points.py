@@ -9,9 +9,10 @@ from bisect import bisect_left
 import numpy as np
 import pytest
 
+import vilenkin.kernels
 import vilenkin.points
 from vilenkin.group import Element, generator, make_group
-from vilenkin.kernels import multiplier
+from vilenkin.kernels import l1_profile, multiplier
 from vilenkin.means import WeightSequence, parse_weights
 from vilenkin.points import (
     convergence_profile,
@@ -253,13 +254,13 @@ def test_profiles_analyse_once_and_synthesize_once_per_order(monkeypatch, butter
     # and Norlund multipliers vanish at j = n - 1 and an order-n row reaches
     # the band of n - 1 coefficients; a partial sum keeps all n of them.
     calls = {"_analyse": 0}
-    analyse = vilenkin.points._analyse
+    analyse = vilenkin.kernels._analyse
 
     def counted(*args, **kwargs):
         calls["_analyse"] += 1
         return analyse(*args, **kwargs)
 
-    monkeypatch.setattr(vilenkin.points, "_analyse", counted)
+    monkeypatch.setattr(vilenkin.kernels, "_analyse", counted)
     spec = make_group([2, 3, 2, 3])
     f = GridFunction.random(spec, seed=36)
     w = parse_weights("riesz")
@@ -285,6 +286,28 @@ def test_profiles_analyse_once_and_synthesize_once_per_order(monkeypatch, butter
             assert [m for rows, m in synthesized for _ in range(rows)] == bands
             assert len(synthesized) <= _chunk_bound(bands)
             assert _chunk_bound(bands) <= spec.levels + 1  # 36 cells: a chunk per band
+
+
+def test_each_sweep_checks_its_orders_once(monkeypatch):
+    # the orders used to be checked again by every chunk of the sweep,
+    # after the analysis and the slices had used them: 26 times here
+    calls = []
+    check = vilenkin.kernels._check_orders
+
+    def counted(*args):
+        calls.append(args[0])
+        return check(*args)
+
+    monkeypatch.setattr(vilenkin.kernels, "_check_orders", counted)
+    spec = make_group([2, 3], 7)
+    f = GridFunction.random(spec, seed=40)
+    w = parse_weights("riesz")
+    ns = range(2, spec.size + 1)
+    assert len(convergence_profile(f, w, ns, form="t", p=1)) == len(ns)
+    assert calls == ["t"]
+    calls.clear()
+    assert len(l1_profile("t", ns, spec, weights=w)) == len(ns)
+    assert calls == ["t"]
 
 
 def test_order_sweep_synthesizes_in_bounded_chunks():

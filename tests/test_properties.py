@@ -51,17 +51,15 @@ from vilenkin.oracles import (
     reflection_residuals,
     t_mean_oracles,
 )
-from vilenkin.points import _FORM_FAMILY, _mean_stacks, convergence_profile, maximal_profile
+from vilenkin.points import _FORM_FAMILY, convergence_profile, maximal_profile
 from vilenkin.transform import (
     GridFunction,
-    Spectrum,
     _analyse,
     _band,
     _on_cells,
     _synthesize_bands,
     character_row,
     forward,
-    inverse,
     norm,
     partial_sum,
     synthesize,
@@ -174,7 +172,7 @@ def test_band_limited_synthesis_is_the_character_sum_and_periodic(case):
     rng = np.random.default_rng(seed)
     coeffs = np.zeros(spec.size, dtype=complex)
     coeffs[:c] = rng.standard_normal(c) + 1j * rng.standard_normal(c)
-    got = inverse(Spectrum(spec, coeffs)).values
+    got = synthesize(spec, coeffs).values
     want = sum((coeffs[n] * character_row(spec, n) for n in range(c)), np.zeros(spec.size))
     assert np.max(np.abs(got - want)) < TOL
     block = spec.M[bisect_left(spec.M, c)]  # the smallest M_s >= c
@@ -224,7 +222,7 @@ def test_batched_rows_equal_one_row_inverse(case):
     for row, got in zip(block, batched):
         full = np.zeros(spec.size, dtype=complex)
         full[: len(row)] = row
-        assert np.array_equal(got, inverse(Spectrum(spec, full)).values)
+        assert np.array_equal(got, synthesize(spec, full).values)
 
 
 @st.composite
@@ -298,15 +296,14 @@ def test_batched_kernels_and_means_equal_single_syntheses(case, more):
     spec, w, ns, f, x = case
     ns = sorted({*ns, *(min(spec.size, max(w.n0, n)) for n in more)})
     # the sweeps leave each row on its band M_s; tiled, it is the public result
-    unit = np.broadcast_to(1.0, spec.size)  # a kernel is the mean of the unit impulse
-    for family in _FAMILIES:
-        batched = itertools.chain.from_iterable(_order_stacks(family, unit, ns, spec, w))
+    for family in _FAMILIES:  # with f None, the kernels: the means of the unit impulse
+        batched = itertools.chain.from_iterable(_order_stacks(family, None, ns, spec, w))
         for n, got in zip(ns, batched, strict=True):
             want = synthesize(spec, multiplier(family, n, spec, w))
             assert np.array_equal(np.tile(got, spec.size // len(got)), want.values)
     fh = _analyse(f, ns[-1])
     for form, family in _FORM_FAMILY.items():
-        means = itertools.chain.from_iterable(_mean_stacks(f, w, ns, form))
+        means = itertools.chain.from_iterable(_order_stacks(family, f, ns, spec, w))
         for n, got in zip(ns, means, strict=True):
             want = synthesize(spec, fh[:n] * multiplier(family, n, spec, w))
             assert np.array_equal(np.tile(got, spec.size // len(got)), want.values)
@@ -535,11 +532,10 @@ def _chunked_sweeps(spec, w, ns, f):
             if w.Q(block) > 0
         ],
     }
-    for form in _FORM_FAMILY:
-        out[form] = list(itertools.chain.from_iterable(_mean_stacks(f, w, ns, form)))
-    unit = np.broadcast_to(1.0, spec.size)
+    for form, family in _FORM_FAMILY.items():
+        out[form] = list(itertools.chain.from_iterable(_order_stacks(family, f, ns, spec, w)))
     for family in _FAMILIES:
-        kernels = _order_stacks(family, unit, ns, spec, w)
+        kernels = _order_stacks(family, None, ns, spec, w)
         out[family + " kernels"] = list(itertools.chain.from_iterable(kernels))
     return out
 
@@ -605,7 +601,7 @@ def test_inverse_of_forward_is_identity_and_parseval_holds(case):
     rank = int(np.random.default_rng(seed).integers(0, spec.levels + 1))
     for f in (GridFunction.random(spec, seed), GridFunction.random(spec, seed, rank)):
         fhat = forward(f)
-        assert np.max(np.abs(inverse(fhat).values - f.values)) < TOL
-        assert np.max(np.abs(forward(inverse(fhat)).coeffs - fhat.coeffs)) < TOL
+        assert np.max(np.abs(synthesize(spec, fhat.coeffs).values - f.values)) < TOL
+        assert np.max(np.abs(forward(synthesize(spec, fhat.coeffs)).coeffs - fhat.coeffs)) < TOL
         energy = np.mean(np.abs(f.values) ** 2)
         assert abs(energy - np.sum(np.abs(fhat.coeffs) ** 2)) < TOL * max(1.0, energy)

@@ -9,9 +9,16 @@ import pytest
 
 from vilenkin.cli import ConfigError, load_config
 from vilenkin.group import Element, generator, interval_members, make_group, parse_element
-from vilenkin.kernels import dirichlet, multiplier, t_kernel
-from vilenkin.means import WeightSequence, classify, parse_weights
-from vilenkin.oracles import abel_weight_residual
+from vilenkin.kernels import (
+    dirichlet,
+    domination_constant,
+    fejer,
+    l1_profile,
+    multiplier,
+    t_kernel,
+)
+from vilenkin.means import WeightSequence, binomial_sequence, classify, parse_weights, t_mean
+from vilenkin.oracles import abel_weight_residual, identity_residual
 from vilenkin.points import convergence_profile, lebesgue_modulus
 from vilenkin.transform import (
     GridFunction,
@@ -97,6 +104,12 @@ F = GridFunction.random(SPEC, seed=4)
         (lambda n: classify(RIESZ, n), 2.5, np.int64(5), 5),
         (lambda r: interval_members(Element.zero(SPEC), r).tolist(), 0.5, np.int64(1), 1),
         (lambda n: partial_sum(F, n).values.tolist(), 2.5, np.int64(3), 3),
+        (
+            lambda j: identity_residual("reflection", SPEC, rank=1, j=j),
+            0.5,
+            np.int64(1),
+            1,
+        ),
     ],
     ids=[
         "radices",
@@ -113,6 +126,7 @@ F = GridFunction.random(SPEC, seed=4)
         "classify-n_max",
         "interval-rank",
         "partial-sum-order",
+        "reflection-offset",
     ],
 )
 def test_non_integer_inputs_are_refused_and_numpy_integers_pass(build, bad, good, plain):
@@ -144,6 +158,20 @@ OTHER = GridFunction.random(make_group([2, 3], 3), seed=5)
         (lambda: parse_element("1,x", SPEC), "bad element '1,x'"),
         (lambda: WeightSequence("constant").q(-1), "weight index must be >= 0, got -1"),
         (lambda: abel_weight_residual(RIESZ, 0), "n must be >= 1, got 0"),
+        (lambda: fejer(10**30, SPEC), rf"order {10**30} outside \[0, 6\]"),
+        (lambda: multiplier("t", 10**30, SPEC, RIESZ), rf"order {10**30} outside \[1, 6\]"),
+        (lambda: l1_profile("fejer", [10**30], SPEC), rf"order {10**30} outside \[0, 6\]"),
+        (
+            lambda: convergence_profile(F, RIESZ, [2, 10**30], p=1),
+            rf"order {10**30} outside \[1, 6\]",
+        ),
+        (lambda: t_mean(F, RIESZ, 10**30), rf"order {10**30} outside \[1, 6\]"),
+        (lambda: binomial_sequence(float("nan"), 3), "order must be finite, got nan"),
+        (lambda: binomial_sequence(float("inf"), 3), "order must be finite, got inf"),
+        (
+            lambda: identity_residual("block", SPEC, weights=RIESZ, rank=0),
+            r"Q\(1\) not positive for riesz",
+        ),
     ],
     ids=[
         "subtract-across-groups",
@@ -155,11 +183,36 @@ OTHER = GridFunction.random(make_group([2, 3], 3), seed=5)
         "element-digit",
         "negative-weight-index",
         "weight-residual-order",
+        "huge-fejer-order",
+        "huge-multiplier-order",
+        "huge-l1-profile-order",
+        "huge-convergence-order",
+        "huge-t-mean-order",
+        "nan-binomial-order",
+        "inf-binomial-order",
+        "block-residual-flat-weights",
     ],
 )
 def test_refusals_name_their_cause(refused, message):
     with pytest.raises(ValueError, match=message):
         refused()
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: t_mean(F, RIESZ, 2.5),
+        lambda: l1_profile("fejer", [2.5], SPEC),
+        lambda: domination_constant([2.5], SPEC),
+        lambda: convergence_profile(F, RIESZ, [2.5], p=1),
+    ],
+    ids=["t-mean", "l1-profile", "domination-constant", "convergence-profile"],
+)
+def test_a_float_order_is_refused_by_the_order_check(sweep):
+    # each used to reach the analysis or a coefficient slice first and fail
+    # there by accident: "slice indices must be integers or None ..."
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        sweep()
 
 
 def test_no_field_of_a_value_type_can_be_assigned():
