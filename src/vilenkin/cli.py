@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple, get_args, get_type_hints
+from typing import NamedTuple, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -180,15 +180,15 @@ def _build_function(cfg: ExperimentConfig, spec: GroupSpec) -> GridFunction:
     )
 
 
-def _orders(cfg: ExperimentConfig, spec: GroupSpec, start: int) -> list[int]:
+def _orders(cfg: ExperimentConfig, spec: GroupSpec, start: int) -> Sequence[int]:
     """The orders start .. n-max (default M_N), or the block sizes M_r among them."""
     n_max = cfg.n_max if cfg.n_max is not None else spec.size
     if not 1 <= n_max <= spec.size:
         raise ConfigError(f"n-max {n_max} outside [1, M_N = {spec.size}]")
     if cfg.mode == "block":
-        ns = [b for b in spec.M if start <= b <= n_max]
-    else:
-        ns = list(range(start, n_max + 1))
+        ns: Sequence[int] = [b for b in spec.M if start <= b <= n_max]
+    else:  # a range, so a job refused later (a bad --function) has not listed M_N orders
+        ns = range(start, n_max + 1)
     if not ns:
         what = "block sizes M_r" if cfg.mode == "block" else "orders"
         raise ConfigError(f"no {what} in [{start}, {n_max}]; raise --n-max")

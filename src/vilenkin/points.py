@@ -112,7 +112,7 @@ def convergence_profile(
             fx = f.values[point.index]
             errs = [abs(values[point.index % len(values)] - fx) for values in stack]
         else:
-            errs = _lp_norms(f.values, p, stack)  # one pass over f per stack
+            errs = _lp_norms(f, p, stack)  # one pass over f per stack
         for n, err in zip(islice(orders, len(stack)), errs):
             rows.append(ConvergenceRow(n=n, err=float(err), mean_id=mean_id))
     return rows

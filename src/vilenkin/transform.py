@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
-from functools import lru_cache, partial
+from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Iterator
 
@@ -42,13 +42,10 @@ __all__ = [
 # stack at a time: a sweep over many orders runs one stacked butterfly per
 # chunk of rows sharing a band.
 _SYNTH_CHUNK_CELLS = 2**12
-# Cells per buffer of a streamed pass over the grid: a leaf of an L_p error
-# or norm (at least _PAIRWISE_BLOCK), whose row, difference and |g - f|^p
-# are about 0.6 MiB at any M_N, and a draw of GridFunction.random.
+# Cells per buffer of a streamed pass over the grid: the bound on a leaf of
+# an L_p error or norm (_leaves()), whose tiled rows, difference and
+# |g - f|^p take about 0.6 MiB at any M_N, and on a draw of GridFunction.random.
 _STREAM_CELLS = 2**14
-# np.add.reduce sums a run of at most this many floats in one pass of eight
-# accumulators and splits a longer run in two (numpy's PW_BLOCKSIZE).
-_PAIRWISE_BLOCK = 128
 
 
 def _chunk_rows(cells: int) -> int:
@@ -436,120 +433,103 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
 def norm(f: GridFunction, p: float) -> float:
     """Strong L_p norm under normalized Haar measure; p may be math.inf.
 
-    The L_p error of f against the zero function, through _lp_norms():
-    bitwise np.mean(np.abs(f.values) ** p) ** (1 / p) (the max of |f| for
-    p = inf), summed a leaf at a time with no grid-sized temporary.
+    The L_p error of f against the zero function, by _lp_norms(): |f|^p is
+    summed a leaf at a time, with no grid-sized temporary.
     """
     if not p >= 1:  # also refuses NaN
         raise ValueError(f"strong norm needs p >= 1, got {p}")
-    return _lp_norms(f.values, p, np.zeros((1, 1)))[0]
+    return _lp_norms(f, p, np.zeros((1, 1)))[0]
 
 
-def _lp_norms(values: np.ndarray, p: float, g: np.ndarray) -> list[float]:
+def _lp_norms(f: GridFunction, p: float, g: np.ndarray) -> list[float]:
     """norm(g_i - f, p) for each row g_i of g.
 
-    values is f on the grid; g is a (rows x M_s) stack of M_s-periodic
-    functions given on the cells x < M_s.  Each result is bitwise
-    np.mean(np.abs(g_i - f) ** p) ** (1 / p) on the tiled g_i (the max of
-    |g_i - f| for p = inf), taken from _lp_sums() in O(_STREAM_CELLS) memory
-    at any M_N, and each row's root is taken as a scalar, as np.mean's
-    result is.  A row whose sum over- or underflows (it is not in
-    [M_N * tiny, inf), as at p = 1000 or for |g - f| far below 1) is rescaled by
-    its peak, the largest |g - f|, found by the p = inf leaves: it is
-    peak * mean((|g - f| / peak) ** p) ** (1 / p), after Blue (ACM TOMS 4,
-    1978).  The quotients lie in [0, 1] and the peak's own is exactly 1, so
-    that sum neither overflows nor vanishes.
+    g is a (rows x M_s) stack of M_s-periodic functions given on the cells
+    x < M_s.  Each result is (S / M_N)^(1/p), S the row's sum from
+    _lp_sums() (its max |g_i - f| at p = inf).  The leaves do not depend on
+    g, so it is bitwise norm(tiled g_i - f, p), and on a grid of one leaf
+    np.mean(np.abs(g_i - f) ** p) ** (1 / p).  A row whose sum over- or
+    underflows (not in [M_N * tiny, inf), as at p = 1000 or for |g - f| far
+    below 1) is rescaled by its peak, the largest |g - f|, found by the
+    p = inf leaves: peak * mean((|g - f| / peak) ** p) ** (1 / p), after
+    Blue (ACM TOMS 4, 1978).  The quotients lie in [0, 1] and the peak's
+    own is exactly 1, so that sum neither overflows nor vanishes.
     """
-    size = len(values)
+    size = f.spec.size
     with np.errstate(over="ignore"):
-        sums = _lp_sums(values, p, g)
+        sums = _lp_sums(f, p, g)
     if p == math.inf:
         return [float(t) for t in sums]
     norms = [float((t / size) ** (1.0 / p)) for t in sums]
     low = size * np.finfo(float).tiny
     redo = [i for i, t in enumerate(sums) if not low <= t < math.inf]
     if redo:  # in one batch: a pass per row is slower where every row rescales, as at p = 1000
-        peaks = np.array(_lp_sums(values, math.inf, g[redo]))
+        peaks = np.array(_lp_sums(f, math.inf, g[redo]))
         scaled = [k for k, peak in enumerate(peaks) if 0 < peak < math.inf]
-        rescaled = _lp_sums(values, p, g[[redo[k] for k in scaled]], peaks[scaled])
+        rescaled = _lp_sums(f, p, g[[redo[k] for k in scaled]], peaks[scaled])
         for k, t in zip(scaled, rescaled):
             norms[redo[k]] = float(peaks[k] * (t / size) ** (1.0 / p))
     return norms
 
 
-def _lp_sums(
-    values: np.ndarray, p: float, g: np.ndarray, peaks: np.ndarray | None = None
-) -> list[np.float64]:
+def _leaves(spec: GroupSpec) -> list[tuple[int, int]]:
+    """The (start, cells) leaves of a streamed pass over the grid, in grid order.
+
+    M_t is the largest place value within _STREAM_CELLS.  Blocks of M_{t+1}
+    cells (M_N if t = N) are cut into leaves of the largest multiple of M_t
+    within _STREAM_CELLS, capped at M_N, and a shorter last leaf.
+    """
+    t = bisect_right(spec.M, _STREAM_CELLS) - 1
+    block = spec.M[min(t + 1, spec.levels)]
+    leaf = min(spec.size, _STREAM_CELLS // spec.M[t] * spec.M[t])
+    starts = range(0, spec.size, block)
+    return [(at + i, min(leaf, block - i)) for at in starts for i in range(0, block, leaf)]
+
+
+def _lp_sums(f: GridFunction, p: float, g: np.ndarray, peaks: np.ndarray | None = None) -> list:
     """Each row's sum of |g_i - f|^p, or of (|g_i - f| / peaks_i)^p; at p = inf, its max |g_i - f|.
 
-    A grid of more than _STREAM_CELLS cells is cut into contiguous leaves
-    where np.add.reduce's pairwise summation (Higham 1993) cuts it: a run of
-    more than _PAIRWISE_BLOCK cells splits at n2 = n//2 - (n//2) % 8, down
-    to runs of at most _STREAM_CELLS cells.  The rows run in _runs() of
-    M_N-cell rows, each tiled once to the grid, or to a leaf and a period,
-    or left bare if a period is at least a leaf long.  So every leaf reads a
-    slice from column x mod M_s on; its |g - f|^p is summed by
-    np.add.reduce, and the leaf sums are added back as numpy adds the halves.
+    np.add.reduce sums each of the _leaves() and math.fsum adds the leaf
+    sums.  The rows run in _runs() of M_N-cell rows.  A period M_s of g is
+    either at most M_t, so it divides every leaf start and a row tiled once
+    to a leaf is read from column 0, or at least M_{t+1}, so no leaf crosses
+    it and a bare row is read in one slice.
     """
-    size = len(values)
-    # a leaf below numpy's block would split where numpy does not (and, at 1 cell, without end)
-    cells = max(_PAIRWISE_BLOCK, _STREAM_CELLS)
-    period = g.shape[1]
-    width = period if period >= cells else min(size, period * -(-(cells + period - 1) // period))
-    combine = np.maximum if p == math.inf else np.add
+    values, leaves, period = f.values, _leaves(f.spec), g.shape[1]
+    leaf, step = leaves[0][1], _chunk_rows(len(values))
+    tile = np.empty((step, leaf), dtype=np.complex128)  # three buffers serve every leaf
+    diff = np.empty(step * leaf, dtype=np.complex128)
+    mags = np.empty(step * leaf)
     # the peaks' column runs in the same slices as the rows it divides
-    scales = _runs(peaks[:, None], size) if peaks is not None else repeat(None)
-    sums = []
-    for rows, scale in zip(_runs(g, size), scales):
-        tiled = rows if width == period else np.tile(rows, (1, width // period))
-        leaf = partial(_lp_leaf, values, tiled, period, p, scale)
-        sums.extend(_pairwise(leaf, combine, 0, size, cells))
+    scales = _runs(peaks[:, None], len(values)) if peaks is not None else repeat(None)
+    sums: list = []
+    for rows, scale in zip(_runs(g, len(values)), scales):
+        tiled = rows
+        if period < leaf:  # so period divides leaf
+            tiled = tile[: len(rows)]
+            tiled.reshape(len(rows), -1, period)[...] = rows[:, None]
+        parts = np.empty((len(rows), len(leaves)))
+        for j, (start, n) in enumerate(leaves):
+            d = diff[: len(rows) * n].reshape(-1, n)
+            phase = start % period
+            np.subtract(tiled[:, phase : phase + n], values[start : start + n], out=d)
+            m = np.abs(d, out=mags[: d.size].reshape(d.shape))
+            if scale is not None:
+                m /= scale
+            if p not in (1, math.inf):  # x ** 1 is x
+                m **= p
+            parts[:, j] = m.max(axis=1) if p == math.inf else np.add.reduce(m, axis=1)
+        whole = p == math.inf or len(leaves) == 1  # the max of one leaf sum is that sum
+        sums.extend(parts.max(axis=1) if whole else map(_fsum, parts.tolist()))
     return sums
 
 
-def _pairwise(leaf, combine, start: int, n: int, width: int) -> np.ndarray:
-    """leaf(start, n), or combine() of the two halves np.add.reduce splits n cells into.
-
-    A module-level recursion: a nested function that called itself would
-    hold a reference cycle, keeping the tiled rows alive until a collection.
-    """
-    if n <= width:
-        return leaf(start, n)
-    half = n // 2 - (n // 2) % 8
-    return combine(
-        _pairwise(leaf, combine, start, half, width),
-        _pairwise(leaf, combine, start + half, n - half, width),
-    )
-
-
-def _lp_leaf(
-    values: np.ndarray,
-    g: np.ndarray,
-    period: int,
-    p: float,
-    scale: np.ndarray | None,
-    start: int,
-    n: int,
-) -> np.ndarray:
-    """Each row's sum of |g - f|^p (max of |g - f| for p = inf) over cells start .. start + n - 1.
-
-    g holds rows of period M_s = period, tiled so that the leaf's n cells
-    from column start mod M_s on are one slice, or, on a bare row, the slice
-    to its end joined to the row's first cells.  A scale column divides each
-    row's |g - f| before the power.
-    """
-    phase = start % period
-    rows = g[:, phase : phase + n]
-    if rows.shape[1] < n:  # across the end of a bare row, n <= period
-        rows = np.concatenate([rows, g[:, : n - rows.shape[1]]], axis=1)
-    mags = np.abs(rows - values[start : start + n])
-    if scale is not None:
-        mags /= scale
-    if p == math.inf:
-        return mags.max(axis=1)
-    if p != 1:  # x ** 1 is x
-        mags **= p
-    return np.add.reduce(mags, axis=1)
+def _fsum(terms: list[float]) -> float:
+    """math.fsum of terms, or inf where their sum overflows (math.fsum raises there)."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def weak_norm(f: GridFunction, p: float) -> float:

@@ -355,26 +355,42 @@ def _plain_norm(x, p):
     return float(np.mean(np.abs(x) ** p) ** (1 / p))
 
 
+def _fsum_norm(x, p):
+    """(fsum(|x|^p) / M_N)^(1/p), from the exactly rounded sum; max |x| at p = inf."""
+    if p == math.inf:
+        return float(np.max(np.abs(x)))
+    return (math.fsum(np.abs(x) ** p) / len(x)) ** (1 / p)
+
+
 @pytest.mark.parametrize(
     "radices, levels", [([2], 17), ([3], 11), ([7, 4, 2], 6), ([7, 4, 2], 7)]
 )
 def test_lp_errors_and_norms_equal_the_plain_expression(radices, levels):
-    # Beyond one leaf of _STREAM_CELLS cells (all but 7,4,2 x 6, a
-    # single leaf) the pairwise tree splits at sizes that are not powers of
-    # two (3^11, 7*4*2*7*4*2*7).  The orders reach bands of one cell, bands
-    # below a leaf (the row repeated over a leaf), bands above one (a leaf
-    # across at most one period boundary) and the whole grid.
+    # 7,4,2 x 6 is one leaf of _STREAM_CELLS cells, so each error and norm
+    # is bitwise the plain numpy expression.  The other grids (2^17, 3^11,
+    # 7*4*2*7*4*2*7 cells) run several leaves, added by math.fsum: each
+    # error is bitwise norm(tiled mean - f, p), whose leaves are the same,
+    # and each is within 64 eps of the norm from the exactly rounded sum.
+    # The orders reach bands of one cell, bands below a leaf (the row tiled
+    # to a leaf), bands above one (a bare row read from its phase) and the
+    # whole grid.
     spec = make_group(radices, levels)
     f = GridFunction.random(spec, seed=47)
     w = parse_weights("riesz")
     ns = sorted({2, 3, 9, 40, 301, spec.size // 3 + 1, spec.size})
     fh = _analyse(f, spec.size)
-    means = {n: synthesize(spec, fh[:n] * multiplier("t", n, spec, w)).values for n in ns}
+    means = {n: synthesize(spec, fh[:n] * multiplier("t", n, spec, w)) for n in ns}
+    eps = np.finfo(float).eps
     for p in (1, 1.5, 2, math.inf):
         got = [r.err for r in convergence_profile(f, w, ns, p=p)]
-        assert got == [_plain_norm(means[n] - f.values, p) for n in ns]
-        assert norm(f, p) == _plain_norm(f.values, p)
-    assert spec.size > _STREAM_CELLS or radices == [7, 4, 2]
+        assert got == [norm(means[n] - f, p) for n in ns]
+        cases = [(means[n].values - f.values, err) for n, err in zip(ns, got)]
+        for x, err in [*cases, (f.values, norm(f, p))]:
+            if spec.size <= _STREAM_CELLS:
+                assert err == _plain_norm(x, p)
+            want = _fsum_norm(x, p)
+            assert abs(err - want) <= 64 * eps * want
+    assert (spec.size <= _STREAM_CELLS) == (levels == 6)
 
 
 def test_lp_errors_reduce_once_per_butterfly_stack(monkeypatch, butterflies):
@@ -384,9 +400,9 @@ def test_lp_errors_reduce_once_per_butterfly_stack(monkeypatch, butterflies):
     calls = []
     reduce = vilenkin.points._lp_norms
 
-    def counted(values, p, g=None):
+    def counted(f, p, g):
         calls.append(len(g))
-        return reduce(values, p, g)
+        return reduce(f, p, g)
 
     monkeypatch.setattr(vilenkin.points, "_lp_norms", counted)
     spec = make_group([2, 3], 7)
@@ -404,8 +420,8 @@ def test_lp_errors_reduce_once_per_butterfly_stack(monkeypatch, butterflies):
 
 
 def test_lp_profile_leaves_no_reference_cycles():
-    # A reduction whose scratch sat in a reference cycle (a nested function
-    # calling itself holds one) would keep it until the collector ran.
+    # A reduction whose scratch sat in a reference cycle would keep it until
+    # the collector ran.
     spec = make_group([2], 16)
     f = GridFunction.random(spec, seed=49)
     w = parse_weights("riesz")

@@ -16,9 +16,11 @@ grid return the very errors, maxima and residuals of the tiled full-grid
 route (the L1 profile, a sum in another order, to 1e-12); the kernel
 profiles, reduced a whole stack at a time, are bitwise the one-order
 reduction on each band; and the L_p errors and norms streamed a leaf at a
-time are bitwise the plain numpy expression, whatever the leaf size.  The
-group laws, the character homomorphism, inverse(forward(f)) = f and
-Parseval hold on every random group.
+time, whatever the leaf size, are bitwise those of the tiled means, within
+64 eps of the norms from exactly rounded sums, and bitwise the plain numpy
+expression on a grid of one leaf.  The group laws, the character
+homomorphism, inverse(forward(f)) = f and Parseval hold on every random
+group.
 """
 
 import itertools
@@ -359,15 +361,46 @@ def _plain_norm(x, p):
     return float(np.mean(np.abs(x) ** p) ** (1 / p))
 
 
+def _exact_sum(terms):
+    """math.fsum of terms, the exactly rounded sum, or inf where it overflows (fsum raises there)."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
+def _rescaled_norm(x, p, add=np.add.reduce):
+    """(add(|x|^p) / M_N)^(1/p), or Blue's form scaled by max |x| where that sum over- or underflows.
+
+    With the default add it is the plain numpy expression np.mean(...) ** (1 / p).
+    """
+    mags = np.abs(x)
+    with np.errstate(over="ignore"):
+        total = add(mags**p)
+    peak = np.max(mags)
+    if len(x) * np.finfo(float).tiny <= total < math.inf or not 0 < peak < math.inf:
+        return float((total / len(x)) ** (1 / p))
+    return float(peak * (add((mags / peak) ** p) / len(x)) ** (1 / p))
+
+
+def _near_exact(err, x, p):
+    """err is within 64 eps, relative, of x's L_p norm from the exactly rounded sum."""
+    want = float(np.max(np.abs(x))) if p == math.inf else _rescaled_norm(x, p, _exact_sum)
+    return abs(err - want) <= 64 * np.finfo(float).eps * want
+
+
 @settings(max_examples=30, deadline=None)
 @given(quotient_cases(), st.sampled_from(sorted(_FORM_FAMILY)), st.sampled_from([1, 8, 64, 4096]))
 def test_streamed_lp_errors_and_norms_equal_the_plain_expression(case, form, leaf):
-    # Leaves of 1, 8 and 64 cells stand for numpy's 128-cell pairwise
-    # block, so a grid of more cells runs the leaf tree, each row repeated
-    # over a leaf or read across a period boundary; 4096-cell leaves hold
-    # every such grid whole, its rows several to a pass.  norm() shares
-    # the reduction, so the independent side is the plain numpy expression
-    # on the tiled means.
+    # Leaves of 1, 8 and 64 cells cut a grid of more cells into blocks of
+    # leaves, each row tiled to a leaf or read bare from its phase; a grid
+    # of at most leaf cells (every grid at 4096, its rows several to a pass)
+    # is one leaf, and there each error and norm is bitwise the plain numpy
+    # expression.  Everywhere each error is bitwise norm(tiled mean - f, p),
+    # whose leaves are the same, and within 64 eps of the norm from the
+    # exactly rounded sum: np.add.reduce's pairwise sum of at most 2^14
+    # nonnegative terms is within about 26 eps of exact, math.fsum adds
+    # half an ulp, and the root divides the relative error by p.
     spec, w, ns, f, _, _ = case
     ns = sorted({*ns, spec.size})
     means = dict(_tiled_means(f, w, ns, _FORM_FAMILY[form]))
@@ -375,24 +408,15 @@ def test_streamed_lp_errors_and_norms_equal_the_plain_expression(case, form, lea
     vilenkin.transform._STREAM_CELLS = leaf
     try:
         for p in (1, 1.5, 2, math.inf):
-            got = convergence_profile(f, w, ns, form=form, p=p)
-            assert [r.err for r in got] == [
-                _plain_norm(means[n].values - f.values, p) for n in ns
-            ]
-            assert norm(f, p) == _plain_norm(f.values, p)
+            got = [r.err for r in convergence_profile(f, w, ns, form=form, p=p)]
+            assert got == [norm(means[n] - f, p) for n in ns]
+            cases = [(means[n].values - f.values, err) for n, err in zip(ns, got)]
+            for x, err in [*cases, (f.values, norm(f, p))]:
+                if spec.size <= leaf:
+                    assert err == _plain_norm(x, p)
+                assert _near_exact(err, x, p)
     finally:
         vilenkin.transform._STREAM_CELLS = default
-
-
-def _rescaled_norm(x, p):
-    """The plain expression, or Blue's form scaled by max |x| where its sum over- or underflows."""
-    mags = np.abs(x)
-    with np.errstate(over="ignore"):
-        total = np.add.reduce(mags**p)
-    peak = np.max(mags)
-    if len(x) * np.finfo(float).tiny <= total < math.inf or not 0 < peak < math.inf:
-        return float((total / len(x)) ** (1 / p))
-    return float(peak * np.mean((mags / peak) ** p) ** (1 / p))
 
 
 @settings(max_examples=25, deadline=None)
@@ -406,9 +430,12 @@ def _rescaled_norm(x, p):
 def test_lp_errors_whose_sums_over_or_underflow_are_rescaled_by_their_peak(
     case, form, leaf, scale, p
 ):
-    # Each error is the plain expression wherever its sum of |g - f|^p is a
+    # Each error is (sum / M_N)^(1/p) wherever its sum of |g - f|^p is a
     # normal float, and peak * mean((|g - f| / peak)^p)^(1/p) where it over-
     # or underflows; at p = 1e308 that is the peak itself, the L_inf error.
+    # It is bitwise norm(tiled mean - f, p), and the plain numpy expression
+    # on a grid of one leaf; it is within 64 eps of the same forms taken
+    # from exactly rounded sums.
     spec, w, ns, f, _, _ = case
     f = GridFunction._own(spec, scale * f.values)
     ns = sorted({*ns, spec.size})
@@ -418,9 +445,15 @@ def test_lp_errors_whose_sums_over_or_underflow_are_rescaled_by_their_peak(
     try:
         got = [r.err for r in convergence_profile(f, w, ns, form=form, p=p)]
         inf = [r.err for r in convergence_profile(f, w, ns, form=form, p=math.inf)]
+        tiled = [norm(means[n] - f, p) for n in ns]
     finally:
         vilenkin.transform._STREAM_CELLS = default
-    assert got == [_rescaled_norm(means[n].values - f.values, p) for n in ns]
+    assert got == tiled
+    for n, err in zip(ns, got):
+        x = means[n].values - f.values
+        if spec.size <= leaf:
+            assert err == _rescaled_norm(x, p)
+        assert _near_exact(err, x, p)
     assert all(math.isfinite(err) for err in got)
     if p == 1e308:
         assert got == inf

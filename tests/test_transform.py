@@ -12,10 +12,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import vilenkin.transform
 from vilenkin.group import Element, make_group
 from vilenkin.transform import (
     GridFunction,
     Spectrum,
+    _leaves,
+    _lp_norms,
     character_row,
     convolve,
     forward,
@@ -393,8 +396,9 @@ def test_norm_at_large_p_is_rescaled_by_its_peak():
 
 
 def test_norm_needs_no_grid_sized_temporary():
-    # |f|^p is summed a leaf at a time, bitwise the one-expression mean; as
-    # one M_N-float array (and np.abs's own) it took 16.0 MiB traced at 2^20
+    # |f|^p is summed a leaf at a time, within 64 eps of the norm from the
+    # exactly rounded sum; as one M_N-float array (and np.abs's own) it took
+    # 16.0 MiB traced at 2^20
     spec = make_group([2], 20)
     f = GridFunction.random(spec, seed=44)
     norm(f, 2.5)  # numpy's first-call allocations
@@ -405,7 +409,41 @@ def test_norm_needs_no_grid_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert got == float(np.mean(np.abs(f.values) ** 2.5) ** (1 / 2.5))
+    want = (math.fsum(np.abs(f.values) ** 2.5) / spec.size) ** (1 / 2.5)
+    assert abs(got - want) <= 64 * np.finfo(float).eps * want
+
+
+def test_norm_whose_leaf_sums_overflow_only_together_is_rescaled():
+    # each of the two 2^14-cell leaves sums |f|^2 to 1.6e308, a finite
+    # float, but their total overflows, where math.fsum raises; the sum
+    # must read inf, so the norm is rescaled by the peak |f|
+    spec = make_group([2], 15)
+    c = math.sqrt(1e304)
+    assert norm(GridFunction.constant(spec, c), 2) == c
+
+
+def test_leaves_cut_blocks_of_the_next_place_value(monkeypatch):
+    # At 64 cells per leaf on radices 3, 50, ... the place values are 1, 3,
+    # 150, 450, 22500: M_t = 3, so a block of M_{t+1} = 150 cells holds the
+    # leaves [0, 63), [63, 126) and [126, 150), not 50 leaves of M_t cells.
+    monkeypatch.setattr(vilenkin.transform, "_STREAM_CELLS", 64)
+    spec = make_group([3, 50], 4)
+    leaves = _leaves(spec)
+    assert leaves[:4] == [(0, 63), (63, 63), (126, 24), (150, 63)]
+    assert len(leaves) == 3 * 150
+    assert all(start + n == after for (start, n), (after, _) in zip(leaves, leaves[1:]))
+    assert sum(n for _, n in leaves) == spec.size
+    # rows of period 1 (below M_t), M_t, M_{t+1} and 3 M_{t+1} are read in
+    # place: each sum is the fsum of np.add.reduce over these leaves, bitwise
+    f = GridFunction.random(spec, seed=50)
+    rng = np.random.default_rng(51)
+    for period in (1, 3, 150, 450):
+        g = rng.standard_normal((2, period)) + 1j * rng.standard_normal((2, period))
+        mags = np.abs(np.tile(g, (1, spec.size // period)) - f.values)
+        assert _lp_norms(f, math.inf, g) == mags.max(axis=1).tolist()
+        for p in (1, 2.5):
+            sums = [math.fsum(np.add.reduce(row[a : a + n] ** p) for a, n in leaves) for row in mags]
+            assert _lp_norms(f, p, g) == [(t / spec.size) ** (1 / p) for t in sums]
 
 
 def test_parseval():
