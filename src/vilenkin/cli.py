@@ -37,7 +37,7 @@ FAST_REPEATS = 5
 # 10 h at 2^20), so bench-transform refuses grids above this size.
 MAX_NAIVE_SIZE = 1 << 15
 # classify-weights holds a few float arrays of n_max entries: at 2^20 it takes
-# 0.2-0.35 s and 141 MB peak RSS, at 2^22 0.6 s and 477 MB, and 10^12 cannot
+# about 0.2 s and 94 MB peak RSS, at 2^22 0.4 s and 289 MB, and 10^12 cannot
 # be allocated, so larger scans are refused.
 MAX_CLASSIFY_N = 1 << 20
 

@@ -54,6 +54,10 @@ _KINDS = {
     "log-power": ("logpow", True),
 }
 _ALIASES = {alias: kind for kind, (alias, _) in _KINDS.items()}
+# The most weights or weight sums one array holds, 512 MiB of floats, so that
+# a larger count is refused before numpy tries to allocate it.  The CLI's
+# largest grid, 2^22 cells, reads Q_array(2^22), cached at 2^23 + 1 sums.
+_MAX_WEIGHTS = 1 << 26
 
 
 def binomial_sequence(order: float, count: int) -> np.ndarray:
@@ -64,6 +68,8 @@ def binomial_sequence(order: float, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if count > _MAX_WEIGHTS:
+        raise ValueError(f"count {count} needs more than {_MAX_WEIGHTS} weights")
     if not np.isfinite(order):
         raise ValueError(f"order must be finite, got {order}")
     out = np.zeros(count)
@@ -137,6 +143,8 @@ def _capacity(count: int) -> int:
     count = operator.index(count)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if count >= _MAX_WEIGHTS:  # its cache would hold more
+        raise ValueError(f"count {count} needs more than {_MAX_WEIGHTS} weights")
     return 1 << count.bit_length()
 
 
@@ -165,7 +173,7 @@ def _q_cache(w: WeightSequence, count: int) -> np.ndarray:
 @lru_cache(maxsize=512)
 def _Q_cache(w: WeightSequence, n: int) -> np.ndarray:
     out = np.zeros(n + 1)
-    out[1:] = np.cumsum(w.q_array(n))
+    out[1:] = np.cumsum(_q_cache(w, n))  # n is a cached length already
     out.setflags(write=False)
     return out
 

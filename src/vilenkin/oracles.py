@@ -21,13 +21,13 @@ lazy attributes import this module, each when first called.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .group import GroupSpec
-from .kernels import _check_orders, _multipliers
+from .kernels import _check_orders, _multipliers, _order_stacks
 from .means import WeightSequence
 from .transform import (
     GridFunction,
@@ -186,33 +186,13 @@ def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
                 yield rank, half, float(_reflection_gap(middle, full, row, middle))
 
 
-def _abel_walk(
-    spec: GroupSpec, weights: WeightSequence, ns: Sequence[int], rows: int
-) -> tuple[list[int], Iterator[tuple[np.ndarray, np.ndarray, slice | np.ndarray]]]:
-    """The orders n <= 1 of ascending t orders ns, and the chunks of their Abel sweep.
-
-    The orders are checked at this call.  A chunk (k, n, at) holds rows of
-    the steps k = 1, ..., max(ns) - 1, the orders n with n - 1 among them,
-    and the rows n - 1 - k[0] those orders read (a slice when they read
-    every row).  abel_kernel_residuals() and t_mean_oracles() walk
-    these chunks, carrying their running sums from one to the next.
-    """
+def _ascending(ns: Sequence[int], spec: GroupSpec, weights: WeightSequence) -> list[int]:
+    """The ascending t orders ns as a list, checked before any transform."""
     ns = list(ns)
     for previous, n in zip(ns, ns[1:]):
         if n < previous:
             raise ValueError(f"orders must ascend, got {n} after {previous}")
-    _check_orders("t", ns, spec, weights)
-    top = max(ns, default=0)
-
-    def chunks() -> Iterator[tuple[np.ndarray, np.ndarray, slice | np.ndarray]]:
-        for a in range(1, top, rows):
-            k = np.arange(a, min(a + rows, top))
-            orders = ns[bisect_left(ns, a + 1) : bisect_left(ns, k[-1] + 2)]
-            n = np.asarray(orders, dtype=np.int64)
-            at = n - 1 - a
-            yield k, n, slice(len(k)) if np.array_equal(at, np.arange(len(k))) else at
-
-    return ns[: bisect_left(ns, 2)], chunks()
+    return _check_orders("t", ns, spec, weights)
 
 
 def abel_kernel_residuals(
@@ -223,43 +203,36 @@ def abel_kernel_residuals(
     The right-hand side is kept as a running sum over i of
     (q_i - q_{i+1}) i K_i, added in increasing i, so every K_i with
     i < max(ns) is synthesized once and each order costs one t kernel on
-    top.  Every kernel involved lives on a band nested in that of max(ns),
-    and the running sum is kept on that band's cells.  The K_i run a chunk
-    at a time: the chunk's running sums are one cumulative sum down the
-    stack of its terms, the very additions of a loop over i, and the orders
-    n whose K_{n-1} it holds take their t kernels and gaps as one stack.
+    top.  Step k adds the term of K_k after the orders n = k + 1 have read
+    the sum; order 1 reads step 0, where the sum and K_0 are zero.  Every
+    kernel involved lives on a band nested in that of max(ns), and the
+    running sum is kept on that band's cells, a kernel of a lower band
+    added over each of its periods.
     """
+    ns = _ascending(ns, spec, weights)
     top = max(ns, default=0)
-    cells = _band(spec, min(top, spec.size))
-    low, chunks = _abel_walk(spec, weights, ns, _chunk_rows(cells))
-    q, Q = weights.q_array(top + 1), weights.Q_array(top)  # q_top weighs a term no order reads
-    if low:  # an order n <= 1 has no K_i on its right-hand side, which is zero
-        lhs = _on_cells(spec, _multipliers("t", low, spec, weights), cells)
-        yield from zip(low, np.max(np.abs(lhs), axis=-1).tolist())
-    partial = np.zeros(cells, dtype=np.complex128)  # the terms i < k[0]
-    for k, n, at in chunks:
-        kernel = _on_cells(spec, _multipliers("fejer", k, spec), cells)  # K_i, i in k
-        sums = np.empty((len(k) + 1, cells), dtype=np.complex128)
-        sums[0] = partial
-        np.multiply(((q[k] - q[k + 1]) * k)[:, None], kernel, out=sums[1:])
-        np.cumsum(sums, axis=0, out=sums)  # row r: the terms i < k[r]
-        partial = sums[-1].copy()
-        if not n.size:
-            continue
-        rhs = kernel[at]
-        np.multiply((q[n - 1] * (n - 1))[:, None], rhs, out=rhs)
-        np.add(sums[at], rhs, out=rhs)
-        np.divide(rhs, Q[n][:, None], out=rhs)
-        del kernel, sums
-        lhs = _on_cells(spec, _multipliers("t", n, spec, weights), cells)
-        gap = np.subtract(lhs, rhs, out=rhs)
-        yield from zip(n.tolist(), np.max(np.abs(gap), axis=-1).tolist())
+    q, Q = weights.q_array(top), weights.Q_array(top)
+    total = np.zeros(_band(spec, top), dtype=np.complex128)  # the terms i < k
+    t_kernels = chain.from_iterable(_order_stacks("t", None, ns, spec, weights))
+    fejer = chain.from_iterable(_order_stacks("fejer", None, range(1, top), spec))
+    at = 0
+    for k, kernel in zip(range(top), chain([np.zeros(1)], fejer)):  # K_0 = 0 on M_0 = 1 cell
+        periods = total.reshape(-1, len(kernel))
+        while ns[at] == k + 1:
+            rhs = periods + (q[k] * k) * kernel
+            rhs /= Q[k + 1]
+            lhs = next(t_kernels)
+            yield k + 1, float(np.abs(lhs - rhs.reshape(-1, len(lhs))).max())
+            at += 1
+            if at == len(ns):
+                return
+        periods += ((q[k] - q[k + 1]) * k) * kernel
 
 
 def t_mean_oracles(
     f: GridFunction, w: WeightSequence, ns: Sequence[int]
 ) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
-    """(orders, direct T_n f, abel T_n f) for ascending ns, in one pass, a chunk at a time.
+    """([n], direct T_n f, abel T_n f) for each order of ascending ns, in one pass.
 
     With S_k = sum_{i<k} fhat(i) psi_i and R_k = S_1 + ... + S_k (so that
     R_k = k sigma_k f), the two oracle routes are
@@ -270,55 +243,47 @@ def t_mean_oracles(
     Both are running sums in k, so one forward(f) and one character row per
     k < max(ns) - 1 serve every order.  The full forward(f), not an
     analysis up to max(ns), keeps every order's value independent of the
-    other orders in ns.  The steps k run in chunks of _chunk_rows(M_N): one
-    stack of character rows psi_{k-1}, and each running sum (S_k, R_k, the
-    direct and the Abel sums) one cumulative sum down the stack of its
-    terms, started from the previous chunk's last row, so every value is a
-    loop's additions in the loop's order.  A chunk yields the orders n with
-    n - 1 among its steps, both routes as fresh (orders x M_N) stacks, in
-    O(_SYNTH_CHUNK_CELLS + M_N) working memory.
+    other orders in ns.  Step k adds q_k S_k to the direct sum, yields the
+    orders n = k + 1, then adds (q_k - q_{k+1}) R_k to the Abel sum and
+    fhat(k) psi_k to S; order 1 reads step 0, where every sum is zero.
+    Each order comes as two fresh (1 x M_N) rows, in O(_SYNTH_CHUNK_CELLS
+    + M_N) working memory.
+    """
+    ns = _ascending(ns, f.spec, w)
+    top = max(ns, default=0)
+    q, Q = w.q_array(top), w.Q_array(top)
+    terms = _partial_sum_terms(f, top - 1)
+    # S_k, R_k, the direct sum of the terms k' <= k and the Abel sum of j < k
+    S, R, direct, abel = (np.zeros(f.spec.size, dtype=np.complex128) for _ in range(4))
+    at = 0
+    for k in range(top):
+        direct += q[k] * S
+        while ns[at] == k + 1:
+            mean = np.multiply(R, q[k])  # R_{n-1} is q_{n-1}'s term
+            mean += abel
+            mean /= Q[k + 1]
+            yield [k + 1], (direct / Q[k + 1])[None], mean[None]
+            at += 1
+            if at == len(ns):
+                return
+        abel += (q[k] - q[k + 1]) * R
+        S += next(terms)
+        R += S
+
+
+def _partial_sum_terms(f: GridFunction, count: int) -> Iterator[np.ndarray]:
+    """fhat(k) psi_k for k < count; forward(f) runs when the first is read.
+
+    The character rows are built, and scaled by fhat, _chunk_rows(M_N) at a
+    time.
     """
     spec = f.spec
-    top = max(ns, default=0)
-    low, chunks = _abel_walk(spec, w, ns, _chunk_rows(spec.size))
-    if not top:  # no orders, and no transform
-        return
     fh = forward(f).coeffs
-    q, Q = w.q_array(top + 1), w.Q_array(top)  # q_top weighs a term no order reads
-    if low:  # order 1 reads step 0, where every sum is still zero
-        zero = np.zeros((len(low), spec.size), dtype=np.complex128)
-        yield low, zero, zero.copy()
-    # S_{k-1}, R_{k-1}, the direct sum and the Abel terms j < k, k = k[0]
-    S, R, direct, abel = (np.zeros(spec.size, dtype=np.complex128) for _ in range(4))
-    for k, n, at in chunks:
-        Ss = _characters(spec, k - 1)
-        np.multiply(fh[k - 1][:, None], Ss, out=Ss)
-        _accumulate(S, Ss)
-        Rs = Ss.copy()
-        _accumulate(R, Rs)
-        As = np.empty((len(k) + 1, spec.size), dtype=np.complex128)
-        As[0] = abel
-        np.multiply((q[k] - q[k + 1])[:, None], Rs, out=As[1:])
-        np.cumsum(As, axis=0, out=As)  # row r: the terms j < k[r]
-        S, R, abel = Ss[-1].copy(), Rs[-1].copy(), As[-1].copy()
-        np.multiply(q[k][:, None], Ss, out=Ss)
-        _accumulate(direct, Ss)
-        direct = Ss[-1].copy()
-        if not n.size:
-            continue
-        Ds, Rs, As = Ss[at], Rs[at], As[at]
-        np.multiply(q[n - 1][:, None], Rs, out=Rs)  # R_{n-1} is q_{n-1}'s term
-        np.add(As, Rs, out=Rs)
-        del As
-        np.divide(Ds, Q[n][:, None], out=Ds)
-        np.divide(Rs, Q[n][:, None], out=Rs)
-        yield n.tolist(), Ds, Rs
-
-
-def _accumulate(start: np.ndarray, terms: np.ndarray) -> None:
-    """Running sums start + terms[0], ... + terms[i] down a stack, in place, in loop order."""
-    np.add(start, terms[0], out=terms[0])
-    np.cumsum(terms, axis=0, out=terms)
+    step = _chunk_rows(spec.size)
+    for start in range(0, count, step):
+        rows = _characters(spec, np.arange(start, min(start + step, count)))
+        np.multiply(fh[start : start + len(rows), None], rows, out=rows)
+        yield from rows
 
 
 def abel_weight_residual(w: WeightSequence, n: int) -> float:

@@ -117,7 +117,7 @@ def test_identity_check_tolerance_follows_the_size_of_each_sum(tmp_path, capsys,
 
     # A t kernel off by 1e-9 fails even at the largest order, where the
     # abel-kernel tolerance 1e-12 * 511 is loosest.
-    multipliers = vilenkin.oracles._multipliers
+    multipliers = vilenkin.kernels._multipliers
 
     def perturbed(family, ns, spec, weights=None):
         out = multipliers(family, ns, spec, weights)
@@ -125,7 +125,7 @@ def test_identity_check_tolerance_follows_the_size_of_each_sum(tmp_path, capsys,
             out[np.asarray(ns) == 511, 0] += 1e-9  # + 1e-9 * psi_0, a constant
         return out
 
-    monkeypatch.setattr(vilenkin.oracles, "_multipliers", perturbed)
+    monkeypatch.setattr(vilenkin.kernels, "_multipliers", perturbed)
     assert main([*args, "--out", str(out)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line.endswith("FAIL")] == [
@@ -225,7 +225,7 @@ def test_closed_stdout_keeps_csv_and_exit_status(tmp_path):
     # the status, and must print no traceback.  The child starts on a pipe
     # whose read end is already closed, so its very first summary line
     # breaks the pipe; its default constant weights (n0 = 1) also run the
-    # Abel walk's orders below 2.
+    # Abel oracles' order 1.
     out, err = tmp_path / "piped.csv", tmp_path / "stderr.txt"
     args = ["identity-check", "--group", "2,3", "--levels", "3", "--out"]
     read_end, write_end = os.pipe()
@@ -303,6 +303,9 @@ def lazy_modules_after(code, argv=()):
 
 def test_import_loads_no_oracle_dataclasses_or_json():
     assert lazy_modules_after("import vilenkin") == set()
+    # the package is asked for a submodule's name before it is imported
+    assert lazy_modules_after("import vilenkin\nassert not hasattr(vilenkin, 'cli')") == set()
+    assert lazy_modules_after("from vilenkin import cli") == set()
     # the five oracle names stay reachable from the package, loaded on first use
     code = (
         "from vilenkin import abel_kernel_residuals, abel_weight_residual, identity_residual,"
@@ -311,6 +314,7 @@ def test_import_loads_no_oracle_dataclasses_or_json():
         "assert vilenkin.identity_residual is vilenkin.oracles.identity_residual\n"
         "assert t_mean_oracles is vilenkin.oracles.t_mean_oracles\n"
         "assert not hasattr(vilenkin, 'mystery')\n"
+        "assert not hasattr(vilenkin, 'no.such')  # no submodule lookup of a dotted name\n"
     )
     assert lazy_modules_after(code) == {"vilenkin.oracles"}
 

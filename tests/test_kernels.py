@@ -21,7 +21,7 @@ from vilenkin.kernels import (
     norlund_kernel,
     t_kernel,
 )
-from vilenkin.means import parse_weights
+from vilenkin.means import parse_weights, t_mean
 from vilenkin.oracles import (
     abel_kernel_residuals,
     identity_residual,
@@ -293,7 +293,7 @@ def test_identity_sweeps_hold_a_few_chunks_at_a_time():
     # The sweeps run their cases a chunk of rows at a time, so the traced
     # peak is a few chunks of complex cells, not one stack of every case:
     # at M_N = 216 the 215 orders of one such stack take 743 KB.  Measured:
-    # 254 KiB reflection, 352 KiB abel-kernel, 403 KiB abel-mean; one case
+    # 254 KiB reflection, 386 KiB abel-kernel, 219 KiB abel-mean; one case
     # at a time took 212, 226 and 44 KiB.
     spec, w = make_group([2, 3], 6), parse_weights("riesz")
     f = GridFunction.random(spec, seed=5)
@@ -317,9 +317,9 @@ def test_identity_sweeps_hold_a_few_chunks_at_a_time():
 
 
 def test_abel_sweeps_check_their_orders_before_any_transform(monkeypatch):
-    # Both Abel sweeps take their chunks from one walk, which refuses orders
-    # that do not ascend, or that no t kernel has, before any analysis or
-    # synthesis; an empty order list yields nothing and runs no transform
+    # Both Abel sweeps refuse orders that do not ascend, or that no t kernel
+    # has, before any analysis or synthesis; an empty order list yields
+    # nothing and runs no transform
     spec, w = make_group([2, 3], 3), parse_weights("riesz")
     f = GridFunction.random(spec, seed=4)
 
@@ -342,6 +342,20 @@ def test_abel_sweeps_check_their_orders_before_any_transform(monkeypatch):
         with pytest.raises(ValueError, match="outside"):
             next(sweep([2, spec.size + 1]))
         assert list(sweep([])) == [], name
+
+
+def test_t_mean_oracles_yield_fresh_arrays():
+    # every item is kept before any is compared, so a row that views a
+    # running sum would read a later step; one grid builds many character
+    # rows per chunk, the other one (_chunk_rows(M_N) = 341 and 1)
+    w = parse_weights("riesz")
+    for spec, ns in ((make_group([2, 3], 3), range(2, 13)), (make_group([2], 12), [2, 3, 3, 40])):
+        f = GridFunction.random(spec, seed=6)
+        items = list(t_mean_oracles(f, w, ns))
+        assert [orders for orders, _, _ in items] == [[n] for n in ns]
+        for n, (_, direct, abel) in zip(ns, items):
+            assert np.array_equal(direct[0], t_mean(f, w, n, method="direct").values)
+            assert np.array_equal(abel[0], t_mean(f, w, n, method="abel").values)
 
 
 def test_l1_profile_t_family_tails_shrink():

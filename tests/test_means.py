@@ -314,3 +314,38 @@ def test_weight_arrays_of_an_order_sweep_share_one_cache_entry_per_size_class(la
         w.q_array(-1)
     with pytest.raises(ValueError):
         w.Q_array(-1)
+
+
+def test_weight_sums_are_built_from_one_cached_weight_array():
+    # Q_array(n) is cached at 2n sums; summing q_array(2n), itself cached at
+    # 4n weights, traced 112 MiB here against 64 MiB for the 2n weights
+    # alone.  The alpha is one no other test uses, so nothing is cached yet.
+    w = WeightSequence("log-power", 0.2718)
+    tracemalloc.start()
+    try:
+        w.Q_array(2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda: WeightSequence("riesz-log").Q(10**12),
+        lambda: classify(WeightSequence("constant"), 10**12),
+        lambda: binomial_sequence(0.5, 10**12),
+    ],
+    ids=["Q", "classify", "binomial"],
+)
+def test_weight_counts_above_the_bound_are_refused_before_any_allocation(refused):
+    # numpy raised MemoryError for these 8 TB arrays
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"count {10**12} needs more than {2**26} weights"):
+            refused()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -131,7 +131,7 @@ def test_norlund_and_partial_match_partial_sum_expansion(case):
 
 
 def _oracle_rows(f, w, ns):
-    """(n, direct T_n f, abel T_n f) of each order, from the chunks of t_mean_oracles()."""
+    """(n, direct T_n f, abel T_n f) of each order, from the items of t_mean_oracles()."""
     for orders, direct, abel in t_mean_oracles(f, w, ns):
         yield from zip(orders, direct, abel)
 
