@@ -361,7 +361,7 @@ def _run_bench_transform(cfg: ExperimentConfig) -> Report:
         fast = forward(f, method="fast")
         fast_times.append(time.perf_counter() - t0)
     fast_s = sorted(fast_times)[FAST_REPEATS // 2]
-    diff = float(np.max(np.abs(naive.coeffs - fast.coeffs)))
+    diff = float(np.max(np.abs(naive - fast)))
     failed = not diff <= AGREE_TOL
     speed = naive_s / fast_s if fast_s > 0 else float("inf")
     summary = (

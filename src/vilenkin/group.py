@@ -183,16 +183,18 @@ class Element(_Value):
 
     def __add__(self, other: "Element") -> "Element":
         """Coordinatewise sum mod the radices."""
-        if self.spec != other.spec:
-            raise ValueError("elements belong to different groups")
-        d = tuple((a + b) % r for a, b, r in zip(self.digits, other.digits, self.spec.m))
-        return Element(self.spec, d)
+        return self._coordinatewise(operator.add, other)
 
     def __sub__(self, other: "Element") -> "Element":
         """Coordinatewise difference mod the radices."""
+        return self._coordinatewise(operator.sub, other)
+
+    def _coordinatewise(self, op, other: "Element") -> "Element":
+        if not isinstance(other, Element):
+            return NotImplemented  # so x + 1 raises TypeError
         if self.spec != other.spec:
             raise ValueError("elements belong to different groups")
-        d = tuple((a - b) % r for a, b, r in zip(self.digits, other.digits, self.spec.m))
+        d = tuple(op(a, b) % r for a, b, r in zip(self.digits, other.digits, self.spec.m))
         return Element(self.spec, d)
 
     def __str__(self) -> str:

@@ -72,9 +72,12 @@ def binomial_sequence(order: float, count: int) -> np.ndarray:
         raise ValueError(f"count {count} needs more than {_MAX_WEIGHTS} weights")
     if not np.isfinite(order):
         raise ValueError(f"order must be finite, got {order}")
+    # built in place: out and i are the only count-sized arrays
     out = np.zeros(count)
-    i = np.arange(1, count)
-    out[1:] = np.cumprod((order + i) / i)
+    i = np.arange(1, count, dtype=np.float64)
+    np.add(order, i, out=out[1:])
+    out[1:] /= i
+    np.cumprod(out[1:], out=out[1:])
     return out
 
 

@@ -278,7 +278,7 @@ def _partial_sum_terms(f: GridFunction, count: int) -> Iterator[np.ndarray]:
     time.
     """
     spec = f.spec
-    fh = forward(f).coeffs
+    fh = forward(f)
     step = _chunk_rows(spec.size)
     for start in range(0, count, step):
         rows = _characters(spec, np.arange(start, min(start + step, count)))

@@ -27,7 +27,6 @@ from .group import GroupSpec, _Frozen
 
 __all__ = [
     "GridFunction",
-    "Spectrum",
     "character_row",
     "forward",
     "synthesize",
@@ -128,45 +127,37 @@ def character_row(spec: GroupSpec, n: int) -> np.ndarray:
     return row
 
 
-class _Sampled(_Frozen):
-    """Base of GridFunction and Spectrum, immutable once built and equal only to itself.
+class GridFunction(_Frozen):
+    """A complex-valued function sampled on the grid, immutable once built and equal only to itself.
 
-    Its fields are a spec and, named by the second slot, a read-only
-    complex128 vector of length M_N.  The public constructor copies its
-    input, so arrays passed in by users stay theirs.
+    Its values are a read-only complex128 vector of length M_N.  The public
+    constructor copies its input, so arrays passed in by users stay theirs.
     """
 
-    __slots__ = ()
+    __slots__ = ("spec", "values")
+    spec: GroupSpec
+    values: np.ndarray
 
-    def __init__(self, spec: GroupSpec, data) -> None:
-        self._hold(spec, data, copy=True)
+    def __init__(self, spec: GroupSpec, values) -> None:
+        self._hold(spec, values, copy=True)
 
     @classmethod
-    def _own(cls, spec: GroupSpec, data: np.ndarray):
+    def _own(cls, spec: GroupSpec, values: np.ndarray) -> "GridFunction":
         """Wrap an array the library has just created, freezing it instead of copying.
 
         The caller must hold no other writable reference to the array.
         """
         self = object.__new__(cls)
-        self._hold(spec, data, copy=None)
+        self._hold(spec, values, copy=None)
         return self
 
-    def _hold(self, spec: GroupSpec, data, copy: bool | None) -> None:
-        name = self.__slots__[1]  # "values" or "coeffs"
-        arr = np.array(data, dtype=np.complex128, copy=copy)
+    def _hold(self, spec: GroupSpec, values, copy: bool | None) -> None:
+        arr = np.array(values, dtype=np.complex128, copy=copy)
         if arr.shape != (spec.size,):
-            raise ValueError(f"{name} must have shape ({spec.size},), got {arr.shape}")
+            raise ValueError(f"values must have shape ({spec.size},), got {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, name, arr)
-
-
-class GridFunction(_Sampled):
-    """A complex-valued function sampled on the grid, immutable once built."""
-
-    __slots__ = ("spec", "values")
-    spec: GroupSpec
-    values: np.ndarray
+        object.__setattr__(self, "values", arr)
 
     @property
     def integral(self) -> complex:
@@ -217,27 +208,22 @@ class GridFunction(_Sampled):
         return cls._own(spec, _repeated(spec, base))
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
-        if self.spec != other.spec:
-            raise ValueError("grid functions belong to different groups")
-        return GridFunction._own(self.spec, self.values + other.values)
+        return self._pointwise(np.add, other)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
+        return self._pointwise(np.subtract, other)
+
+    def _pointwise(self, op, other: "GridFunction") -> "GridFunction":
+        if not isinstance(other, GridFunction):
+            return NotImplemented  # so f + 3 raises TypeError
         if self.spec != other.spec:
             raise ValueError("grid functions belong to different groups")
-        return GridFunction._own(self.spec, self.values - other.values)
+        return GridFunction._own(self.spec, op(self.values, other.values))
 
     def __mul__(self, scalar: complex) -> "GridFunction":
         return GridFunction._own(self.spec, self.values * scalar)
 
     __rmul__ = __mul__
-
-
-class Spectrum(_Sampled):
-    """Fourier coefficients in Paley order, immutable once built."""
-
-    __slots__ = ("spec", "coeffs")
-    spec: GroupSpec
-    coeffs: np.ndarray
 
 
 def _repeated(spec: GroupSpec, base: np.ndarray) -> np.ndarray:
@@ -315,29 +301,32 @@ def _analyse(f: GridFunction, count: int) -> np.ndarray:
     return _apply_stages(spec, values, inverse=False)[:count] / spec.size
 
 
-def forward(f: GridFunction, method: str = "fast") -> Spectrum:
-    """Analysis transform: Fourier coefficients of f in Paley order.
+def forward(f: GridFunction, method: str = "fast") -> np.ndarray:
+    """Analysis transform: fhat, a fresh read-only complex128 vector of length M_N.
 
     ``method="fast"`` runs the separable mixed-radix butterfly;
     ``method="naive"`` evaluates the defining sums directly, an oracle of
-    ``vilenkin.oracles``.  Both compute
-    fhat(n) = (1/M_N) * sum_x f(x) * conj(psi_n(x)).
+    ``vilenkin.oracles``.  Both compute the coefficients in Paley order,
+    fhat(n) = (1/M_N) * sum_x f(x) * conj(psi_n(x)); synthesize(f.spec, fhat) gives f back.
     """
     if method == "fast":
-        return Spectrum._own(f.spec, _analyse(f, f.spec.size))
-    if method == "naive":
+        fhat = _analyse(f, f.spec.size)
+    elif method == "naive":
         from . import oracles
 
-        return Spectrum._own(f.spec, oracles._forward_naive(f))
-    raise ValueError(f"unknown method {method!r}; expected 'fast' or 'naive'")
+        fhat = oracles._forward_naive(f)
+    else:
+        raise ValueError(f"unknown method {method!r}; expected 'fast' or 'naive'")
+    fhat.setflags(write=False)
+    return fhat
 
 
 def synthesize(spec: GroupSpec, coeffs) -> GridFunction:
     """sum_{j < len(coeffs)} coeffs[j] * psi_j, for len(coeffs) <= M_N: one inverse transform.
 
     The one-row case of _on_cells(), the block synthesis every sweep runs,
-    so a row of a sweep equals its single call exactly.  A Spectrum s
-    synthesizes as synthesize(s.spec, s.coeffs).
+    so a row of a sweep equals its single call exactly.  The spectrum of f
+    synthesizes back to f as synthesize(f.spec, forward(f)).
     """
     coeffs = np.asarray(coeffs)
     if coeffs.ndim != 1:
@@ -425,9 +414,11 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     Computed spectrally: under the 1/M_N-normalized transform the
     coefficients of f*g are exactly fhat * ghat.
     """
+    if not isinstance(g, GridFunction):
+        raise TypeError(f"convolve: g must be a GridFunction, got {type(g).__name__}")
     if f.spec != g.spec:
         raise ValueError("grid functions belong to different groups")
-    return synthesize(f.spec, forward(f).coeffs * forward(g).coeffs)
+    return synthesize(f.spec, forward(f) * forward(g))
 
 
 def norm(f: GridFunction, p: float) -> float:

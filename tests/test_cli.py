@@ -322,7 +322,7 @@ def test_import_loads_no_oracle_dataclasses_or_json():
 # The package's public names other than its modules: one name per operation.
 PUBLIC_NAMES = [
     "Classification", "ConvergenceRow", "Element", "GridFunction", "GroupSpec",
-    "KernelProfileRow", "Spectrum", "WeightSequence", "binomial_sequence",
+    "KernelProfileRow", "WeightSequence", "binomial_sequence",
     "character_row", "classify", "convergence_profile", "convolve", "dirichlet",
     "domination_constant", "fejer", "forward", "generator", "interval_members",
     "l1_profile", "lebesgue_modulus", "make_group", "maximal_profile",
@@ -334,8 +334,11 @@ PUBLIC_NAMES = [
 # character_row(spec, n)[x.index], r_k is character_row(spec, M_k), add and
 # subtract are x + y and x - y, weights() is WeightSequence(), a named
 # mean is t_mean or norlund_mean with the family the means module lists,
-# and inverse(s) is synthesize(s.spec, s.coeffs).
-DELETED_NAMES = ["add", "inverse", "named_mean", "psi", "rademacher", "subtract", "weights"]
+# inverse(fhat) is synthesize(f.spec, fhat), and a Spectrum is forward(f),
+# the coefficient vector itself.
+DELETED_NAMES = [
+    "Spectrum", "add", "inverse", "named_mean", "psi", "rademacher", "subtract", "weights",
+]
 ORACLE_NAMES = [
     "abel_kernel_residuals", "abel_weight_residual", "identity_residual",
     "reflection_residuals", "t_mean_oracles",

@@ -330,6 +330,26 @@ def test_weight_sums_are_built_from_one_cached_weight_array():
     assert peak < 80 * 2**20
 
 
+def test_binomial_sequence_is_built_in_place():
+    # the result and its divisors are the only 2^21-float (16 MiB) arrays:
+    # 32 MiB traced, where the cumprod of (order + i) / i traced 64 MiB
+    count = 2**21
+    tracemalloc.start()
+    try:
+        got = binomial_sequence(-0.3, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    for order in (-0.3, -0.5, 0.7, -1e-9):
+        for n in (1, 2, 5, 1000, count):
+            i = np.arange(1, n)
+            want = np.zeros(n)
+            want[1:] = np.cumprod((order + i) / i)
+            seq = got if (order, n) == (-0.3, count) else binomial_sequence(order, n)
+            assert np.array_equal(seq, want)
+
+
 @pytest.mark.parametrize(
     "refused",
     [

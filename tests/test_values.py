@@ -22,7 +22,6 @@ from vilenkin.oracles import abel_weight_residual, identity_residual
 from vilenkin.points import convergence_profile, lebesgue_modulus
 from vilenkin.transform import (
     GridFunction,
-    Spectrum,
     _roots,
     character_row,
     convolve,
@@ -73,8 +72,6 @@ def test_value_types_keep_their_validation():
         WeightSequence("mystery")
     with pytest.raises(ValueError, match=r"values must have shape \(36,\)"):
         GridFunction(spec, np.zeros(3))
-    with pytest.raises(ValueError, match=r"coeffs must have shape \(36,\)"):
-        Spectrum(spec, np.zeros(3))
 
 
 SPEC = make_group([2, 3])
@@ -199,6 +196,28 @@ def test_refusals_name_their_cause(refused, message):
 
 
 @pytest.mark.parametrize(
+    "other",
+    [3, 2.5, None, "x", np.zeros(SPEC.size), SPEC],
+    ids=["int", "float", "None", "str", "ndarray", "GroupSpec"],
+)
+def test_arithmetic_with_another_type_raises_type_error(other):
+    # each used to raise AttributeError: '...' object has no attribute 'spec'
+    x = Element.from_index(SPEC, 5)
+    for operand in (F, x):
+        with pytest.raises(TypeError):
+            operand + other
+        with pytest.raises(TypeError):
+            operand - other
+    with pytest.raises(TypeError, match="convolve: g must be a GridFunction"):
+        convolve(F, other)
+    # operands from two different groups keep their ValueError
+    with pytest.raises(ValueError, match="grid functions belong to different groups"):
+        F + OTHER
+    with pytest.raises(ValueError, match="elements belong to different groups"):
+        x - Element.zero(OTHER.spec)
+
+
+@pytest.mark.parametrize(
     "sweep",
     [
         lambda: t_mean(F, RIESZ, 2.5),
@@ -223,7 +242,6 @@ def test_no_field_of_a_value_type_can_be_assigned():
         (Element.zero(spec), "digits"),
         (parse_weights("riesz"), "alpha"),
         (f, "values"),
-        (forward(f), "coeffs"),
     ]
     for obj, field in fields:
         with pytest.raises(AttributeError):
@@ -241,26 +259,30 @@ def test_value_types_survive_pickle_and_copy():
     for obj in (spec, Element(spec, (1, 2, 0, 1)), parse_weights("logpow:0.5")):
         for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
             assert twin == obj and hash(twin) == hash(obj)
-    for obj, field in ((f, "values"), (forward(f), "coeffs")):
-        twin = pickle.loads(pickle.dumps(obj))
-        assert type(twin) is type(obj) and twin.spec == spec
-        assert np.array_equal(getattr(twin, field), getattr(obj, field))
-        assert not getattr(twin, field).flags.writeable
+    twin = pickle.loads(pickle.dumps(f))
+    assert type(twin) is GridFunction and twin.spec == spec
+    assert np.array_equal(twin.values, f.values) and not twin.values.flags.writeable
 
 
 def test_grid_functions_and_spectra_are_read_only_and_equal_only_to_themselves():
     spec = make_group([2, 3], 4)
     data = np.arange(spec.size, dtype=np.complex128)
     f = GridFunction(spec, data)
-    s = Spectrum(spec, data)
-    data[0] = 7  # the public constructors copied it
-    assert f.values[0] == 0 and s.coeffs[0] == 0
-    for array in (f.values, s.coeffs, GridFunction.random(spec, seed=2).values, forward(f).coeffs):
+    data[0] = 7  # the public constructor copied it
+    assert f.values[0] == 0
+    # a spectrum is forward's plain vector: fresh on every call, read-only,
+    # complex128 of length M_N, and synthesized back into f
+    fhat = forward(f)
+    assert type(fhat) is np.ndarray and fhat.dtype == np.complex128
+    assert fhat.shape == (spec.size,) and fhat.flags.owndata
+    assert not np.shares_memory(fhat, f.values) and not np.shares_memory(fhat, forward(f))
+    assert np.max(np.abs(synthesize(spec, fhat).values - f.values)) < 1e-12
+    for array in (f.values, GridFunction.random(spec, seed=2).values, fhat, forward(f, "naive")):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     g = GridFunction(spec, f.values)
     assert f == f and f != g and np.array_equal(f.values, g.values)
-    assert len({f, g, s, Spectrum(spec, s.coeffs)}) == 4
+    assert len({f, g, GridFunction(spec, data)}) == 3
 
 
 def test_config_type_errors_quote_the_field_annotation(tmp_path):
