@@ -36,7 +36,7 @@ import numpy as np
 
 from .group import _Value
 from .kernels import multiplier
-from .transform import GridFunction, _analyse, convolve, synthesize
+from .transform import GridFunction, _analyse, _check_type, convolve, synthesize
 
 __all__ = [
     "Classification", "WeightSequence", "binomial_sequence", "classify", "norlund_mean",
@@ -272,12 +272,15 @@ def t_mean(
     """Forward-frame mean T_n f = (1/Q_n) sum_{k<n} q_k S_k f.
 
     The default 'multiplier' route is synthesize(fhat[:n] * lambda_n), as in
-    norlund_mean().  The oracle routes are kept deliberately distinct:
-    'convolution' convolves f with the forward-frame kernel, 'direct'
+    norlund_mean().  The oracle routes reach T_n another way: 'direct'
     accumulates partial sums term by term, and 'abel' rebuilds T_n from
-    Fejer means via summation by parts.  The last two are computed by one
-    order of the vilenkin.oracles.t_mean_oracles() pass.
+    Fejer means via summation by parts, both computed by one order of the
+    vilenkin.oracles.t_mean_oracles() pass.  'convolution' convolves f with
+    the forward-frame kernel; it runs the multiplier route's butterfly and
+    multipliers, so it is no independent check, and it stays only for the
+    benchmark's row check.
     """
+    _check_type("t_mean: f", f, GridFunction)
     if method == "multiplier":
         lam = multiplier("t", n, f.spec, w)  # checks n before the analysis reads it
         return synthesize(f.spec, _analyse(f, n) * lam)
@@ -288,7 +291,7 @@ def t_mean(
     from . import oracles
 
     _, direct, abel = next(oracles.t_mean_oracles(f, w, [n]))
-    return GridFunction._own(f.spec, (direct if method == "direct" else abel)[0])
+    return GridFunction._own(f.spec, direct if method == "direct" else abel)
 
 
 def norlund_mean(f: GridFunction, w: WeightSequence, n: int) -> GridFunction:

@@ -231,8 +231,8 @@ def abel_kernel_residuals(
 
 def t_mean_oracles(
     f: GridFunction, w: WeightSequence, ns: Sequence[int]
-) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
-    """([n], direct T_n f, abel T_n f) for each order of ascending ns, in one pass.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(n, direct T_n f, abel T_n f) for each order of ascending ns, in one pass.
 
     With S_k = sum_{i<k} fhat(i) psi_i and R_k = S_1 + ... + S_k (so that
     R_k = k sigma_k f), the two oracle routes are
@@ -246,8 +246,8 @@ def t_mean_oracles(
     other orders in ns.  Step k adds q_k S_k to the direct sum, yields the
     orders n = k + 1, then adds (q_k - q_{k+1}) R_k to the Abel sum and
     fhat(k) psi_k to S; order 1 reads step 0, where every sum is zero.
-    Each order comes as two fresh (1 x M_N) rows, in O(_SYNTH_CHUNK_CELLS
-    + M_N) working memory.
+    Each order comes as two fresh length-M_N vectors, in
+    O(_SYNTH_CHUNK_CELLS + M_N) working memory.
     """
     ns = _ascending(ns, f.spec, w)
     top = max(ns, default=0)
@@ -262,7 +262,7 @@ def t_mean_oracles(
             mean = np.multiply(R, q[k])  # R_{n-1} is q_{n-1}'s term
             mean += abel
             mean /= Q[k + 1]
-            yield [k + 1], (direct / Q[k + 1])[None], mean[None]
+            yield k + 1, direct / Q[k + 1], mean
             at += 1
             if at == len(ns):
                 return

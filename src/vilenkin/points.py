@@ -10,6 +10,7 @@ quantity controlling a.e. convergence of the reversed-frame means.
 from __future__ import annotations
 
 from itertools import islice
+from numbers import Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -17,19 +18,20 @@ import numpy as np
 from .group import Element, generator, interval_members
 from .kernels import _order_stacks
 from .means import WeightSequence
-from .transform import GridFunction, _lp_norms
+from .transform import GridFunction, _check_type, _lp_norms
 
 __all__ = [
     "ConvergenceRow",
     "lebesgue_modulus",
     "w_modulus",
     "convergence_profile",
-    "maximal_profile",
 ]
 
 
 def lebesgue_modulus(f: GridFunction, x: Element, rank: int) -> float:
     """Average of |f(t) - f(x)| over the rank-n interval around x."""
+    _check_type("lebesgue_modulus: f", f, GridFunction)
+    _check_type("lebesgue_modulus: x", x, Element)
     spec = f.spec
     if x.spec != spec:
         raise ValueError("point belongs to a different group")
@@ -44,6 +46,8 @@ def w_modulus(f: GridFunction, x: Element, rank: int) -> float:
                (1/M_N) sum_{t in I_n(x - r e_s)} |f(t) - f(x)|
     where e_s is the unit digit vector in coordinate s.
     """
+    _check_type("w_modulus: f", f, GridFunction)
+    _check_type("w_modulus: x", x, Element)
     spec = f.spec
     if x.spec != spec:
         raise ValueError("point belongs to a different group")
@@ -68,16 +72,8 @@ class ConvergenceRow(NamedTuple):
     mean_id: str
 
 
+# the kernel family whose multipliers give the means of each form
 _FORM_FAMILY = {"t": "t", "norlund": "norlund", "partial": "dirichlet"}
-
-
-def _family(form: str, w: WeightSequence | None) -> str:
-    """The kernel family whose multipliers give the means of this form; t and norlund need w."""
-    if form not in _FORM_FAMILY:
-        raise ValueError(f"unknown mean form {form!r}; expected t, norlund or partial")
-    if form != "partial" and w is None:
-        raise ValueError(f"form {form!r} needs a weight sequence")
-    return _FORM_FAMILY[form]
 
 
 def convergence_profile(
@@ -95,19 +91,27 @@ def convergence_profile(
     given.  ``form='partial'`` profiles the raw partial sums and ignores the
     weights.
     """
+    _check_type("convergence_profile: f", f, GridFunction)
     if (point is None) == (p is None):
         raise ValueError("give exactly one of point= and p=")
-    if p is not None and not p >= 1:  # also refuses NaN
-        raise ValueError(f"L_p error needs p >= 1, got {p}")
-    family = _family(form, w)
+    if p is not None:
+        _check_type("convergence_profile: p", p, Real)
+        if not p >= 1:  # also refuses NaN
+            raise ValueError(f"L_p error needs p >= 1, got {p}")
+    if form not in _FORM_FAMILY:
+        raise ValueError(f"unknown mean form {form!r}; expected t, norlund or partial")
+    if form != "partial" and w is None:
+        raise ValueError(f"form {form!r} needs a weight sequence")
     spec = f.spec
-    if point is not None and point.spec != spec:
-        raise ValueError("point belongs to a different group")
+    if point is not None:
+        _check_type("convergence_profile: point", point, Element)
+        if point.spec != spec:
+            raise ValueError("point belongs to a different group")
     mean_id = "partial" if form == "partial" else f"{w.label()}|{form}"
     ns = sorted(ns)
     orders = iter(ns)
     rows = []
-    for stack in _order_stacks(family, f, ns, spec, w):
+    for stack in _order_stacks(_FORM_FAMILY[form], f, ns, spec, w):
         if point is not None:
             fx = f.values[point.index]
             errs = [abs(values[point.index % len(values)] - fx) for values in stack]
@@ -116,27 +120,3 @@ def convergence_profile(
         for n, err in zip(islice(orders, len(stack)), errs):
             rows.append(ConvergenceRow(n=n, err=float(err), mean_id=mean_id))
     return rows
-
-
-def maximal_profile(
-    f: GridFunction,
-    w: WeightSequence | None,
-    n_max: int,
-    form: str = "norlund",
-) -> GridFunction:
-    """Pointwise maximal function max over valid n <= n_max of |mean_n f|."""
-    spec = f.spec
-    if not 1 <= n_max <= spec.size:
-        raise ValueError(f"n_max {n_max} outside [1, {spec.size}]")
-    family = _family(form, w)
-    start = 1 if form == "partial" else w.n0
-    if n_max < start:
-        raise ValueError(f"no orders in [{start}, {n_max}] for form {form!r}")
-    best = np.zeros(1)  # on the largest band so far; the bands M_s nest
-    for stack in _order_stacks(family, f, range(start, n_max + 1), spec, w):
-        band = stack.shape[1]
-        if band > len(best):
-            best = np.tile(best, band // len(best))
-        fibres = best.reshape(-1, band)
-        np.maximum(fibres, np.abs(stack).max(axis=0), out=fibres)
-    return GridFunction._own(spec, np.tile(best, spec.size // len(best)))

@@ -33,7 +33,6 @@ __all__ = [
     "partial_sum",
     "convolve",
     "norm",
-    "weak_norm",
 ]
 
 # Cells (rows x M_s) per butterfly call of a batched synthesis, and per chunk
@@ -226,6 +225,13 @@ class GridFunction(_Frozen):
     __rmul__ = __mul__
 
 
+def _check_type(what: str, value, kind: type) -> None:
+    """Raise a TypeError naming the argument (what = "caller: name") if value is no kind."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{what} must be {article} {kind.__name__}, got {type(value).__name__}")
+
+
 def _repeated(spec: GroupSpec, base: np.ndarray) -> np.ndarray:
     """base, of length some M_s, repeated out to the grid (base itself if M_s = M_N)."""
     return base if len(base) == spec.size else np.tile(base, spec.size // len(base))
@@ -414,8 +420,8 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     Computed spectrally: under the 1/M_N-normalized transform the
     coefficients of f*g are exactly fhat * ghat.
     """
-    if not isinstance(g, GridFunction):
-        raise TypeError(f"convolve: g must be a GridFunction, got {type(g).__name__}")
+    _check_type("convolve: f", f, GridFunction)
+    _check_type("convolve: g", g, GridFunction)
     if f.spec != g.spec:
         raise ValueError("grid functions belong to different groups")
     return synthesize(f.spec, forward(f) * forward(g))
@@ -427,6 +433,7 @@ def norm(f: GridFunction, p: float) -> float:
     The L_p error of f against the zero function, by _lp_norms(): |f|^p is
     summed a leaf at a time, with no grid-sized temporary.
     """
+    _check_type("norm: f", f, GridFunction)
     if not p >= 1:  # also refuses NaN
         raise ValueError(f"strong norm needs p >= 1, got {p}")
     return _lp_norms(f, p, np.zeros((1, 1)))[0]
@@ -521,18 +528,3 @@ def _fsum(terms: list[float]) -> float:
         return math.fsum(terms)
     except OverflowError:
         return math.inf
-
-
-def weak_norm(f: GridFunction, p: float) -> float:
-    """Weak L_p statistic sup_v v * mu(|f| >= v)^(1/p) over levels v of |f|.
-
-    Evaluating mu(|f| > lambda) just below each distinct value v of |f|
-    turns the strict-inequality sup into v * mu(|f| >= v)^(1/p); scanning
-    the sorted magnitudes covers every candidate v.
-    """
-    if not p > 0:  # also refuses NaN
-        raise ValueError(f"weak norm needs p > 0, got {p}")
-    mags = np.sort(np.abs(f.values))[::-1]
-    fractions = np.arange(1, len(mags) + 1) / len(mags)
-    return float(np.max(mags * fractions ** (1.0 / p)))
-

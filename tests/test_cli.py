@@ -325,19 +325,22 @@ PUBLIC_NAMES = [
     "KernelProfileRow", "WeightSequence", "binomial_sequence",
     "character_row", "classify", "convergence_profile", "convolve", "dirichlet",
     "domination_constant", "fejer", "forward", "generator", "interval_members",
-    "l1_profile", "lebesgue_modulus", "make_group", "maximal_profile",
-    "multiplier", "norlund_kernel", "norlund_mean", "norm", "parse_weights",
-    "partial_sum", "passes_gate", "synthesize", "t_kernel", "t_mean", "w_modulus",
-    "weak_norm",
+    "l1_profile", "lebesgue_modulus", "make_group", "multiplier",
+    "norlund_kernel", "norlund_mean", "norm", "parse_weights", "partial_sum",
+    "passes_gate", "synthesize", "t_kernel", "t_mean", "w_modulus",
 ]
 # Deleted duplicates, with the route that replaces each: psi_n(x) is
 # character_row(spec, n)[x.index], r_k is character_row(spec, M_k), add and
 # subtract are x + y and x - y, weights() is WeightSequence(), a named
 # mean is t_mean or norlund_mean with the family the means module lists,
 # inverse(fhat) is synthesize(f.spec, fhat), and a Spectrum is forward(f),
-# the coefficient vector itself.
+# the coefficient vector itself.  maximal_profile and weak_norm measured a
+# weak-type statistic that read 1.000 for every weight family: pointwise
+# convergence is convergence_profile(point=...), and why it converges is
+# ROADMAP item 12's certificates.
 DELETED_NAMES = [
-    "Spectrum", "add", "inverse", "named_mean", "psi", "rademacher", "subtract", "weights",
+    "Spectrum", "add", "inverse", "maximal_profile", "named_mean", "psi", "rademacher",
+    "subtract", "weak_norm", "weights",
 ]
 ORACLE_NAMES = [
     "abel_kernel_residuals", "abel_weight_residual", "identity_residual",

@@ -1,4 +1,4 @@
-"""Oscillation moduli and convergence/maximal profiles at grid points."""
+"""Oscillation moduli and convergence profiles at grid points."""
 
 import gc
 import itertools
@@ -17,7 +17,6 @@ from vilenkin.means import WeightSequence, parse_weights
 from vilenkin.points import (
     convergence_profile,
     lebesgue_modulus,
-    maximal_profile,
     w_modulus,
 )
 from vilenkin.transform import (
@@ -28,7 +27,6 @@ from vilenkin.transform import (
     norm,
     partial_sum,
     synthesize,
-    weak_norm,
 )
 
 
@@ -169,6 +167,9 @@ def test_convergence_profile_validation():
     for p in (0.5, math.nan):
         with pytest.raises(ValueError):
             convergence_profile(f, w, [2], p=p)
+    # riesz weights start at n0 = 2, so order 1 has no mean
+    with pytest.raises(ValueError):
+        convergence_profile(f, parse_weights("riesz"), [1], p=1)
 
 
 @pytest.mark.parametrize("index", [5, 30])
@@ -178,56 +179,6 @@ def test_convergence_profile_refuses_a_point_of_another_group(index):
     x = Element.from_index(make_group([2, 3], 4), index)
     with pytest.raises(ValueError, match="point belongs to a different group"):
         convergence_profile(f, parse_weights("riesz"), [2, 3], point=x)
-
-
-def test_maximal_profile_character():
-    # |sigma_n psi_1| = (n-1)/n everywhere, so the running max is the last one
-    spec = make_group([2], 4)
-    f = GridFunction.character(spec, 1)
-    got = maximal_profile(f, WeightSequence("constant"), 8, form="norlund")
-    assert np.max(np.abs(got.values - 7 / 8)) < 1e-13
-    one = GridFunction.constant(spec)
-    assert np.max(np.abs(maximal_profile(one, WeightSequence("constant"), 8).values - 1)) < 1e-13
-
-
-def test_maximal_profile_weak_type_statistic_is_tame():
-    # weak-L1 size of the Fejer maximal function stays within a small
-    # multiple of ||f||_1 on seeded data
-    spec = make_group([2], 5)
-    w = WeightSequence("constant")
-    worst = 0.0
-    for seed in range(5):
-        f = GridFunction.random(spec, seed=seed)
-        star = maximal_profile(f, w, spec.size)
-        worst = max(worst, weak_norm(star, 1) / norm(f, 1))
-    assert np.isfinite(worst)
-    assert worst < 10.0
-
-
-def test_maximal_profile_validation():
-    spec = make_group([2, 3, 2])
-    f = GridFunction.constant(spec)
-    with pytest.raises(ValueError):
-        maximal_profile(f, WeightSequence("constant"), 0)
-    with pytest.raises(ValueError):
-        maximal_profile(f, WeightSequence("constant"), spec.size + 1)
-    with pytest.raises(ValueError):
-        maximal_profile(f, None, 4, form="t")
-
-
-def test_maximal_profile_refuses_an_empty_order_range():
-    # riesz weights start at n0 = 2, so n_max = 1 leaves no order; the
-    # maximum over no means is not the zero function
-    spec = make_group([2, 3], 3)
-    f = GridFunction.random(spec, seed=40)
-    riesz = parse_weights("riesz")
-    with pytest.raises(ValueError):
-        convergence_profile(f, riesz, [1], p=1)
-    with pytest.raises(ValueError, match="no orders"):
-        maximal_profile(f, riesz, 1, form="t")
-    with pytest.raises(ValueError, match="no orders"):
-        maximal_profile(f, riesz, 1, form="norlund")
-    assert np.max(np.abs(maximal_profile(f, riesz, 2, form="t").values)) > 0
 
 
 def test_partial_sum_sup_error_collapses_at_block():
@@ -270,22 +221,17 @@ def test_profiles_analyse_once_and_synthesize_once_per_order(monkeypatch, butter
 
     for form in ("t", "norlund", "partial"):
         reach = 0 if form == "partial" else 1
-        start = 1 if form == "partial" else w.n0
         ns = list(range(2, spec.size + 1))
-        for run, orders in (
-            (lambda: convergence_profile(f, w, ns, form=form, p=1), ns),
-            (lambda: maximal_profile(f, w, spec.size, form=form), range(start, spec.size + 1)),
-        ):
-            calls["_analyse"] = 0
-            butterflies.clear()
-            run()
-            assert calls["_analyse"] == 1
-            assert [inverse for inverse, _, _ in butterflies].count(False) == 1
-            bands = [band(n - reach) for n in orders]  # one row per order
-            synthesized = [(rows, m) for inverse, rows, m in butterflies if inverse]
-            assert [m for rows, m in synthesized for _ in range(rows)] == bands
-            assert len(synthesized) <= _chunk_bound(bands)
-            assert _chunk_bound(bands) <= spec.levels + 1  # 36 cells: a chunk per band
+        calls["_analyse"] = 0
+        butterflies.clear()
+        convergence_profile(f, w, ns, form=form, p=1)
+        assert calls["_analyse"] == 1
+        assert [inverse for inverse, _, _ in butterflies].count(False) == 1
+        bands = [band(n - reach) for n in ns]  # one row per order
+        synthesized = [(rows, m) for inverse, rows, m in butterflies if inverse]
+        assert [m for rows, m in synthesized for _ in range(rows)] == bands
+        assert len(synthesized) <= _chunk_bound(bands)
+        assert _chunk_bound(bands) <= spec.levels + 1  # 36 cells: a chunk per band
 
 
 def test_each_sweep_checks_its_orders_once(monkeypatch):

@@ -53,7 +53,7 @@ from vilenkin.oracles import (
     reflection_residuals,
     t_mean_oracles,
 )
-from vilenkin.points import _FORM_FAMILY, convergence_profile, maximal_profile
+from vilenkin.points import _FORM_FAMILY, convergence_profile
 from vilenkin.transform import (
     GridFunction,
     _analyse,
@@ -130,12 +130,6 @@ def test_norlund_and_partial_match_partial_sum_expansion(case):
     _assert_profile_matches(f, None, ns, x, "partial", {n: [sums[n]] for n in ns})
 
 
-def _oracle_rows(f, w, ns):
-    """(n, direct T_n f, abel T_n f) of each order, from the items of t_mean_oracles()."""
-    for orders, direct, abel in t_mean_oracles(f, w, ns):
-        yield from zip(orders, direct, abel)
-
-
 @settings(max_examples=25, deadline=None)
 @given(cases())
 def test_identity_sweeps_hold_and_equal_single_cases(case):
@@ -154,7 +148,7 @@ def test_identity_sweeps_hold_and_equal_single_cases(case):
         # residual is already 1.8e-12, so this one is relative to that scale
         if w.Q(spec.M[rank]) > 0:
             assert identity_residual("block", spec, weights=w, rank=rank) < TOL * spec.M[rank]
-    for n, direct, abel in _oracle_rows(f, w, ns):
+    for n, direct, abel in t_mean_oracles(f, w, ns):
         assert np.max(np.abs(direct - abel)) < TOL
         assert np.array_equal(direct, t_mean(f, w, n, method="direct").values)
         assert np.array_equal(abel, t_mean(f, w, n, method="abel").values)
@@ -337,7 +331,7 @@ def _tiled_means(f, w, orders, family):
 
 @settings(max_examples=30, deadline=None)
 @given(quotient_cases())
-def test_quotient_errors_and_maximal_profile_equal_the_tiled_route(case):
+def test_quotient_errors_equal_the_tiled_route(case):
     spec, w, ns, f, x, _ = case
     point = Element.from_index(spec, x)
     for form, family in _FORM_FAMILY.items():
@@ -347,11 +341,6 @@ def test_quotient_errors_and_maximal_profile_equal_the_tiled_route(case):
             assert [r.err for r in got] == [norm(means[n] - f, p) for n in ns]
         got = convergence_profile(f, w, ns, form=form, point=point)
         assert [r.err for r in got] == [abs(means[n].values[x] - f.values[x]) for n in ns]
-        start = 1 if form == "partial" else w.n0
-        best = np.zeros(spec.size)
-        for _, g in _tiled_means(f, w, list(range(start, ns[-1] + 1)), family):
-            best = np.maximum(best, np.abs(g.values))
-        assert np.array_equal(maximal_profile(f, w, ns[-1], form=form).values, best)
 
 
 def _plain_norm(x, p):
@@ -558,7 +547,7 @@ def _chunked_sweeps(spec, w, ns, f):
     out = {
         "reflection": list(reflection_residuals(spec)),
         "abel-kernel": list(abel_kernel_residuals(spec, w, ns)),
-        "abel-mean": list(_oracle_rows(f, w, ns)),
+        "abel-mean": list(t_mean_oracles(f, w, ns)),
         "block": [
             identity_residual("block", spec, weights=w, rank=rank)
             for rank, block in enumerate(spec.M)

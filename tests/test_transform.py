@@ -24,7 +24,6 @@ from vilenkin.transform import (
     norm,
     partial_sum,
     synthesize,
-    weak_norm,
 )
 
 
@@ -452,31 +451,6 @@ def test_parseval():
     energy = norm(f, 2) ** 2
     spectral = float(np.sum(np.abs(forward(f)) ** 2))
     assert energy == pytest.approx(spectral, abs=1e-12)
-
-
-def test_weak_norm_matches_enumeration_oracle():
-    spec = make_group([2, 3, 2])
-    f = GridFunction.random(spec, seed=13)
-    mags = np.abs(f.values)
-    for p in (1.0, 2.0):
-        want = max(
-            v * (np.mean(mags >= v)) ** (1.0 / p) for v in np.unique(mags) if v > 0
-        )
-        assert weak_norm(f, p) == pytest.approx(want, abs=1e-14)
-    dyadic = make_group([2], 3)
-    step = GridFunction.indicator(dyadic, 1, 0)
-    assert weak_norm(step, 1) == pytest.approx(0.5)
-    for p in (0, math.nan):
-        with pytest.raises(ValueError):
-            weak_norm(f, p)
-
-
-def test_weak_norm_below_strong_norm():
-    spec = make_group([2, 3, 2, 3])
-    for seed in range(5):
-        f = GridFunction.random(spec, seed=seed)
-        for p in (1.0, 2.0):
-            assert weak_norm(f, p) <= norm(f, p) + 1e-12
 
 
 def test_grid_function_validation_and_immutability():

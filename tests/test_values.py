@@ -19,13 +19,14 @@ from vilenkin.kernels import (
 )
 from vilenkin.means import WeightSequence, binomial_sequence, classify, parse_weights, t_mean
 from vilenkin.oracles import abel_weight_residual, identity_residual
-from vilenkin.points import convergence_profile, lebesgue_modulus
+from vilenkin.points import convergence_profile, lebesgue_modulus, w_modulus
 from vilenkin.transform import (
     GridFunction,
     _roots,
     character_row,
     convolve,
     forward,
+    norm,
     partial_sum,
     synthesize,
 )
@@ -215,6 +216,44 @@ def test_arithmetic_with_another_type_raises_type_error(other):
         F + OTHER
     with pytest.raises(ValueError, match="elements belong to different groups"):
         x - Element.zero(OTHER.spec)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: norm(None, 1), "norm: f must be a GridFunction, got NoneType"),
+        (
+            lambda: lebesgue_modulus(None, Element.zero(SPEC), 1),
+            "lebesgue_modulus: f must be a GridFunction",
+        ),
+        (lambda: lebesgue_modulus(F, "x", 1), "lebesgue_modulus: x must be an Element, got str"),
+        (lambda: w_modulus(None, Element.zero(SPEC), 1), "w_modulus: f must be a GridFunction"),
+        (lambda: w_modulus(F, None, 1), "w_modulus: x must be an Element, got NoneType"),
+        (lambda: convolve(3, F), "convolve: f must be a GridFunction, got int"),
+        (lambda: t_mean(None, RIESZ, 3), "t_mean: f must be a GridFunction, got NoneType"),
+        (
+            lambda: convergence_profile(None, RIESZ, [2], p=1),
+            "convergence_profile: f must be a GridFunction",
+        ),
+        (
+            lambda: convergence_profile(F, None, [1], form="partial", p="2"),
+            "convergence_profile: p must be a Real, got str",
+        ),
+        (
+            lambda: convergence_profile(F, RIESZ, [2], point=3),
+            "convergence_profile: point must be an Element, got int",
+        ),
+    ],
+    ids=[
+        "norm-f", "lebesgue-f", "lebesgue-x", "w-modulus-f", "w-modulus-x", "convolve-f",
+        "t-mean-f", "profile-f", "profile-p", "profile-point",
+    ],
+)
+def test_a_wrong_argument_type_raises_type_error_naming_it(call, message):
+    # each used to raise AttributeError: '...' object has no attribute
+    # 'spec', and a str p a TypeError from `>=` that did not name p
+    with pytest.raises(TypeError, match=message):
+        call()
 
 
 @pytest.mark.parametrize(
