@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence, get_args, get_type_hints
 import numpy as np
 
 from .group import GroupSpec, parse_element, parse_group
-from .kernels import _FAMILIES, l1_profile
+from .kernels import _FAMILIES, _UNWEIGHTED, l1_profile
 from .means import _KINDS, Classification, classify, parse_weights
 from .points import _FORM_FAMILY, convergence_profile
 from .transform import GridFunction, forward
@@ -214,7 +214,7 @@ def _run_kernel_profile(cfg: ExperimentConfig) -> Report:
         raise ConfigError(f"unknown kernel family {cfg.family!r}")
     if not 0 <= cfg.tail_rank <= spec.levels:
         raise ConfigError(f"tail-rank {cfg.tail_rank} outside [0, {spec.levels}]")
-    ns = _orders(cfg, spec, 1 if cfg.family in ("dirichlet", "fejer") else w.n0)
+    ns = _orders(cfg, spec, 1 if cfg.family in _UNWEIGHTED else w.n0)
     rows = l1_profile(cfg.family, ns, spec, weights=w, tail_rank=cfg.tail_rank)
     csv_rows = [
         [str(r.n), _fmt(r.l1), _fmt(r.integral.real), _fmt(r.integral.imag), _fmt(r.tail)]
@@ -300,7 +300,7 @@ def _run_converge(cfg: ExperimentConfig) -> Report:
         raise ConfigError(f"unknown mean form {cfg.form!r}")
     if point is None and not cfg.p >= 1:  # also refuses NaN
         raise ConfigError(f"p must be >= 1, got {cfg.p}")
-    ns = _orders(cfg, spec, 1 if cfg.form == "partial" else w.n0)
+    ns = _orders(cfg, spec, 1 if _FORM_FAMILY[cfg.form] in _UNWEIGHTED else w.n0)
     f = _build_function(cfg, spec)
     rows = convergence_profile(
         f, w, ns, form=cfg.form, point=point, p=cfg.p if point is None else None

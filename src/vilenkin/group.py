@@ -154,17 +154,19 @@ def make_group(m: Sequence[int], levels: int | None = None) -> GroupSpec:
 
 
 class Element(_Value):
-    """A group point: an immutable digit vector tied to its GroupSpec."""
+    """A group point: an immutable digit vector tied to its GroupSpec; its grid index is derived."""
 
-    __slots__ = ("spec", "digits")
+    __slots__ = ("spec", "digits", "index")
     spec: GroupSpec
     digits: tuple[int, ...]
+    index: int
 
     def __init__(self, spec: GroupSpec, digits: tuple[int, ...]) -> None:
         digits = tuple(map(operator.index, digits))  # numpy integers pass, floats raise TypeError
-        spec.index_of(digits)  # refuses a wrong length or a digit outside [0, m_j)
+        index = spec.index_of(digits)  # refuses a wrong length or a digit outside [0, m_j)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "index", index)
 
     def _fields(self) -> tuple:
         return self.spec, self.digits
@@ -176,10 +178,6 @@ class Element(_Value):
     @classmethod
     def zero(cls, spec: GroupSpec) -> "Element":
         return cls(spec, (0,) * spec.levels)
-
-    @property
-    def index(self) -> int:
-        return self.spec.index_of(self.digits)
 
     def __add__(self, other: "Element") -> "Element":
         """Coordinatewise sum mod the radices."""

@@ -43,6 +43,8 @@ __all__ = [
 
 
 _FAMILIES = ("dirichlet", "fejer", "t", "norlund")
+# the families without weights, whose order 0 is the zero kernel
+_UNWEIGHTED = ("dirichlet", "fejer")
 
 
 def multiplier(
@@ -73,7 +75,7 @@ def _check_orders(
     ns = [operator.index(n) for n in ns]
     if family not in _FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}; expected {_FAMILIES}")
-    lowest = 0 if family in ("dirichlet", "fejer") else 1
+    lowest = 0 if family in _UNWEIGHTED else 1
     outside = next((n for n in ns if not lowest <= n <= spec.size), None)
     if outside is not None:
         raise ValueError(f"order {outside} outside [{lowest}, {spec.size}]")
@@ -126,7 +128,7 @@ def _order_stacks(
     ns: Iterable[int],
     spec: GroupSpec,
     weights: "WeightSequence | None" = None,
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[list[int], np.ndarray]]:
     """synthesize(fhat[:n] * lambda_n) on the M_s cells of its band, for each n in ns.
 
     The orders are checked once, before any work.  This is the order-n mean
@@ -137,7 +139,8 @@ def _order_stacks(
     reduce it on those M_s cells (or on a larger band that nests it).  The
     multiplied coefficients are built, and synthesized in stacked
     butterflies, a chunk of orders at a time; the rows come as the
-    butterflies' (rows x M_s) stacks, in the order of ns.
+    butterflies' (rows x M_s) stacks, in the order of ns, as (orders, stack)
+    pairs whose list of orders names the stack's rows.
     """
     ns = _check_orders(family, ns, spec, weights)
     coeffs = np.broadcast_to(1.0, spec.size) if f is None else _analyse(f, max(ns, default=0))
@@ -145,7 +148,9 @@ def _order_stacks(
         coeffs[: max(chunk)] * _multipliers(family, chunk, spec, weights)
         for chunk in _order_chunks(ns)
     )
-    return _synthesize_bands(spec, blocks)
+    orders = iter(ns)
+    stacks = _synthesize_bands(spec, blocks)
+    return ((list(islice(orders, len(stack))), stack) for stack in stacks)
 
 
 def dirichlet(n: int, spec: GroupSpec) -> GridFunction:
@@ -200,18 +205,16 @@ def l1_profile(
     """
     tail_block = spec._place(tail_rank)
     rows = []
-    ns = sorted(ns)
-    orders = iter(ns)
-    for stack in _order_stacks(family, None, ns, spec, weights):
+    for orders, stack in _order_stacks(family, None, sorted(ns), spec, weights):
         # |k_n| and the outside of I_tail_rank(0) both have period
         # max(M_s, M_tail_rank), so the averages over M_N cells are
         # averages over that many
         cells = max(stack.shape[1], tail_block)
-        for run in _runs(stack, cells):
+        for run_orders, run in zip(_runs(orders, cells), _runs(stack, cells)):
             mags = np.tile(np.abs(run), (1, cells // stack.shape[1]))
             l1, integral = mags.mean(axis=1).tolist(), run.mean(axis=1).tolist()
             tail = mags.reshape(len(run), -1, tail_block)[:, :, 1:].sum(axis=(1, 2)) / cells
-            rows += map(KernelProfileRow, islice(orders, len(run)), l1, integral, tail.tolist())
+            rows += map(KernelProfileRow, run_orders, l1, integral, tail.tolist())
     return rows
 
 
@@ -225,32 +228,28 @@ def _leading_position(n: int, spec: GroupSpec) -> int:
 def domination_constant(ns: Sequence[int], spec: GroupSpec) -> float:
     """Smallest c with n|K_n| <= c * sum_{l<=|n|} M_l |K_{M_l}| over given n.
 
-    Returns the max over the grid and over n of the pointwise ratio; the
-    denominator never vanishes because K_{M_0} = K_1 = 1 everywhere, but a
-    0/0 guard is kept for safety.
+    Returns the max over the grid and over n of the pointwise ratio.  The
+    denominator is at least M_0 |K_1| = 1 everywhere, since K_1 = 1.
     """
     if len(ns) == 0:
         raise ValueError("need at least one n")
     ns = sorted(ns)
-    leads = [_leading_position(n, spec) for n in ns]
-    blocks = spec.M[: max(leads) + 1]
+    blocks = spec.M[: max(_leading_position(n, spec) for n in ns) + 1]
     top = blocks[-1]
     kernels = _order_stacks("fejer", None, ns, spec)  # checks ns before any butterfly
     # the denominators live on the band M_top of K_{M_top}, which nests the
     # bands of the others; each ratio is taken on the larger of that band
     # and its numerator's
     stacks = _order_stacks("fejer", None, blocks, spec)
-    terms = np.vstack([np.tile(np.abs(stack), (1, top // stack.shape[1])) for stack in stacks])
+    terms = np.vstack([np.tile(np.abs(stack), (1, top // stack.shape[1])) for _, stack in stacks])
     denoms = np.cumsum(np.array(blocks)[:, None] * terms, axis=0)
     best = 0.0
-    at = 0
-    for stack in kernels:
+    for orders, stack in kernels:
         cells = max(stack.shape[1], top)
-        for run in _runs(stack, cells):
-            order = np.array(ns[at : at + len(run)])[:, None]
+        for run_orders, run in zip(_runs(orders, cells), _runs(stack, cells)):
+            order = np.array(run_orders)[:, None]
             num = np.tile(order * np.abs(run), (1, cells // stack.shape[1]))
-            den = np.tile(denoms[leads[at : at + len(run)]], (1, cells // top))
-            ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-            best = max(best, float(ratio.max()))
-            at += len(run)
+            leads = [_leading_position(n, spec) for n in run_orders]
+            den = np.tile(denoms[leads], (1, cells // top))
+            best = max(best, float((num / den).max()))
     return best

@@ -296,5 +296,6 @@ def t_mean(
 
 def norlund_mean(f: GridFunction, w: WeightSequence, n: int) -> GridFunction:
     """Reversed-frame mean t_n f = (1/Q_n) sum_{k=1}^{n} q_{n-k} S_k f."""
+    _check_type("norlund_mean: f", f, GridFunction)
     lam = multiplier("norlund", n, f.spec, w)
     return synthesize(f.spec, _analyse(f, n) * lam)

@@ -21,7 +21,6 @@ lazy attributes import this module, each when first called.
 from __future__ import annotations
 
 import operator
-from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -213,20 +212,21 @@ def abel_kernel_residuals(
     top = max(ns, default=0)
     q, Q = weights.q_array(top), weights.Q_array(top)
     total = np.zeros(_band(spec, top), dtype=np.complex128)  # the terms i < k
-    t_kernels = chain.from_iterable(_order_stacks("t", None, ns, spec, weights))
-    fejer = chain.from_iterable(_order_stacks("fejer", None, range(1, top), spec))
-    at = 0
-    for k, kernel in zip(range(top), chain([np.zeros(1)], fejer)):  # K_0 = 0 on M_0 = 1 cell
-        periods = total.reshape(-1, len(kernel))
-        while ns[at] == k + 1:
-            rhs = periods + (q[k] * k) * kernel
+    fejer = (
+        (i, kernel)
+        for orders, stack in _order_stacks("fejer", None, range(1, top), spec)
+        for i, kernel in zip(orders, stack)
+    )
+    k, kernel = 0, np.zeros(1)  # K_0 = 0 on M_0 = 1 cell
+    for orders, stack in _order_stacks("t", None, ns, spec, weights):
+        for n, lhs in zip(orders, stack):
+            while k < n - 1:  # step k adds the term of K_k, then K_{k+1} comes
+                periods = total.reshape(-1, len(kernel))
+                periods += ((q[k] - q[k + 1]) * k) * kernel
+                k, kernel = next(fejer)
+            rhs = total.reshape(-1, len(kernel)) + (q[k] * k) * kernel
             rhs /= Q[k + 1]
-            lhs = next(t_kernels)
-            yield k + 1, float(np.abs(lhs - rhs.reshape(-1, len(lhs))).max())
-            at += 1
-            if at == len(ns):
-                return
-        periods += ((q[k] - q[k + 1]) * k) * kernel
+            yield n, float(np.abs(lhs - rhs.reshape(-1, len(lhs))).max())
 
 
 def t_mean_oracles(

@@ -9,7 +9,6 @@ quantity controlling a.e. convergence of the reversed-frame means.
 
 from __future__ import annotations
 
-from itertools import islice
 from numbers import Real
 from typing import NamedTuple, Sequence
 
@@ -28,15 +27,19 @@ __all__ = [
 ]
 
 
+def _point_index(caller: str, f: GridFunction, x: Element, name: str = "x") -> int:
+    """x.index, once f is a GridFunction and x (the argument name) an Element of its group."""
+    _check_type(f"{caller}: f", f, GridFunction)
+    _check_type(f"{caller}: {name}", x, Element)
+    if x.spec != f.spec:
+        raise ValueError("point belongs to a different group")
+    return x.index
+
+
 def lebesgue_modulus(f: GridFunction, x: Element, rank: int) -> float:
     """Average of |f(t) - f(x)| over the rank-n interval around x."""
-    _check_type("lebesgue_modulus: f", f, GridFunction)
-    _check_type("lebesgue_modulus: x", x, Element)
-    spec = f.spec
-    if x.spec != spec:
-        raise ValueError("point belongs to a different group")
-    members = interval_members(x, rank)
-    return float(np.abs(f.values[members] - f.values[x.index]).mean())
+    at = _point_index("lebesgue_modulus", f, x)  # before f.values is read
+    return float(np.abs(f.values[interval_members(x, rank)] - f.values[at]).mean())
 
 
 def w_modulus(f: GridFunction, x: Element, rank: int) -> float:
@@ -46,13 +49,9 @@ def w_modulus(f: GridFunction, x: Element, rank: int) -> float:
                (1/M_N) sum_{t in I_n(x - r e_s)} |f(t) - f(x)|
     where e_s is the unit digit vector in coordinate s.
     """
-    _check_type("w_modulus: f", f, GridFunction)
-    _check_type("w_modulus: x", x, Element)
-    spec = f.spec
-    if x.spec != spec:
-        raise ValueError("point belongs to a different group")
+    at = _point_index("w_modulus", f, x)  # before f.values is read
+    spec, fx = f.spec, f.values[at]
     spec._place(rank)  # refuses a rank outside [0, N], for which the loop would not run
-    fx = f.values[x.index]
     total = 0.0
     for s in range(rank):
         e_s = generator(s, spec)
@@ -102,21 +101,15 @@ def convergence_profile(
         raise ValueError(f"unknown mean form {form!r}; expected t, norlund or partial")
     if form != "partial" and w is None:
         raise ValueError(f"form {form!r} needs a weight sequence")
-    spec = f.spec
     if point is not None:
-        _check_type("convergence_profile: point", point, Element)
-        if point.spec != spec:
-            raise ValueError("point belongs to a different group")
+        at = _point_index("convergence_profile", f, point, "point")
+        fx = f.values[at]
     mean_id = "partial" if form == "partial" else f"{w.label()}|{form}"
-    ns = sorted(ns)
-    orders = iter(ns)
     rows = []
-    for stack in _order_stacks(_FORM_FAMILY[form], f, ns, spec, w):
+    for orders, stack in _order_stacks(_FORM_FAMILY[form], f, sorted(ns), f.spec, w):
         if point is not None:
-            fx = f.values[point.index]
-            errs = [abs(values[point.index % len(values)] - fx) for values in stack]
+            errs = [abs(values[at % len(values)] - fx) for values in stack]
         else:
             errs = _lp_norms(f, p, stack)  # one pass over f per stack
-        for n, err in zip(islice(orders, len(stack)), errs):
-            rows.append(ConvergenceRow(n=n, err=float(err), mean_id=mean_id))
+        rows += (ConvergenceRow(n, float(err), mean_id) for n, err in zip(orders, errs))
     return rows

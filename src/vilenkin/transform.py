@@ -19,6 +19,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import repeat
+from numbers import Real
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -51,8 +52,11 @@ def _chunk_rows(cells: int) -> int:
     return max(1, _SYNTH_CHUNK_CELLS // cells)
 
 
-def _runs(stack: np.ndarray, cells: int) -> Iterator[np.ndarray]:
-    """The rows of a stack in runs of _chunk_rows(cells): a run tiled to cells fills a chunk."""
+def _runs(stack, cells: int) -> Iterator:
+    """The rows of a stack in runs of _chunk_rows(cells): a run tiled to cells fills a chunk.
+
+    stack may also be the list of its rows' orders, cut the same way.
+    """
     step = _chunk_rows(cells)
     return (stack[at : at + step] for at in range(0, len(stack), step))
 
@@ -66,7 +70,7 @@ def _order_chunks(ns: Iterable[int]) -> Iterator[list[int]]:
     chunk: list[int] = []
     width = 0
     for n in ns:
-        if chunk and (len(chunk) + 1) * max(width, n) > _SYNTH_CHUNK_CELLS:
+        if len(chunk) >= _chunk_rows(max(width, n, 1)):  # an order 0 takes one cell
             yield chunk
             chunk, width = [], 0
         chunk.append(n)
@@ -315,6 +319,7 @@ def forward(f: GridFunction, method: str = "fast") -> np.ndarray:
     ``vilenkin.oracles``.  Both compute the coefficients in Paley order,
     fhat(n) = (1/M_N) * sum_x f(x) * conj(psi_n(x)); synthesize(f.spec, fhat) gives f back.
     """
+    _check_type("forward: f", f, GridFunction)
     if method == "fast":
         fhat = _analyse(f, f.spec.size)
     elif method == "naive":
@@ -334,6 +339,7 @@ def synthesize(spec: GroupSpec, coeffs) -> GridFunction:
     so a row of a sweep equals its single call exactly.  The spectrum of f
     synthesizes back to f as synthesize(f.spec, forward(f)).
     """
+    _check_type("synthesize: spec", spec, GroupSpec)
     coeffs = np.asarray(coeffs)
     if coeffs.ndim != 1:
         raise ValueError(f"coefficient row of shape {coeffs.shape} is not a vector")
@@ -408,6 +414,7 @@ def _butterfly_stack(rows: list[np.ndarray], band: int) -> np.ndarray:
 
 def partial_sum(f: GridFunction, n: int) -> GridFunction:
     """Fourier partial sum S_n f = sum_{k<n} fhat(k) psi_k; S_0 f = 0."""
+    _check_type("partial_sum: f", f, GridFunction)
     spec = f.spec
     if not 0 <= operator.index(n) <= spec.size:
         raise ValueError(f"partial sum order {n} outside [0, {spec.size}]")
@@ -434,6 +441,7 @@ def norm(f: GridFunction, p: float) -> float:
     summed a leaf at a time, with no grid-sized temporary.
     """
     _check_type("norm: f", f, GridFunction)
+    _check_type("norm: p", p, Real)
     if not p >= 1:  # also refuses NaN
         raise ValueError(f"strong norm needs p >= 1, got {p}")
     return _lp_norms(f, p, np.zeros((1, 1)))[0]

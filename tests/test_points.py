@@ -11,7 +11,7 @@ import pytest
 
 import vilenkin.kernels
 import vilenkin.points
-from vilenkin.group import Element, generator, make_group
+from vilenkin.group import Element, GroupSpec, generator, make_group
 from vilenkin.kernels import l1_profile, multiplier
 from vilenkin.means import WeightSequence, parse_weights
 from vilenkin.points import (
@@ -254,6 +254,27 @@ def test_each_sweep_checks_its_orders_once(monkeypatch):
     calls.clear()
     assert len(l1_profile("t", ns, spec, weights=w)) == len(ns)
     assert calls == ["t"]
+
+
+def test_pointwise_profile_reads_the_point_index_without_recomputing_it(monkeypatch):
+    # an Element keeps the index its constructor computes: the profile used
+    # to walk the point's digits through index_of once per stack and once
+    # per row, 38 + 431 times here
+    spec = make_group([2, 3], 7)
+    f = GridFunction.random(spec, seed=5)
+    x = Element(spec, (1, 0, 1, 0, 0, 0, 0))
+    calls = []
+    index_of = GroupSpec.index_of
+
+    def counted(self, digits):
+        calls.append(digits)
+        return index_of(self, digits)
+
+    monkeypatch.setattr(GroupSpec, "index_of", counted)
+    ns = range(2, spec.size + 1)
+    rows = convergence_profile(f, parse_weights("riesz"), ns, form="norlund", point=x)
+    assert len(rows) == 431
+    assert calls == []
 
 
 def test_order_sweep_synthesizes_in_bounded_chunks():

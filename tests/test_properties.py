@@ -10,7 +10,9 @@ an analysis up to M_s runs, on M_s cells only; both must agree with the
 definitions (character rows, the naive transform) to 1e-12.  A batched
 synthesis returns every row bitwise equal to its one-row synthesis, whatever
 the batch size and the row's place in it, and the rows share butterflies by
-their bands and the chunk size alone, whatever blocks they arrive in.  The
+their bands and the chunk size alone, whatever blocks they arrive in; the
+order sweep hands each stack over with its rows' orders, which concatenate
+to the checked orders.  The
 sweeps that reduce a mean or a kernel on its band M_s instead of the whole
 grid return the very errors, maxima and residuals of the tiled full-grid
 route (the L1 profile, a sum in another order, to 1e-12); the kernel
@@ -35,7 +37,9 @@ import vilenkin.transform
 from vilenkin.group import Element, generator, make_group
 from vilenkin.kernels import (
     _FAMILIES,
+    _UNWEIGHTED,
     KernelProfileRow,
+    _check_orders,
     _leading_position,
     _order_stacks,
     dirichlet,
@@ -293,16 +297,36 @@ def test_batched_kernels_and_means_equal_single_syntheses(case, more):
     ns = sorted({*ns, *(min(spec.size, max(w.n0, n)) for n in more)})
     # the sweeps leave each row on its band M_s; tiled, it is the public result
     for family in _FAMILIES:  # with f None, the kernels: the means of the unit impulse
-        batched = itertools.chain.from_iterable(_order_stacks(family, None, ns, spec, w))
+        stacks = _order_stacks(family, None, ns, spec, w)
+        batched = itertools.chain.from_iterable(stack for _, stack in stacks)
         for n, got in zip(ns, batched, strict=True):
             want = synthesize(spec, multiplier(family, n, spec, w))
             assert np.array_equal(np.tile(got, spec.size // len(got)), want.values)
     fh = _analyse(f, ns[-1])
     for form, family in _FORM_FAMILY.items():
-        means = itertools.chain.from_iterable(_order_stacks(family, f, ns, spec, w))
+        stacks = _order_stacks(family, f, ns, spec, w)
+        means = itertools.chain.from_iterable(stack for _, stack in stacks)
         for n, got in zip(ns, means, strict=True):
             want = synthesize(spec, fh[:n] * multiplier(family, n, spec, w))
             assert np.array_equal(np.tile(got, spec.size // len(got)), want.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases(), st.sampled_from(_FAMILIES), st.data())
+def test_order_stacks_carry_their_rows_orders(case, family, data):
+    # each stack comes with the orders of its rows: in sweep order they are
+    # the checked ns, whatever their order, repeats or integer type, for the
+    # kernels (f None) and the means alike
+    spec, w, _, f, _ = case
+    lowest = 0 if family in _UNWEIGHTED else w.n0
+    ns = data.draw(st.lists(st.integers(lowest, spec.size), min_size=1, max_size=60))
+    ns = [np.int64(n) if i % 2 else n for i, n in enumerate(ns)]
+    checked = _check_orders(family, ns, spec, w)
+    for g in (None, f):
+        pairs = list(_order_stacks(family, g, ns, spec, w))
+        assert [len(orders) for orders, _ in pairs] == [len(stack) for _, stack in pairs]
+        got = [n for orders, _ in pairs for n in orders]
+        assert got == checked and all(type(n) is int for n in got)
 
 
 @st.composite
@@ -555,10 +579,11 @@ def _chunked_sweeps(spec, w, ns, f):
         ],
     }
     for form, family in _FORM_FAMILY.items():
-        out[form] = list(itertools.chain.from_iterable(_order_stacks(family, f, ns, spec, w)))
+        stacks = _order_stacks(family, f, ns, spec, w)
+        out[form] = list(itertools.chain.from_iterable(stack for _, stack in stacks))
     for family in _FAMILIES:
-        kernels = _order_stacks(family, None, ns, spec, w)
-        out[family + " kernels"] = list(itertools.chain.from_iterable(kernels))
+        stacks = _order_stacks(family, None, ns, spec, w)
+        out[family + " kernels"] = list(itertools.chain.from_iterable(s for _, s in stacks))
     return out
 
 

@@ -17,7 +17,14 @@ from vilenkin.kernels import (
     multiplier,
     t_kernel,
 )
-from vilenkin.means import WeightSequence, binomial_sequence, classify, parse_weights, t_mean
+from vilenkin.means import (
+    WeightSequence,
+    binomial_sequence,
+    classify,
+    norlund_mean,
+    parse_weights,
+    t_mean,
+)
 from vilenkin.oracles import abel_weight_residual, identity_residual
 from vilenkin.points import convergence_profile, lebesgue_modulus, w_modulus
 from vilenkin.transform import (
@@ -243,15 +250,24 @@ def test_arithmetic_with_another_type_raises_type_error(other):
             lambda: convergence_profile(F, RIESZ, [2], point=3),
             "convergence_profile: point must be an Element, got int",
         ),
+        (lambda: forward(None), "forward: f must be a GridFunction, got NoneType"),
+        (lambda: synthesize(None, [1]), "synthesize: spec must be a GroupSpec, got NoneType"),
+        (lambda: partial_sum(None, 3), "partial_sum: f must be a GridFunction, got NoneType"),
+        (
+            lambda: norlund_mean(None, RIESZ, 3),
+            "norlund_mean: f must be a GridFunction, got NoneType",
+        ),
+        (lambda: norm(F, "2"), "norm: p must be a Real, got str"),
     ],
     ids=[
         "norm-f", "lebesgue-f", "lebesgue-x", "w-modulus-f", "w-modulus-x", "convolve-f",
-        "t-mean-f", "profile-f", "profile-p", "profile-point",
+        "t-mean-f", "profile-f", "profile-p", "profile-point", "forward-f", "synthesize-spec",
+        "partial-sum-f", "norlund-mean-f", "norm-p",
     ],
 )
 def test_a_wrong_argument_type_raises_type_error_naming_it(call, message):
     # each used to raise AttributeError: '...' object has no attribute
-    # 'spec', and a str p a TypeError from `>=` that did not name p
+    # 'spec' (or 'size'), and a str p a TypeError from `>=` that did not name p
     with pytest.raises(TypeError, match=message):
         call()
 
