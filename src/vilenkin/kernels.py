@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from itertools import islice
+from itertools import groupby, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .group import GroupSpec
-from .transform import GridFunction, _analyse, _order_chunks, _runs, _synthesize_bands, synthesize
+from .transform import GridFunction, _analyse, _band, _check_type, _runs, _synthesize_bands, synthesize
 
 if TYPE_CHECKING:  # circular at runtime: means imports the multiplier core
     from .means import WeightSequence
@@ -75,6 +75,7 @@ def _check_orders(
     ns = [operator.index(n) for n in ns]
     if family not in _FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}; expected {_FAMILIES}")
+    _check_type(f"{family} kernel: spec", spec, GroupSpec)
     lowest = 0 if family in _UNWEIGHTED else 1
     outside = next((n for n in ns if not lowest <= n <= spec.size), None)
     if outside is not None:
@@ -137,16 +138,18 @@ def _order_stacks(
     impulse, read as np.broadcast_to(1.0, M_N): no array, and x * 1.0 = x
     bitwise.  A row of band M_s is a function of x mod M_s, so the sweeps
     reduce it on those M_s cells (or on a larger band that nests it).  The
-    multiplied coefficients are built, and synthesized in stacked
-    butterflies, a chunk of orders at a time; the rows come as the
+    multiplied coefficients are built a block at a time, each block a run
+    of at most _chunk_rows(M_s) consecutive orders of one band M_s, and
+    synthesized in stacked butterflies; the rows come as the
     butterflies' (rows x M_s) stacks, in the order of ns, as (orders, stack)
     pairs whose list of orders names the stack's rows.
     """
     ns = _check_orders(family, ns, spec, weights)
     coeffs = np.broadcast_to(1.0, spec.size) if f is None else _analyse(f, max(ns, default=0))
     blocks = (
-        coeffs[: max(chunk)] * _multipliers(family, chunk, spec, weights)
-        for chunk in _order_chunks(ns)
+        coeffs[: max(run)] * _multipliers(family, run, spec, weights)
+        for band, group in groupby(ns, key=lambda n: _band(spec, n))
+        for run in _runs(list(group), band)
     )
     orders = iter(ns)
     stacks = _synthesize_bands(spec, blocks)
@@ -203,6 +206,7 @@ def l1_profile(
     The tail is (1/M_N) * sum over x outside the rank-tail_rank interval at 0
     of |k_n(x)|, the quantity the localization estimates bound.
     """
+    _check_type("l1_profile: spec", spec, GroupSpec)
     tail_block = spec._place(tail_rank)
     rows = []
     for orders, stack in _order_stacks(family, None, sorted(ns), spec, weights):
@@ -231,6 +235,7 @@ def domination_constant(ns: Sequence[int], spec: GroupSpec) -> float:
     Returns the max over the grid and over n of the pointwise ratio.  The
     denominator is at least M_0 |K_1| = 1 everywhere, since K_1 = 1.
     """
+    _check_type("domination_constant: spec", spec, GroupSpec)
     if len(ns) == 0:
         raise ValueError("need at least one n")
     ns = sorted(ns)

@@ -32,8 +32,8 @@ from .transform import (
     GridFunction,
     _band,
     _characters,
-    _chunk_rows,
     _on_cells,
+    _runs,
     forward,
 )
 
@@ -61,9 +61,8 @@ def _forward_naive(f: GridFunction) -> np.ndarray:
     out = np.empty(spec.size, dtype=np.complex128)
     chunk = max(1, _NAIVE_CHUNK_CELLS // spec.size)
     for start in range(0, spec.size, chunk):
-        ns = np.arange(start, min(start + chunk, spec.size), dtype=np.int64)
-        rows = _characters(spec, ns)
-        out[ns] = rows.conj() @ f.values
+        ns = range(spec.size)[start : start + chunk]
+        out[ns] = _characters(spec, ns).conj() @ f.values
     return out / spec.size
 
 
@@ -165,8 +164,7 @@ def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
             continue
         row = _last_character(spec, block)
         half = block // 2
-        for start in range(1, half + 1, _chunk_rows(2 * block)):
-            js = range(start, min(start + _chunk_rows(2 * block), half + 1))
+        for js in _runs(range(1, half + 1), 2 * block):
             pairs = [j for j in js if 2 * j != block]  # j = M_r / 2 is its own pair
             # D_j, then D_{M_r - j}, each in ascending order, so that rows of
             # one band stay adjacent
@@ -279,10 +277,9 @@ def _partial_sum_terms(f: GridFunction, count: int) -> Iterator[np.ndarray]:
     """
     spec = f.spec
     fh = forward(f)
-    step = _chunk_rows(spec.size)
-    for start in range(0, count, step):
-        rows = _characters(spec, np.arange(start, min(start + step, count)))
-        np.multiply(fh[start : start + len(rows), None], rows, out=rows)
+    for ks in _runs(range(count), spec.size):
+        rows = _characters(spec, ks)
+        np.multiply(fh[ks, None], rows, out=rows)
         yield from rows
 
 

@@ -18,7 +18,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, groupby, islice, repeat
 from numbers import Real
 from typing import Iterable, Iterator
 
@@ -55,28 +55,10 @@ def _chunk_rows(cells: int) -> int:
 def _runs(stack, cells: int) -> Iterator:
     """The rows of a stack in runs of _chunk_rows(cells): a run tiled to cells fills a chunk.
 
-    stack may also be the list of its rows' orders, cut the same way.
+    stack may also be a list or range of orders, cut the same way.
     """
     step = _chunk_rows(cells)
     return (stack[at : at + step] for at in range(0, len(stack), step))
-
-
-def _order_chunks(ns: Iterable[int]) -> Iterator[list[int]]:
-    """ns in consecutive runs whose rows times largest order fill at most one chunk.
-
-    A run of orders becomes one (rows x largest order) stack of coefficients;
-    an order above _SYNTH_CHUNK_CELLS runs alone.
-    """
-    chunk: list[int] = []
-    width = 0
-    for n in ns:
-        if len(chunk) >= _chunk_rows(max(width, n, 1)):  # an order 0 takes one cell
-            yield chunk
-            chunk, width = [], 0
-        chunk.append(n)
-        width = max(width, n)
-    if chunk:
-        yield chunk
 
 
 @lru_cache(maxsize=32)
@@ -122,6 +104,7 @@ def character_row(spec: GroupSpec, n: int) -> np.ndarray:
 
     psi_n(x) is row[x.index]; the Rademacher function r_k is psi_{M_k}.
     """
+    _check_type("character_row: spec", spec, GroupSpec)
     n = operator.index(n)  # numpy integers pass, floats raise TypeError
     if not 0 <= n < spec.size:
         raise ValueError(f"character index {n} outside [0, {spec.size})")
@@ -223,7 +206,12 @@ class GridFunction(_Frozen):
             raise ValueError("grid functions belong to different groups")
         return GridFunction._own(self.spec, op(self.values, other.values))
 
+    # so ndarray * f calls f.__rmul__ instead of multiplying each cell by f
+    __array_ufunc__ = None
+
     def __mul__(self, scalar: complex) -> "GridFunction":
+        if isinstance(scalar, GridFunction):
+            return NotImplemented  # so f * g raises TypeError before numpy loops over f
         return GridFunction._own(self.spec, self.values * scalar)
 
     __rmul__ = __mul__
@@ -371,45 +359,34 @@ def _synthesize_bands(spec: GroupSpec, blocks: Iterable) -> Iterator[np.ndarray]
     The rows are walked in input order, across blocks.  A row's band is
     _band() of its count, one past its last nonzero coefficient (found for a
     whole block by one scan).  Its synthesis is a function of x mod M_s, so
-    these M_s values tile to the full grid.  The rows waiting for a butterfly
-    run as one (rows x M_s) stack, yielded in input order, when the next row
-    has another band or when _chunk_rows(M_s) rows wait, so a butterfly
-    covers at most _SYNTH_CHUNK_CELLS cells (one row if M_s is larger) and
-    block boundaries do not change which rows share it.  The blocks are read
-    lazily, so a sweep that reduces each stack on its band holds
-    O(_SYNTH_CHUNK_CELLS + M_s) cells besides the block being read.
+    these M_s values tile to the full grid.  Each run of consecutive rows of
+    one band is cut into stacks of _chunk_rows(M_s) rows (the last may be
+    shorter), each zero-padded to M_s and run as one butterfly, yielded in
+    input order: a butterfly covers at most _SYNTH_CHUNK_CELLS cells (one
+    row if M_s is larger), and block boundaries do not change which rows
+    share it.  The blocks are read lazily, so a sweep that reduces each
+    stack on its band holds O(_SYNTH_CHUNK_CELLS + M_s) cells besides the
+    block being read.
     """
-    pending: list[np.ndarray] = []  # rows of one band, waiting for their butterfly
-    band = 0
-    for block in blocks:
-        block = np.asarray(block)
-        if block.ndim != 2 or block.shape[1] > spec.size:
-            raise ValueError(
-                f"coefficient block of shape {block.shape} does not fit M_N = {spec.size}"
-            )
-        # the True column in front gives an all-zero row the count 0
-        nonzero = np.hstack([np.ones((len(block), 1), dtype=bool), block != 0])
-        counts = block.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
-        for row, count in zip(block, counts.tolist()):
-            row_band = _band(spec, count)
-            if pending and (row_band != band or len(pending) == _chunk_rows(band)):
-                # rebound before the butterfly runs and while its stack is out,
-                # so the blocks the waiting rows view can be freed
-                stack, pending = _butterfly_stack(pending, band), []
-                yield _apply_stages(spec, stack, inverse=True)
-            band = row_band
-            pending.append(row[:band])
-    if pending:
-        stack, pending = _butterfly_stack(pending, band), []
-        yield _apply_stages(spec, stack, inverse=True)
+    rows = chain.from_iterable(_banded_rows(spec, block) for block in blocks)
+    for band, run in groupby(rows, key=operator.itemgetter(1)):
+        while chunk := list(islice(run, _chunk_rows(band))):
+            stack = np.zeros((len(chunk), band), dtype=np.complex128)
+            for padded, (row, _) in zip(stack, chunk):
+                padded[: len(row)] = row[:band]  # a slice past band stops at band
+            del chunk, row  # views of their blocks, which can be freed while the stack is out
+            yield _apply_stages(spec, stack, inverse=True)
 
 
-def _butterfly_stack(rows: list[np.ndarray], band: int) -> np.ndarray:
-    """The (len(rows) x band) stack of coefficient rows, each zero-padded to band."""
-    stack = np.zeros((len(rows), band), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        stack[i, : len(row)] = row
-    return stack
+def _banded_rows(spec: GroupSpec, block) -> Iterator[tuple[np.ndarray, int]]:
+    """(row, band) for each row of a coefficient block, once its shape fits the grid."""
+    block = np.asarray(block)
+    if block.ndim != 2 or block.shape[1] > spec.size:
+        raise ValueError(f"coefficient block of shape {block.shape} does not fit M_N = {spec.size}")
+    # the True column in front gives an all-zero row the count 0
+    nonzero = np.hstack([np.ones((len(block), 1), dtype=bool), block != 0])
+    counts = block.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
+    return zip(block, [_band(spec, count) for count in counts.tolist()])
 
 
 def partial_sum(f: GridFunction, n: int) -> GridFunction:

@@ -33,6 +33,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vilenkin.kernels
 import vilenkin.transform
 from vilenkin.group import Element, generator, make_group
 from vilenkin.kernels import (
@@ -327,6 +328,42 @@ def test_order_stacks_carry_their_rows_orders(case, family, data):
         assert [len(orders) for orders, _ in pairs] == [len(stack) for _, stack in pairs]
         got = [n for orders, _ in pairs for n in orders]
         assert got == checked and all(type(n) is int for n in got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases(), st.sampled_from(_FAMILIES), st.data())
+def test_order_blocks_are_runs_of_one_band(case, family, data):
+    # a sweep builds its coefficients a block of orders at a time: a run of
+    # consecutive orders of one band M_s, cut after every max(1, cells // M_s)
+    # of them, so that each block is one butterfly's worth
+    spec, w, _, f, _ = case
+    lowest = 0 if family in _UNWEIGHTED else w.n0
+    ns = data.draw(st.lists(st.integers(lowest, spec.size), min_size=1, max_size=60))
+    blocks = []
+    multipliers = vilenkin.kernels._multipliers
+
+    def spied(family, orders, *args):
+        blocks.append(list(orders))
+        return multipliers(family, orders, *args)
+
+    default = vilenkin.transform._SYNTH_CHUNK_CELLS
+    vilenkin.kernels._multipliers = spied
+    try:
+        for cells in (1, 8, default):
+            vilenkin.transform._SYNTH_CHUNK_CELLS = cells
+            for g in (None, f):
+                blocks.clear()
+                list(_order_stacks(family, g, ns, spec, w))
+                assert [n for block in blocks for n in block] == ns
+                bands = [_band(spec, block[0]) for block in blocks]
+                for block, band in zip(blocks, bands):
+                    assert {_band(spec, n) for n in block} == {band}
+                    assert len(block) <= max(1, cells // band)
+                for block, band, after in zip(blocks, bands, bands[1:]):
+                    assert after != band or len(block) == max(1, cells // band)
+    finally:
+        vilenkin.kernels._multipliers = multipliers
+        vilenkin.transform._SYNTH_CHUNK_CELLS = default
 
 
 @st.composite

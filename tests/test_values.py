@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from vilenkin.kernels import (
     fejer,
     l1_profile,
     multiplier,
+    norlund_kernel,
     t_kernel,
 )
 from vilenkin.means import (
@@ -225,6 +227,31 @@ def test_arithmetic_with_another_type_raises_type_error(other):
         x - Element.zero(OTHER.spec)
 
 
+def test_a_product_of_grid_functions_fails_at_once():
+    # numpy multiplied each cell by the other operand through __rmul__: at
+    # 2^12 cells f * f built 4096 grid functions, 257 MiB traced and 0.2 s,
+    # before its TypeError, and ndarray * f was an object array of them
+    spec = make_group([2], 12)
+    f = GridFunction.random(spec, seed=6)
+    for other in (f, None):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TypeError):
+                f * other
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    ones = np.ones(spec.size)
+    for product in (ones * f, 2.5j * f, f * 2.5j):
+        assert type(product) is GridFunction
+    assert np.array_equal((ones * f).values, (f * ones).values)
+    assert np.array_equal((2.5j * f).values, f.values * 2.5j)
+    assert np.array_equal((f * 3).values, f.values * 3)
+    with pytest.raises(ValueError, match=r"values must have shape \(4096,\)"):
+        f * np.ones((2, spec.size))
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -258,16 +285,33 @@ def test_arithmetic_with_another_type_raises_type_error(other):
             "norlund_mean: f must be a GridFunction, got NoneType",
         ),
         (lambda: norm(F, "2"), "norm: p must be a Real, got str"),
+        (lambda: dirichlet(1, None), "dirichlet kernel: spec must be a GroupSpec, got NoneType"),
+        (lambda: fejer(1, None), "fejer kernel: spec must be a GroupSpec, got NoneType"),
+        (lambda: t_kernel(RIESZ, 2, None), "t kernel: spec must be a GroupSpec, got NoneType"),
+        (
+            lambda: norlund_kernel(RIESZ, 2, None),
+            "norlund kernel: spec must be a GroupSpec, got NoneType",
+        ),
+        (lambda: multiplier("fejer", 1, None), "fejer kernel: spec must be a GroupSpec"),
+        (lambda: l1_profile("fejer", [1], None), "l1_profile: spec must be a GroupSpec"),
+        (
+            lambda: domination_constant([1], None),
+            "domination_constant: spec must be a GroupSpec, got NoneType",
+        ),
+        (lambda: character_row(None, 0), "character_row: spec must be a GroupSpec, got NoneType"),
     ],
     ids=[
         "norm-f", "lebesgue-f", "lebesgue-x", "w-modulus-f", "w-modulus-x", "convolve-f",
         "t-mean-f", "profile-f", "profile-p", "profile-point", "forward-f", "synthesize-spec",
-        "partial-sum-f", "norlund-mean-f", "norm-p",
+        "partial-sum-f", "norlund-mean-f", "norm-p", "dirichlet-spec", "fejer-spec",
+        "t-kernel-spec", "norlund-kernel-spec", "multiplier-spec", "l1-profile-spec",
+        "domination-spec", "character-row-spec",
     ],
 )
 def test_a_wrong_argument_type_raises_type_error_naming_it(call, message):
     # each used to raise AttributeError: '...' object has no attribute
-    # 'spec' (or 'size'), and a str p a TypeError from `>=` that did not name p
+    # 'spec' (or 'size', 'M' or '_place'), and a str p a TypeError from `>=`
+    # that did not name p
     with pytest.raises(TypeError, match=message):
         call()
 
