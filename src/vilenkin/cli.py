@@ -30,6 +30,11 @@ CHECK_TOL = 1e-12
 AGREE_TOL = 1e-10
 # Keep CLI-driven grids well inside addressable/allocatable range.
 MAX_CLI_SIZE = 1 << 22
+# Each radix m gets an m x m complex stage matrix, built from an m x m index
+# table: on a 2-core Linux box a `converge --levels 1 --n-max 3` job peaks
+# at 35.7 MiB of RSS at m = 7, 47.9 at 512 and 196 at 2048, and np.outer asks
+# for 32 GiB at 65536.  Larger radices are refused.
+MAX_CLI_RADIX = 512
 # bench-transform reports the fast route as the median of this many runs (an
 # odd count); the O(M_N^2) naive route is timed once.
 FAST_REPEATS = 5
@@ -154,6 +159,8 @@ def _build_spec(cfg: ExperimentConfig) -> GroupSpec:
         raise ConfigError(
             f"resolution overflow: M_N = {spec.size} exceeds the CLI cap {MAX_CLI_SIZE}"
         )
+    if max(spec.m) > MAX_CLI_RADIX:
+        raise ConfigError(f"radix {max(spec.m)} exceeds the CLI cap {MAX_CLI_RADIX}")
     return spec
 
 

@@ -19,7 +19,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import chain, groupby, islice, repeat
-from numbers import Real
+from numbers import Number, Real
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -209,10 +209,15 @@ class GridFunction(_Frozen):
     # so ndarray * f calls f.__rmul__ instead of multiplying each cell by f
     __array_ufunc__ = None
 
-    def __mul__(self, scalar: complex) -> "GridFunction":
-        if isinstance(scalar, GridFunction):
-            return NotImplemented  # so f * g raises TypeError before numpy loops over f
-        return GridFunction._own(self.spec, self.values * scalar)
+    def __mul__(self, other: complex | np.ndarray) -> "GridFunction":
+        """f times a number, a 0-d array or a vector of shape (M_N,), checked before the product."""
+        if isinstance(other, (Number, np.bool_)):  # numpy's bool is no Number
+            other = complex(other)  # a Fraction or Decimal would take numpy's per-cell object loop
+        elif not isinstance(other, np.ndarray):
+            return NotImplemented  # so f * g, f * None and f * [1, 2] raise TypeError at once
+        elif other.shape not in ((), (self.spec.size,)):
+            raise ValueError(f"values must have shape ({self.spec.size},), got {other.shape}")
+        return GridFunction._own(self.spec, self.values * other)
 
     __rmul__ = __mul__
 

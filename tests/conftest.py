@@ -1,6 +1,33 @@
-"""Shared fixtures: a recorder that prints one line per acceptance criterion."""
+"""Shared fixtures and helpers.
+
+A recorder that prints one line per acceptance criterion, a recorder of
+butterfly calls, the repository root and the environment of a child
+interpreter.  Test modules import the helpers as ``from conftest import ...``.
+"""
+
+import os
+from pathlib import Path
 
 import pytest
+
+import vilenkin
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment of a child interpreter that imports this vilenkin, plus extra.
+
+    A RuntimeWarning (numpy's overflow or invalid value) is an error in the
+    child too, as the filter in pyproject.toml makes it one in process.
+    """
+    path = [str(Path(vilenkin.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, path)),
+        PYTHONWARNINGS="error::RuntimeWarning",
+        **extra,
+    )
 
 _LINES = []
 

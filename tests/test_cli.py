@@ -10,10 +10,10 @@ import tracemalloc
 import types
 from bisect import bisect_left
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import child_env
 
 import vilenkin
 import vilenkin.cli
@@ -211,12 +211,6 @@ def test_identity_check_cost_is_linear_in_blocks_and_orders(
     synthesis_calls = sum(1 for inverse, _, _ in butterflies if inverse)
     ranks = range(spec.levels + 1)
     assert synthesis_calls <= sum(1 + 2 * (r + 1) for r in ranks) + 2 * len(ranks) + 3 * len(blocks)
-
-
-def child_env():
-    """The environment of a child interpreter that imports this vilenkin."""
-    path = [str(Path(vilenkin.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 def test_closed_stdout_keeps_csv_and_exit_status(tmp_path):
@@ -856,6 +850,28 @@ def test_block_mode_is_refused_where_it_has_no_effect(tmp_path, capsys, butterfl
         capsys.readouterr().err
     )
     assert butterflies == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radix", [vilenkin.cli.MAX_CLI_RADIX + 1, 65536, 10**6])
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "classify-weights"])
+def test_huge_radix_exits_2_before_its_stage_matrix_is_built(
+    tmp_path, monkeypatch, capsys, command, radix
+):
+    # M_N = radix is under MAX_CLI_SIZE, but the radix x radix stage matrix
+    # took 196 MiB at 2048, and at 65536 np.outer's 32 GiB index table ended
+    # in an _ArrayMemoryError traceback and exit 1
+    def refused(*args):
+        raise AssertionError("a stage matrix was built for a refused radix")
+
+    monkeypatch.setattr(vilenkin.transform, "_dft_matrix", refused)
+    out = tmp_path / "x.csv"
+    argv = [command, "--group", str(radix), "--levels", "1", "--n-max", "3", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    cap = vilenkin.cli.MAX_CLI_RADIX
+    assert captured.err == f"config error: radix {radix} exceeds the CLI cap {cap}\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -3,23 +3,20 @@
 Each run is one ``python -m vilenkin`` child, and os.wait4 reads its peak
 resident set (ru_maxrss, KiB on Linux).  The bounds are stated above a bare
 import of what the CLI loads, measured the same way, so they hold whatever
-the interpreter and numpy take by themselves.  CI's memory workflow steps
-run these tests, so each bound is stated here once.
+the interpreter and numpy take by themselves.  CI's memory workflow step
+runs this module, so each bound is stated here once.
 """
 
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
-
-import vilenkin
+from conftest import child_env
 
 pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 
-_PATH = [str(Path(vilenkin.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, _PATH)), OPENBLAS_NUM_THREADS="1")
+ENV = child_env(OPENBLAS_NUM_THREADS="1")
 
 
 def _run(*argv: str) -> tuple[int, str, float]:

@@ -1,20 +1,25 @@
 """Command-line runs that must finish within a wall-clock bound and exit 0.
 
 Each test runs one ``python -m vilenkin`` child under its bound; a run that
-outlives it fails with ``subprocess.TimeoutExpired``.  CI's timed workflow
-steps run these tests, so each bound is stated here once.
+outlives it fails with ``subprocess.TimeoutExpired``.  CI's timeout workflow
+step runs this module, so each bound is stated here once.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
-
-import vilenkin
+from conftest import child_env
 
 RUNS = {
+    # a 2^20-cell converge to order 6: the 20-stage forward transform and the
+    # L_1 errors on the whole grid; about 0.3 s on a 2-core machine
+    "converge_2_20": (
+        120,
+        "converge --group 2 --levels 20 --weights riesz --form t --p 1 --n-max 6",
+    ),
+    # block kernels reach M_9 = 3888; about 1 s on a 2-core machine
+    "identity_2_3_9": (120, "identity-check --group 2,3 --levels 9 --weights riesz --n-max 20"),
     # 1023 orders, so the abel-mean oracle builds its M_N-cell character rows
     # 4 at a time; about 0.7 s on a 2-core machine
     "identity_2_10": (30, "identity-check --group 2 --levels 10 --weights riesz"),
@@ -22,6 +27,10 @@ RUNS = {
     # tolerances scale with them; with an absolute 1e-12 this correct run
     # failed (abel-kernel 1.3e-12).  About 4-6.5 s on a 2-core machine
     "identity_2_12": (30, "identity-check --group 2 --levels 12 --weights riesz"),
+    # constant weights start at n0 = 1, so the Abel oracles' order 1, read at
+    # step 0, runs end to end; cesaro:0.5 starts at n0 = 2.  About 0.2 s each
+    "identity_constant": (30, "identity-check --group 2,3 --levels 6 --weights constant"),
+    "identity_cesaro": (30, "identity-check --group 2,3 --levels 6 --weights cesaro:0.5"),
     # 2000 kernels of band at most 2048 are reduced on their own cells, under
     # a second on a 2-core machine; tiled out to 2^20 cells they took about 30 s
     "fejer_profile_2_20": (
@@ -34,8 +43,6 @@ RUNS = {
 @pytest.mark.parametrize("name", RUNS)
 def test_run_finishes_within_its_bound(name, tmp_path):
     seconds, line = RUNS[name]
-    path = [str(Path(vilenkin.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     args = [sys.executable, "-m", "vilenkin", *line.split(), "--out", str(tmp_path / "out.csv")]
-    proc = subprocess.run(args, capture_output=True, text=True, env=env, timeout=seconds)
+    proc = subprocess.run(args, capture_output=True, text=True, env=child_env(), timeout=seconds)
     assert proc.returncode == 0, proc.stderr

@@ -4,18 +4,15 @@ A README that names a deleted function or flag fails here.  CI's "README
 examples run as written" step runs this module.
 """
 
-import os
 import re
 import shlex
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import ROOT, child_env
 
-import vilenkin
-
-README = Path(__file__).resolve().parents[1] / "README.md"
+README = ROOT / "README.md"
 BLOCKS = re.findall(r"```(\w+)\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
 COMMAND_LINES = [
     line
@@ -38,9 +35,7 @@ def test_readme_has_command_lines():
 @pytest.mark.parametrize("line", COMMAND_LINES, ids=[line.split()[1] for line in COMMAND_LINES])
 def test_command_line_exits_zero(line, tmp_path):
     # each line runs as `python -m vilenkin ...`, its CSV written under tmp_path
-    path = [str(Path(vilenkin.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     out = str(tmp_path / "out.csv")
     args = [sys.executable, "-m", "vilenkin", *shlex.split(line)[1:], "--out", out]
-    proc = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run(args, capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
