@@ -68,6 +68,13 @@ class _Value(_Frozen):
         return hash(self._fields())
 
 
+def _check_type(what: str, value, kind: type) -> None:
+    """Raise a TypeError naming the argument (what = "caller: name") if value is no kind."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{what} must be {article} {kind.__name__}, got {type(value).__name__}")
+
+
 def _radix(r) -> int:
     r = operator.index(r)  # numpy integers pass, floats raise TypeError
     if r < 2:
@@ -162,6 +169,7 @@ class Element(_Value):
     index: int
 
     def __init__(self, spec: GroupSpec, digits: tuple[int, ...]) -> None:
+        _check_type("Element: spec", spec, GroupSpec)
         digits = tuple(map(operator.index, digits))  # numpy integers pass, floats raise TypeError
         index = spec.index_of(digits)  # refuses a wrong length or a digit outside [0, m_j)
         object.__setattr__(self, "spec", spec)
@@ -173,10 +181,12 @@ class Element(_Value):
 
     @classmethod
     def from_index(cls, spec: GroupSpec, n: int) -> "Element":
+        _check_type("Element.from_index: spec", spec, GroupSpec)
         return cls(spec, spec.digits(n))
 
     @classmethod
     def zero(cls, spec: GroupSpec) -> "Element":
+        _check_type("Element.zero: spec", spec, GroupSpec)
         return cls(spec, (0,) * spec.levels)
 
     def __add__(self, other: "Element") -> "Element":
@@ -202,6 +212,7 @@ class Element(_Value):
 def generator(s: int, spec: GroupSpec) -> Element:
     """Unit digit vector e_s (digit 1 in coordinate s, zero elsewhere)."""
     s = operator.index(s)  # numpy integers pass, floats raise TypeError
+    _check_type("generator: spec", spec, GroupSpec)
     if not 0 <= s < spec.levels:
         raise ValueError(f"coordinate {s} outside [0, {spec.levels})")
     d = tuple(1 if j == s else 0 for j in range(spec.levels))
@@ -215,6 +226,7 @@ def interval_members(x: Element, rank: int) -> np.ndarray:
     all indices congruent to x mod M_rank; rank 0 is the whole group and
     rank N the singleton {x}.
     """
+    _check_type("interval_members: x", x, Element)
     stride = x.spec._place(rank)
     return np.arange(x.index % stride, x.spec.size, stride, dtype=np.int64)
 

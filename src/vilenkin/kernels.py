@@ -24,8 +24,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .group import GroupSpec
-from .transform import GridFunction, _analyse, _band, _check_type, _runs, _synthesize_bands, synthesize
+from .group import GroupSpec, _check_type
+from .transform import GridFunction, _analyse, _band, _runs, _synthesize_bands, _tiled, synthesize
 
 if TYPE_CHECKING:  # circular at runtime: means imports the multiplier core
     from .means import WeightSequence
@@ -83,6 +83,8 @@ def _check_orders(
     if lowest:  # the weighted families
         if weights is None:
             raise ValueError(f"kernel family {family!r} needs weights")
+        from .means import WeightSequence  # at call time: means imports this module
+        _check_type(f"{family} kernel: weights", weights, WeightSequence)
         flat = np.array(ns, dtype=np.int64)[weights.Q_array(max(ns, default=0))[ns] <= 0]
         if flat.size:
             raise ValueError(f"Q({flat[0]}) not positive for {weights.label()}")
@@ -215,7 +217,7 @@ def l1_profile(
         # averages over that many
         cells = max(stack.shape[1], tail_block)
         for run_orders, run in zip(_runs(orders, cells), _runs(stack, cells)):
-            mags = np.tile(np.abs(run), (1, cells // stack.shape[1]))
+            mags = _tiled(np.abs(run), cells)
             l1, integral = mags.mean(axis=1).tolist(), run.mean(axis=1).tolist()
             tail = mags.reshape(len(run), -1, tail_block)[:, :, 1:].sum(axis=(1, 2)) / cells
             rows += map(KernelProfileRow, run_orders, l1, integral, tail.tolist())
@@ -246,15 +248,15 @@ def domination_constant(ns: Sequence[int], spec: GroupSpec) -> float:
     # bands of the others; each ratio is taken on the larger of that band
     # and its numerator's
     stacks = _order_stacks("fejer", None, blocks, spec)
-    terms = np.vstack([np.tile(np.abs(stack), (1, top // stack.shape[1])) for _, stack in stacks])
+    terms = np.vstack([_tiled(np.abs(stack), top) for _, stack in stacks])
     denoms = np.cumsum(np.array(blocks)[:, None] * terms, axis=0)
     best = 0.0
     for orders, stack in kernels:
         cells = max(stack.shape[1], top)
         for run_orders, run in zip(_runs(orders, cells), _runs(stack, cells)):
             order = np.array(run_orders)[:, None]
-            num = np.tile(order * np.abs(run), (1, cells // stack.shape[1]))
+            num = _tiled(order * np.abs(run), cells)
             leads = [_leading_position(n, spec) for n in run_orders]
-            den = np.tile(denoms[leads], (1, cells // top))
+            den = _tiled(denoms[leads], cells)
             best = max(best, float((num / den).max()))
     return best

@@ -34,9 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .group import _Value
+from .group import _Value, _check_type
 from .kernels import multiplier
-from .transform import GridFunction, _analyse, _check_type, convolve, synthesize
+from .transform import GridFunction, _analyse, convolve, synthesize
 
 __all__ = [
     "Classification", "WeightSequence", "binomial_sequence", "classify", "norlund_mean",
@@ -183,6 +183,7 @@ def _Q_cache(w: WeightSequence, n: int) -> np.ndarray:
 
 def parse_weights(text: str) -> WeightSequence:
     """Parse a CLI weight spec like 'riesz', 'cesaro:0.5' or 'logpow:0.5'."""
+    _check_type("parse_weights: text", text, str)
     name, _, alpha_s = text.partition(":")
     kind = _ALIASES.get(name, name if name in _KINDS else None)
     if kind is None:
@@ -229,6 +230,7 @@ def classify(w: WeightSequence, n_max: int = 10_000) -> Classification:
     pattern the family matches: 'a' (non-increasing), 'b' (non-decreasing;
     its fn01_sup is finite, since Q_n > 0 from n0 on), 'a+b', or 'none'.
     """
+    _check_type("classify: w", w, WeightSequence)
     if operator.index(n_max) < w.n0 + 1:
         raise ValueError(f"n_max {n_max} too small for this family")
     q = w.q_array(n_max)
@@ -260,6 +262,7 @@ def classify(w: WeightSequence, n_max: int = 10_000) -> Classification:
 
 
 def passes_gate(c: Classification) -> bool:
+    _check_type("passes_gate: c", c, Classification)
     return c.gate != "none"
 
 

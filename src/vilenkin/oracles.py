@@ -25,17 +25,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .group import GroupSpec
+from .group import GroupSpec, _check_type
 from .kernels import _check_orders, _multipliers, _order_stacks
 from .means import WeightSequence
-from .transform import (
-    GridFunction,
-    _band,
-    _characters,
-    _on_cells,
-    _runs,
-    forward,
-)
+from .transform import GridFunction, _band, _characters, _runs, _synthesize_bands, _tiled, forward
 
 __all__ = [
     "identity_residual",
@@ -92,6 +85,7 @@ def identity_residual(
     residuals are taken on the M_r cells x < M_r, the three kernels of one
     case synthesized as one block.
     """
+    _check_type("identity_residual: spec", spec, GroupSpec)
     if kind == "abel-kernel":
         if weights is None or n is None:
             raise ValueError("abel-kernel residual needs weights and n")
@@ -114,8 +108,14 @@ def identity_residual(
         _check_orders("t", [block], spec, weights)  # M_r has t and norlund kernels
         families = ("t", "dirichlet", "norlund")
         coeffs = np.concatenate([_multipliers(family, [block], spec, weights) for family in families])
-    lhs, full, low = _on_cells(spec, coeffs, block)
+    lhs, full, low = _on_block(spec, coeffs, block)
     return float(_reflection_gap(lhs, full, _last_character(spec, block), low))
+
+
+def _on_block(spec: GroupSpec, coeffs: np.ndarray, block: int) -> np.ndarray:
+    """Coefficient rows synthesized and tiled to block, an M_r nesting their bands (one stack: no copy)."""
+    stacks = [_tiled(stack, block) for stack in _synthesize_bands(spec, [coeffs])]
+    return stacks[0] if len(stacks) == 1 else np.vstack(stacks)
 
 
 def _last_character(spec: GroupSpec, block: int) -> np.ndarray:
@@ -156,9 +156,10 @@ def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
     (D_j, D_{M_r - j}) that together fill at most _SYNTH_CHUNK_CELLS cells,
     and the gaps of a chunk are taken as one stack.
     """
+    _check_type("reflection_residuals: spec", spec, GroupSpec)
     for rank in range(spec.levels + 1):
         block = spec.M[rank]
-        full = _on_cells(spec, _multipliers("dirichlet", [block], spec), block)[0]
+        full = _on_block(spec, _multipliers("dirichlet", [block], spec), block)[0]
         yield rank, 0, float(_reflection_gap(full, full))
         if block == 1:
             continue
@@ -169,7 +170,7 @@ def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
             # D_j, then D_{M_r - j}, each in ascending order, so that rows of
             # one band stay adjacent
             orders = [*js, *(block - j for j in reversed(pairs))]
-            kernel = _on_cells(spec, _multipliers("dirichlet", orders, spec), block)
+            kernel = _on_block(spec, _multipliers("dirichlet", orders, spec), block)
             low, high = kernel[: len(pairs)], kernel[len(js) :][::-1]
             gaps = zip(
                 _reflection_gap(high, full, row, low).tolist(),
@@ -247,6 +248,7 @@ def t_mean_oracles(
     Each order comes as two fresh length-M_N vectors, in
     O(_SYNTH_CHUNK_CELLS + M_N) working memory.
     """
+    _check_type("t_mean_oracles: f", f, GridFunction)
     ns = _ascending(ns, f.spec, w)
     top = max(ns, default=0)
     q, Q = w.q_array(top), w.Q_array(top)
@@ -289,6 +291,7 @@ def abel_weight_residual(w: WeightSequence, n: int) -> float:
     Summation by parts rewrites Q_n in the form the kernel estimates use;
     the residual should be at machine-noise level for every family.
     """
+    _check_type("abel_weight_residual: w", w, WeightSequence)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     q = w.q_array(n)

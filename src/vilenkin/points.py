@@ -14,10 +14,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .group import Element, generator, interval_members
+from .group import Element, _check_type, generator, interval_members
 from .kernels import _order_stacks
 from .means import WeightSequence
-from .transform import GridFunction, _check_type, _lp_norms
+from .transform import GridFunction, _lp_norms
 
 __all__ = [
     "ConvergenceRow",
@@ -99,8 +99,10 @@ def convergence_profile(
             raise ValueError(f"L_p error needs p >= 1, got {p}")
     if form not in _FORM_FAMILY:
         raise ValueError(f"unknown mean form {form!r}; expected t, norlund or partial")
-    if form != "partial" and w is None:
-        raise ValueError(f"form {form!r} needs a weight sequence")
+    if form != "partial":
+        if w is None:
+            raise ValueError(f"form {form!r} needs a weight sequence")
+        _check_type("convergence_profile: w", w, WeightSequence)
     if point is not None:
         at = _point_index("convergence_profile", f, point, "point")
         fx = f.values[at]

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .group import GroupSpec, _Frozen
+from .group import GroupSpec, _Frozen, _check_type
 
 __all__ = [
     "GridFunction",
@@ -125,6 +125,7 @@ class GridFunction(_Frozen):
     values: np.ndarray
 
     def __init__(self, spec: GroupSpec, values) -> None:
+        _check_type("GridFunction: spec", spec, GroupSpec)
         self._hold(spec, values, copy=True)
 
     @classmethod
@@ -152,6 +153,7 @@ class GridFunction(_Frozen):
 
     @classmethod
     def constant(cls, spec: GroupSpec, value: complex = 1.0) -> "GridFunction":
+        _check_type("GridFunction.constant: spec", spec, GroupSpec)
         return cls._own(spec, np.full(spec.size, value, dtype=np.complex128))
 
     @classmethod
@@ -165,12 +167,13 @@ class GridFunction(_Frozen):
         A rank-n interval is a residue class mod M_n, so ``cell`` may be given
         either as a class representative below M_n or as any member index.
         """
+        _check_type("GridFunction.indicator: spec", spec, GroupSpec)
         stride = spec._place(rank)
         if not 0 <= operator.index(cell) < spec.size:
             raise ValueError(f"cell {cell} outside [0, {spec.size})")
         pattern = np.zeros(stride, dtype=np.complex128)
         pattern[cell % stride] = 1.0
-        return cls._own(spec, _repeated(spec, pattern))
+        return cls._own(spec, _tiled(pattern, spec.size))
 
     @classmethod
     def random(
@@ -183,6 +186,7 @@ class GridFunction(_Frozen):
         _STREAM_CELLS cells (a chunked draw continues the stream
         bitwise), so the complex result is the only grid-sized array.
         """
+        _check_type("GridFunction.random: spec", spec, GroupSpec)
         stride = spec._place(spec.levels if rank is None else rank)
         rng = np.random.default_rng(seed)
         base = np.empty(stride, dtype=np.complex128)
@@ -191,7 +195,7 @@ class GridFunction(_Frozen):
             for start in range(0, stride, len(draw)):
                 chunk = draw[: stride - start]
                 part[start : start + len(chunk)] = rng.standard_normal(out=chunk)
-        return cls._own(spec, _repeated(spec, base))
+        return cls._own(spec, _tiled(base, spec.size))
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         return self._pointwise(np.add, other)
@@ -222,16 +226,10 @@ class GridFunction(_Frozen):
     __rmul__ = __mul__
 
 
-def _check_type(what: str, value, kind: type) -> None:
-    """Raise a TypeError naming the argument (what = "caller: name") if value is no kind."""
-    if not isinstance(value, kind):
-        article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise TypeError(f"{what} must be {article} {kind.__name__}, got {type(value).__name__}")
-
-
-def _repeated(spec: GroupSpec, base: np.ndarray) -> np.ndarray:
-    """base, of length some M_s, repeated out to the grid (base itself if M_s = M_N)."""
-    return base if len(base) == spec.size else np.tile(base, spec.size // len(base))
+def _tiled(rows: np.ndarray, cells: int) -> np.ndarray:
+    """A vector or a stack of M_s-cell rows, each repeated out to cells cells (rows itself if M_s = cells)."""
+    reps = cells // rows.shape[-1]  # one repeat along a new axis: less per-call overhead than np.tile
+    return rows if reps == 1 else rows[..., None, :].repeat(reps, axis=-2).reshape(*rows.shape[:-1], cells)
 
 
 @lru_cache(maxsize=128)
@@ -328,33 +326,16 @@ def forward(f: GridFunction, method: str = "fast") -> np.ndarray:
 def synthesize(spec: GroupSpec, coeffs) -> GridFunction:
     """sum_{j < len(coeffs)} coeffs[j] * psi_j, for len(coeffs) <= M_N: one inverse transform.
 
-    The one-row case of _on_cells(), the block synthesis every sweep runs,
-    so a row of a sweep equals its single call exactly.  The spectrum of f
-    synthesizes back to f as synthesize(f.spec, forward(f)).
+    The one-row case of _synthesize_bands(), the block synthesis every sweep
+    runs, _tiled() out to the grid, so a row of a sweep equals its single
+    call exactly.  The spectrum of f synthesizes back to f as synthesize(f.spec, forward(f)).
     """
     _check_type("synthesize: spec", spec, GroupSpec)
     coeffs = np.asarray(coeffs)
     if coeffs.ndim != 1:
         raise ValueError(f"coefficient row of shape {coeffs.shape} is not a vector")
-    return GridFunction._own(spec, _on_cells(spec, coeffs[None], spec.size)[0])
-
-
-def _on_cells(spec: GroupSpec, coeffs: np.ndarray, cells: int) -> np.ndarray:
-    """The syntheses of a block of coefficient rows, each repeated out to cells cells.
-
-    cells is a band that nests every row's band (M_N nests them all).  A
-    block whose rows all run in one butterfly on cells cells is returned as
-    that butterfly's stack, with no copy.
-    """
-    out = np.empty((len(coeffs), cells), dtype=np.complex128)
-    at = 0
-    for stack in _synthesize_bands(spec, [coeffs]):
-        rows, band = stack.shape
-        if rows == len(coeffs) and band == cells:
-            return stack
-        out[at : at + rows].reshape(rows, -1, band)[...] = stack[:, None, :]
-        at += rows
-    return out
+    (stack,) = _synthesize_bands(spec, [coeffs[None]])
+    return GridFunction._own(spec, _tiled(stack[0], spec.size))
 
 
 def _synthesize_bands(spec: GroupSpec, blocks: Iterable) -> Iterator[np.ndarray]:

@@ -1,11 +1,13 @@
 """Shared fixtures and helpers.
 
 A recorder that prints one line per acceptance criterion, a recorder of
-butterfly calls, the repository root and the environment of a child
-interpreter.  Test modules import the helpers as ``from conftest import ...``.
+butterfly calls, a tracer of a block's peak traced memory, the repository
+root and the environment of a child interpreter.  Test modules import the
+helpers as ``from conftest import ...``.
 """
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,19 @@ def child_env(**extra: str) -> dict[str, str]:
         PYTHONWARNINGS="error::RuntimeWarning",
         **extra,
     )
+
+
+class TracedPeak:
+    """tracemalloc over a with block: .peak holds the block's peak traced bytes once it ends."""
+
+    def __enter__(self) -> "TracedPeak":
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+
 
 _LINES = []
 

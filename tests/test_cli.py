@@ -6,14 +6,13 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 import types
 from bisect import bisect_left
 from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import child_env
+from conftest import TracedPeak, child_env
 
 import vilenkin
 import vilenkin.cli
@@ -703,12 +702,8 @@ def test_bad_function_exits_2_before_the_orders_are_listed(tmp_path, capsys, com
     # parsed: 0.3 s and 189.5 MiB peak RSS to refuse it
     out = tmp_path / "x.csv"
     grid = ["--group", "2", "--levels", "22", "--weights", "riesz", "--out", str(out)]
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         code = main([command, "--function", "mystery", *grid])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err == (
@@ -717,7 +712,7 @@ def test_bad_function_exits_2_before_the_orders_are_listed(tmp_path, capsys, com
     )
     assert captured.out == ""
     assert not out.exists()
-    assert peak < 8 * 2**20
+    assert traced.peak < 8 * 2**20
 
 
 COMMANDS = ["identity-check", "converge", "kernel-profile", "classify-weights", "bench-transform"]

@@ -1,9 +1,8 @@
 """Group arithmetic, the mixed-radix digit system, and interval structure."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import TracedPeak
 
 from vilenkin.group import (
     Element,
@@ -44,14 +43,10 @@ def test_make_group_rejects_bad_input():
 def test_make_group_overflow_stops_before_building_every_radix():
     # levels far past the 62 that fit must be refused without first
     # materialising one radix per level
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         with pytest.raises(ValueError, match="overflow"):
             make_group([2], 10**6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert traced.peak < 1 << 20
     with pytest.raises(ValueError, match="overflow"):
         make_group([2, 3], 10**8)
 

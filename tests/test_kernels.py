@@ -5,10 +5,9 @@ below rebuild them instead as literal weighted sums of Dirichlet kernels,
 which is the defining formula.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import TracedPeak
 
 import vilenkin.oracles
 import vilenkin.transform
@@ -232,12 +231,9 @@ def test_low_order_l1_profile_memory_is_independent_of_grid_size():
     for levels in (16, 20):
         spec = make_group([2], levels)
         l1_profile("fejer", range(1, 201), spec)  # fills the stage caches
-        tracemalloc.start()
-        try:
+        with TracedPeak() as traced:
             profiles.append(l1_profile("fejer", range(1, 201), spec))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced.peak)
     assert profiles[0] == profiles[1]
     assert max(peaks) < 512_000
 
@@ -250,13 +246,9 @@ def test_block_identity_memory_is_set_by_the_block_not_the_grid():
     for rank in range(1, 11):
         block = spec.M[rank]
         identity_residual("block", spec, weights=w, rank=rank)  # fills the stage caches
-        tracemalloc.start()
-        try:
+        with TracedPeak() as traced:
             got = identity_residual("block", spec, weights=w, rank=rank)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        assert traced.peak < 2**20
         lhs = t_kernel(w, block, spec).values[:block]
         full = dirichlet(block, spec).values[:block]
         low = norlund_kernel(w, block, spec).values[:block]
@@ -273,13 +265,9 @@ def test_reflection_residual_memory_is_set_by_the_block_not_the_grid():
         block = spec.M[rank]
         for j in (1, block // 3):
             identity_residual("reflection", spec, rank=rank, j=j)  # fills the stage caches
-            tracemalloc.start()
-            try:
+            with TracedPeak() as traced:
                 got = identity_residual("reflection", spec, rank=rank, j=j)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2**20
+            assert traced.peak < 2**20
             full = dirichlet(block, spec).values
             row = character_row(spec, block - 1)
             rhs = full - row * np.conjugate(dirichlet(j, spec).values)
@@ -307,13 +295,9 @@ def test_identity_sweeps_hold_a_few_chunks_at_a_time():
     }
     for name, sweep in sweeps.items():
         sweep()  # fills the stage caches
-        tracemalloc.start()
-        try:
+        with TracedPeak() as traced:
             sweep()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound, name
+        assert traced.peak < bound, name
 
 
 def test_abel_sweeps_check_their_orders_before_any_transform(monkeypatch):

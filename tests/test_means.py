@@ -1,10 +1,10 @@
 """Weight families, classification gates, and the summability means."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import TracedPeak
 
 from vilenkin.group import make_group
 from vilenkin.kernels import norlund_kernel
@@ -296,14 +296,10 @@ def test_weight_arrays_of_an_order_sweep_share_one_cache_entry_per_size_class(la
     # at its own length.
     w = parse_weights(label)
     n_max = 2000
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         for n in range(n_max + 1):
             w.q_array(n), w.Q_array(n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * 8 * n_max
+    assert traced.peak < 40 * 8 * n_max
     for n in (0, 1, 2, 7, 8, 9, 1000, 1024, n_max):
         own = _q_cache.__wrapped__(w, n)  # computed at length n, uncached
         q = w.q_array(n)
@@ -321,26 +317,18 @@ def test_weight_sums_are_built_from_one_cached_weight_array():
     # 4n weights, traced 112 MiB here against 64 MiB for the 2n weights
     # alone.  The alpha is one no other test uses, so nothing is cached yet.
     w = WeightSequence("log-power", 0.2718)
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         w.Q_array(2**20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 80 * 2**20
+    assert traced.peak < 80 * 2**20
 
 
 def test_binomial_sequence_is_built_in_place():
     # the result and its divisors are the only 2^21-float (16 MiB) arrays:
     # 32 MiB traced, where the cumprod of (order + i) / i traced 64 MiB
     count = 2**21
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         got = binomial_sequence(-0.3, count)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * 2**20
+    assert traced.peak < 40 * 2**20
     for order in (-0.3, -0.5, 0.7, -1e-9):
         for n in (1, 2, 5, 1000, count):
             i = np.arange(1, n)
@@ -361,11 +349,7 @@ def test_binomial_sequence_is_built_in_place():
 )
 def test_weight_counts_above_the_bound_are_refused_before_any_allocation(refused):
     # numpy raised MemoryError for these 8 TB arrays
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         with pytest.raises(ValueError, match=f"count {10**12} needs more than {2**26} weights"):
             refused()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert traced.peak < 2**20

@@ -3,11 +3,11 @@
 import gc
 import itertools
 import math
-import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
 import pytest
+from conftest import TracedPeak
 
 import vilenkin.kernels
 import vilenkin.points
@@ -286,14 +286,10 @@ def test_order_sweep_synthesizes_in_bounded_chunks():
     w = parse_weights("riesz")
     ns = range(2, spec.size + 1)
     convergence_profile(f, w, ns, form="t", p=1)  # fills the weight and stage caches
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         rows = convergence_profile(f, w, ns, form="t", p=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert len(rows) == 431
-    assert peak < 500_000
+    assert traced.peak < 500_000
 
 
 def test_low_order_l1_error_on_a_large_grid_needs_no_tiled_means():
@@ -305,14 +301,10 @@ def test_low_order_l1_error_on_a_large_grid_needs_no_tiled_means():
     f = GridFunction.random(spec, seed=39)
     w = parse_weights("riesz")
     convergence_profile(f, w, range(2, 7), p=1)  # fills the weight and stage caches
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         rows = convergence_profile(f, w, range(2, 7), p=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert [r.n for r in rows] == [2, 3, 4, 5, 6]
-    assert peak < 2**20
+    assert traced.peak < 2**20
 
 
 def _plain_norm(x, p):

@@ -63,8 +63,8 @@ from vilenkin.transform import (
     GridFunction,
     _analyse,
     _band,
-    _on_cells,
     _synthesize_bands,
+    _tiled,
     character_row,
     forward,
     norm,
@@ -218,7 +218,7 @@ def test_batched_rows_equal_one_row_inverse(case):
     block = np.zeros((len(rows), max(map(len, rows))), dtype=complex)
     for at, row in enumerate(rows):
         block[at, : len(row)] = row
-    batched = _on_cells(spec, block, spec.size)
+    batched = np.vstack([_tiled(stack, spec.size) for stack in _synthesize_bands(spec, [block])])
     assert batched.shape == (len(rows), spec.size)
     for row, got in zip(block, batched):
         full = np.zeros(spec.size, dtype=complex)

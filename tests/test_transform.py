@@ -7,10 +7,10 @@ by the defining double sum.  The production code must agree with them.
 
 import cmath
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import TracedPeak
 
 import vilenkin.transform
 from vilenkin.group import Element, make_group
@@ -108,13 +108,9 @@ def test_character_row_memory_is_linear_in_grid_size():
     # the phases are a broadcast sum over the grid reshaped to m[::-1]; an
     # (M_N x N) int64 digit table would be 160 B per cell here (168 MB)
     spec = make_group([2], 20)
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         row = character_row(spec, spec.size - 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 48 * spec.size  # the complex row is 16 B per cell
+    assert traced.peak < 48 * spec.size  # the complex row is 16 B per cell
     x = Element.from_index(spec, 3)
     assert row[x.index] == 1.0
     assert oracle_psi(spec, spec.size - 1, x.index) == pytest.approx(1.0)
@@ -135,13 +131,9 @@ def test_random_draws_as_before_without_grid_sized_temporaries():
                 want = np.tile(base, spec.size // stride)
                 assert np.array_equal(GridFunction.random(spec, seed, rank).values, want)
     spec = make_group([2], 20)
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         f = GridFunction.random(spec, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 17 * 2**20  # the complex result alone is 16 MiB
+    assert traced.peak < 17 * 2**20  # the complex result alone is 16 MiB
     assert not f.values.flags.writeable
 
 
@@ -150,13 +142,9 @@ def test_character_function_owns_its_fresh_row():
     # instead of copying it: at 2^20 the traced peak is the 16 MiB row and
     # the 8 MiB int64 phases it is gathered from, where a copy took 32 MiB
     spec = make_group([2], 20)
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         f = GridFunction.character(spec, 12345)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 25 * 2**20
+    assert traced.peak < 25 * 2**20
     assert np.array_equal(f.values, character_row(spec, 12345))
     assert not f.values.flags.writeable
 
@@ -177,13 +165,9 @@ def test_indicator_tiles_one_interval_pattern():
                 assert not got.flags.writeable
     spec = make_group([2], 20)
     for rank in (3, spec.levels):
-        tracemalloc.start()
-        try:
+        with TracedPeak() as traced:
             f = GridFunction.indicator(spec, rank, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 17 * 2**20
+        assert traced.peak < 17 * 2**20
         assert f.values[5] == 1 and f.values.sum() == spec.size // spec.M[rank]
 
 
@@ -226,13 +210,9 @@ def test_naive_transform_works_in_bounded_chunks():
     # chunk would take 84 MB here
     spec = make_group([2], 12)
     f = GridFunction.random(spec, seed=43)
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         naive = forward(f, method="naive")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert traced.peak < 16 * 2**20
     assert np.max(np.abs(naive - forward(f))) < 1e-12
 
 
@@ -345,13 +325,9 @@ def test_convolve_copies_no_array_it_has_just_built():
     spec = make_group([2], 18)
     f = GridFunction.random(spec, seed=11)
     g = GridFunction.random(spec, seed=12)
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         h = convolve(f, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * 16 * spec.size
+    assert traced.peak <= 4.5 * 16 * spec.size
     assert not h.values.flags.writeable
 
 
@@ -401,13 +377,9 @@ def test_norm_needs_no_grid_sized_temporary():
     spec = make_group([2], 20)
     f = GridFunction.random(spec, seed=44)
     norm(f, 2.5)  # numpy's first-call allocations
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         got = norm(f, 2.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert traced.peak < 2**20
     want = (math.fsum(np.abs(f.values) ** 2.5) / spec.size) ** (1 / 2.5)
     assert abs(got - want) <= 64 * np.finfo(float).eps * want
 

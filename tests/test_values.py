@@ -3,12 +3,12 @@
 import copy
 import json
 import pickle
-import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import TracedPeak
 
 from vilenkin.cli import ConfigError, load_config
 from vilenkin.group import Element, generator, interval_members, make_group, parse_element
@@ -27,9 +27,16 @@ from vilenkin.means import (
     classify,
     norlund_mean,
     parse_weights,
+    passes_gate,
     t_mean,
 )
-from vilenkin.oracles import abel_weight_residual, identity_residual
+from vilenkin.oracles import (
+    abel_kernel_residuals,
+    abel_weight_residual,
+    identity_residual,
+    reflection_residuals,
+    t_mean_oracles,
+)
 from vilenkin.points import convergence_profile, lebesgue_modulus, w_modulus
 from vilenkin.transform import (
     GridFunction,
@@ -236,14 +243,10 @@ def test_a_product_of_grid_functions_fails_at_once():
     spec = make_group([2], 12)
     f = GridFunction.random(spec, seed=6)
     for other in (f, None):
-        tracemalloc.start()
-        try:
+        with TracedPeak() as traced:
             with pytest.raises(TypeError):
                 f * other
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        assert traced.peak < 2**20
     ones = np.ones(spec.size)
     for product in (ones * f, 2.5j * f, f * 2.5j):
         assert type(product) is GridFunction
@@ -268,14 +271,10 @@ def test_a_bad_operand_of_a_product_is_refused_before_the_product(other, error, 
     # its TypeError, f * [1, 2] raised a broadcast ValueError that named
     # neither operand, and f * (2, M_N) built a 32 MiB product first
     f = GridFunction.constant(make_group([2], 20))
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         with pytest.raises(error, match=message):
             f * other
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert traced.peak < 2**20
 
 
 @pytest.mark.parametrize(
@@ -286,14 +285,10 @@ def test_a_number_of_any_type_multiplies_as_its_complex_value(factor):
     # 2^20 cells 8.9 s and 56 MiB traced; a Decimal ran the same loop into
     # a TypeError.  numpy's bool is no numbers.Number, and still multiplies
     f = GridFunction.random(make_group([2], 20), seed=3)
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         product = f * factor
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert np.array_equal(product.values, f.values * float(factor))
-    assert peak < 2**24 + 2**20  # the 16 MiB product and no more
+    assert traced.peak < 2**24 + 2**20  # the 16 MiB product and no more
 
 
 @pytest.mark.parametrize(
@@ -343,19 +338,62 @@ def test_a_number_of_any_type_multiplies_as_its_complex_value(factor):
             "domination_constant: spec must be a GroupSpec, got NoneType",
         ),
         (lambda: character_row(None, 0), "character_row: spec must be a GroupSpec, got NoneType"),
+        (lambda: t_kernel(3, 3, SPEC), "t kernel: weights must be a WeightSequence, got int"),
+        (lambda: norlund_kernel(3, 3, SPEC), "norlund kernel: weights must be a WeightSequence"),
+        (lambda: multiplier("t", 3, SPEC, True), "t kernel: weights must be a WeightSequence, got bool"),
+        (lambda: l1_profile("t", [2], SPEC, weights=3), "t kernel: weights must be a WeightSequence"),
+        (lambda: t_mean(F, 3, 3), "t kernel: weights must be a WeightSequence, got int"),
+        (lambda: norlund_mean(F, 3, 3), "norlund kernel: weights must be a WeightSequence"),
+        (
+            lambda: identity_residual("block", SPEC, weights=3, rank=1),
+            "t kernel: weights must be a WeightSequence, got int",
+        ),
+        (lambda: next(abel_kernel_residuals(SPEC, 3, [2])), "t kernel: weights must be a WeightSequence"),
+        (lambda: next(t_mean_oracles(F, 3, [2])), "t kernel: weights must be a WeightSequence"),
+        (
+            lambda: convergence_profile(F, 3, [2], p=1),
+            "convergence_profile: w must be a WeightSequence, got int",
+        ),
+        (lambda: classify(3), "classify: w must be a WeightSequence, got int"),
+        (lambda: abel_weight_residual(3, 5), "abel_weight_residual: w must be a WeightSequence, got int"),
+        (lambda: generator(0, None), "generator: spec must be a GroupSpec, got NoneType"),
+        (lambda: Element(None, (0, 0)), "Element: spec must be a GroupSpec, got NoneType"),
+        (lambda: Element.from_index(None, 5), "Element.from_index: spec must be a GroupSpec"),
+        (lambda: Element.zero(None), "Element.zero: spec must be a GroupSpec, got NoneType"),
+        (lambda: GridFunction(None, np.ones(6)), "GridFunction: spec must be a GroupSpec, got NoneType"),
+        (lambda: GridFunction.constant(None), "GridFunction.constant: spec must be a GroupSpec"),
+        (lambda: GridFunction.indicator(None, 1, 0), "GridFunction.indicator: spec must be a GroupSpec"),
+        (lambda: GridFunction.random(None, 1), "GridFunction.random: spec must be a GroupSpec"),
+        (
+            lambda: identity_residual("reflection", None, rank=1, j=0),
+            "identity_residual: spec must be a GroupSpec, got NoneType",
+        ),
+        (lambda: next(reflection_residuals(None)), "reflection_residuals: spec must be a GroupSpec"),
+        (lambda: interval_members(None, 1), "interval_members: x must be an Element, got NoneType"),
+        (lambda: next(t_mean_oracles(None, RIESZ, [2])), "t_mean_oracles: f must be a GridFunction"),
+        (lambda: parse_weights(None), "parse_weights: text must be a str, got NoneType"),
+        (lambda: passes_gate(None), "passes_gate: c must be a Classification, got NoneType"),
     ],
     ids=[
         "norm-f", "lebesgue-f", "lebesgue-x", "w-modulus-f", "w-modulus-x", "convolve-f",
         "t-mean-f", "profile-f", "profile-p", "profile-point", "forward-f", "synthesize-spec",
         "partial-sum-f", "norlund-mean-f", "norm-p", "dirichlet-spec", "fejer-spec",
         "t-kernel-spec", "norlund-kernel-spec", "multiplier-spec", "l1-profile-spec",
-        "domination-spec", "character-row-spec",
+        "domination-spec", "character-row-spec", "t-kernel-weights", "norlund-kernel-weights",
+        "multiplier-weights", "l1-profile-weights", "t-mean-weights", "norlund-mean-weights",
+        "block-residual-weights", "abel-kernel-weights", "t-mean-oracles-weights",
+        "profile-weights", "classify-weights", "abel-weight-weights", "generator-spec",
+        "element-spec", "element-from-index-spec", "element-zero-spec", "grid-function-spec",
+        "constant-spec", "indicator-spec", "random-spec", "identity-residual-spec",
+        "reflection-spec", "interval-members-x", "t-mean-oracles-f", "parse-weights-text",
+        "passes-gate-c",
     ],
 )
 def test_a_wrong_argument_type_raises_type_error_naming_it(call, message):
     # each used to raise AttributeError: '...' object has no attribute
-    # 'spec' (or 'size', 'M' or '_place'), and a str p a TypeError from `>=`
-    # that did not name p
+    # 'spec' (or 'size', 'M', '_place', 'levels', 'index_of', 'digits',
+    # 'Q_array', 'q_array', 'label', 'n0', 'partition' or 'gate'), and a str
+    # p a TypeError from `>=` that did not name p
     with pytest.raises(TypeError, match=message):
         call()
 
