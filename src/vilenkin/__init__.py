@@ -5,9 +5,9 @@ import importlib.util
 # each module's __all__ is its list of public names
 from .group import *  # noqa: F403
 from .kernels import *  # noqa: F403
-from .means import *  # noqa: F403
 from .points import *  # noqa: F403
 from .transform import *  # noqa: F403
+from .weights import *  # noqa: F403
 
 __version__ = "0.1.0"
 

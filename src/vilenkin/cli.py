@@ -15,16 +15,18 @@ import gc
 import os
 import sys
 import time
+from bisect import bisect_right
+from functools import partial
 from pathlib import Path
-from typing import NamedTuple, Sequence, get_args, get_type_hints
+from typing import Callable, NamedTuple, Sequence, get_args, get_type_hints
 
 import numpy as np
 
 from .group import GroupSpec, parse_element, parse_group
 from .kernels import _FAMILIES, _UNWEIGHTED, l1_profile
-from .means import _KINDS, Classification, classify, parse_weights
 from .points import _FORM_FAMILY, convergence_profile
-from .transform import GridFunction, forward
+from .transform import GridFunction, _band, forward
+from .weights import _KINDS, Classification, classify, parse_weights
 
 CHECK_TOL = 1e-12
 AGREE_TOL = 1e-10
@@ -41,6 +43,14 @@ FAST_REPEATS = 5
 # The naive route takes about 2.3 s at 2^13 points and grows as M_N^2 (about
 # 10 h at 2^20), so bench-transform refuses grids above this size.
 MAX_NAIVE_SIZE = 1 << 15
+# The work a run may take, in cells: each order's row on the cells it is
+# synthesized and reduced on, and each oracle sum's terms (_sweep_cells,
+# _identity_cells), priced before f is drawn or any transform runs.  On a
+# 2-core Linux box the order sweeps and the identity oracles run at 1.0e7 to
+# 2.4e7 cells/s (the weight sums at 1.3e8); `converge --group 2 --levels 14`
+# prices 2.7e8 cells and takes 16 s, 1.6e7 cells/s.  So this budget is about
+# a minute of work, and a run priced above it is refused.
+MAX_WORK = 10**9
 # classify-weights holds a few float arrays of n_max entries: at 2^20 it takes
 # about 0.2 s and 94 MB peak RSS, at 2^22 0.4 s and 289 MB, and 10^12 cannot
 # be allocated, so larger scans are refused.
@@ -164,27 +174,36 @@ def _build_spec(cfg: ExperimentConfig) -> GroupSpec:
     return spec
 
 
-def _build_function(cfg: ExperimentConfig, spec: GroupSpec) -> GridFunction:
+def _parse_function(cfg: ExperimentConfig, spec: GroupSpec) -> Callable[[], GridFunction]:
+    """cfg.function parsed, as a call that draws it: a run is priced between the two."""
     text = cfg.function
     name, _, rest = text.partition(":")
     try:
         if name == "constant":
-            return GridFunction.constant(spec, 1.0)
+            return partial(_drawn, text, GridFunction.constant, spec, 1.0)
         if name == "character":
-            return GridFunction.character(spec, int(rest))
+            return partial(_drawn, text, GridFunction.character, spec, int(rest))
         if name == "indicator":
             rank_s, _, cell_s = rest.partition(",")
-            return GridFunction.indicator(spec, int(rank_s), int(cell_s or 0))
+            return partial(_drawn, text, GridFunction.indicator, spec, int(rank_s), int(cell_s or 0))
         if name == "random":
             seed_s, _, rank_s = rest.partition(",")
             rank = int(rank_s) if rank_s else None
-            return GridFunction.random(spec, int(seed_s) if rest else 0, rank)
+            return partial(_drawn, text, GridFunction.random, spec, int(seed_s) if rest else 0, rank)
     except ValueError as exc:
         raise ConfigError(f"bad function spec {text!r}: {exc}") from None
     raise ConfigError(
         f"unknown function spec {text!r}; expected constant, character:K, "
         f"indicator:RANK,CELL or random:SEED[,RANK]"
     )
+
+
+def _drawn(text: str, make, *args) -> GridFunction:
+    """make(*args), with a ValueError it raises reported against the function spec."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"bad function spec {text!r}: {exc}") from None
 
 
 def _orders(cfg: ExperimentConfig, spec: GroupSpec, start: int) -> Sequence[int]:
@@ -200,6 +219,45 @@ def _orders(cfg: ExperimentConfig, spec: GroupSpec, start: int) -> Sequence[int]
         what = "block sizes M_r" if cfg.mode == "block" else "orders"
         raise ConfigError(f"no {what} in [{start}, {n_max}]; raise --n-max")
     return ns
+
+
+def _sweep_cells(spec: GroupSpec, ns: Sequence[int], reduced: int) -> int:
+    """Cells of an order sweep over ascending ns, as _order_stacks runs it.
+
+    Each order's row is synthesized on its band M_s (the _band() of the
+    order) and reduced on max(M_s, reduced) cells.  The orders are counted a
+    band at a time, so a range of M_N orders is priced without listing it.
+    """
+    below = [bisect_right(ns, band) for band in spec.M]  # the orders n <= M_s
+    return sum((hi - lo) * max(band, reduced) for lo, hi, band in zip([0, *below], below, spec.M))
+
+
+def _identity_cells(spec: GroupSpec, ns: Sequence[int]) -> int:
+    """Cells of identity-check's checks over ascending ns, up to top = max(ns).
+
+    Reflection: M_r kernels on M_r cells for each rank r.  Abel-kernel:
+    K_1 .. K_{top-1} and the t kernels, each met on a running sum of top's
+    band.  Abel-mean: top steps of M_N cells.  Weight-sum: n terms for order
+    n.  The block check, three kernels per rank, is linear in M_N.
+    """
+    top = ns[-1]
+    running = _band(spec, top)
+    return (
+        sum(block * block for block in spec.M)
+        + _sweep_cells(spec, range(1, top), running)
+        + _sweep_cells(spec, ns, running)
+        + top * spec.size
+        + sum(ns)
+    )
+
+
+def _check_work(command: str, cells: int) -> None:
+    """Refuse a run priced above MAX_WORK cells, before any transform."""
+    if cells > MAX_WORK:
+        raise ConfigError(
+            f"{command}: the run needs about {cells:.3g} cells of work; "
+            f"the limit is {MAX_WORK:.3g}, about a minute"
+        )
 
 
 # --- subcommands -------------------------------------------------------------
@@ -222,6 +280,7 @@ def _run_kernel_profile(cfg: ExperimentConfig) -> Report:
     if not 0 <= cfg.tail_rank <= spec.levels:
         raise ConfigError(f"tail-rank {cfg.tail_rank} outside [0, {spec.levels}]")
     ns = _orders(cfg, spec, 1 if cfg.family in _UNWEIGHTED else w.n0)
+    _check_work("kernel-profile", _sweep_cells(spec, ns, spec.M[cfg.tail_rank]))
     rows = l1_profile(cfg.family, ns, spec, weights=w, tail_rank=cfg.tail_rank)
     csv_rows = [
         [str(r.n), _fmt(r.l1), _fmt(r.integral.real), _fmt(r.integral.imag), _fmt(r.tail)]
@@ -241,7 +300,9 @@ def _run_identity_check(cfg: ExperimentConfig) -> Report:
     spec = _build_spec(cfg)
     w = _checked(parse_weights, cfg.weights)
     ns = _orders(cfg, spec, w.n0)
-    f = _build_function(cfg, spec)
+    draw = _parse_function(cfg, spec)
+    _check_work("identity-check", _identity_cells(spec, ns))
+    f = draw()
     blocks = [rank for rank in range(spec.levels + 1) if w.Q(spec.M[rank]) > 0]
     # (check, scale of case n, rows of (n, j, residual)): a case passes when
     # its residual is at most CHECK_TOL * scale, and the scale is the size of
@@ -308,7 +369,9 @@ def _run_converge(cfg: ExperimentConfig) -> Report:
     if point is None and not cfg.p >= 1:  # also refuses NaN
         raise ConfigError(f"p must be >= 1, got {cfg.p}")
     ns = _orders(cfg, spec, 1 if _FORM_FAMILY[cfg.form] in _UNWEIGHTED else w.n0)
-    f = _build_function(cfg, spec)
+    draw = _parse_function(cfg, spec)
+    _check_work("converge", _sweep_cells(spec, ns, spec.size if point is None else 0))
+    f = draw()
     rows = convergence_profile(
         f, w, ns, form=cfg.form, point=point, p=cfg.p if point is None else None
     )
@@ -349,7 +412,7 @@ def _run_bench_transform(cfg: ExperimentConfig) -> Report:
             f"M_N^2 = {spec.size**2:.3g} cell products; the limit is "
             f"M_N <= {MAX_NAIVE_SIZE}"
         )
-    f = _build_function(cfg, spec)
+    f = _parse_function(cfg, spec)()
     from . import oracles  # noqa: F401  loaded now, so the naive run's time excludes its import
 
     forward(f, method="fast")  # fills the per-spec root and stage-matrix caches

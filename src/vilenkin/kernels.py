@@ -8,6 +8,13 @@ vectors:
     t_kernel   (1/Q_n) sum_{k=0}^{n-1} q_k D_k            forward frame
     norlund    (1/Q_n) sum_{k=1}^{n} q_{n-k} D_k          reversed frame
 
+A weight sequence (q_k) from vilenkin.weights, with cumulative sums
+Q_n = q_0 + ... + q_{n-1}, drives the two weighted kernels and the two
+matrix means of the Fourier partial sums S_k f (with S_0 f = 0) that match them:
+
+    forward frame    t_mean        T_n f = (1/Q_n) * sum_{k=0}^{n-1} q_k S_k f
+    reversed frame   norlund_mean  t_n f = (1/Q_n) * sum_{k=1}^{n}   q_{n-k} S_k f
+
 Collecting the coefficient of psi_j gives closed forms (e.g. (n-j)/n for the
 Fejer kernel), returned by multiplier(), so each kernel is one synthesis pass
 and each matching mean is the same pass over the multiplied spectrum of f.
@@ -20,15 +27,13 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from itertools import groupby, islice
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .group import GroupSpec, _check_type
-from .transform import GridFunction, _analyse, _band, _runs, _synthesize_bands, _tiled, synthesize
-
-if TYPE_CHECKING:  # circular at runtime: means imports the multiplier core
-    from .means import WeightSequence
+from .transform import GridFunction, _analyse, _band, _runs, _synthesize_bands, _tiled, convolve, synthesize
+from .weights import WeightSequence
 
 __all__ = [
     "KernelProfileRow",
@@ -37,6 +42,8 @@ __all__ = [
     "fejer",
     "t_kernel",
     "norlund_kernel",
+    "t_mean",
+    "norlund_mean",
     "l1_profile",
     "domination_constant",
 ]
@@ -48,7 +55,7 @@ _UNWEIGHTED = ("dirichlet", "fejer")
 
 
 def multiplier(
-    family: str, n: int, spec: GroupSpec, weights: "WeightSequence | None" = None
+    family: str, n: int, spec: GroupSpec, weights: WeightSequence | None = None
 ) -> np.ndarray:
     """Coefficients lambda_n(j), j < n, of the order-n kernel of one family.
 
@@ -65,7 +72,7 @@ def multiplier(
 
 
 def _check_orders(
-    family: str, ns: Iterable[int], spec: GroupSpec, weights: "WeightSequence | None"
+    family: str, ns: Iterable[int], spec: GroupSpec, weights: WeightSequence | None
 ) -> list[int]:
     """ns as a list of ints, once every order has a kernel of this family.
 
@@ -83,7 +90,6 @@ def _check_orders(
     if lowest:  # the weighted families
         if weights is None:
             raise ValueError(f"kernel family {family!r} needs weights")
-        from .means import WeightSequence  # at call time: means imports this module
         _check_type(f"{family} kernel: weights", weights, WeightSequence)
         flat = np.array(ns, dtype=np.int64)[weights.Q_array(max(ns, default=0))[ns] <= 0]
         if flat.size:
@@ -95,7 +101,7 @@ def _multipliers(
     family: str,
     ns: Sequence[int],
     spec: GroupSpec,
-    weights: "WeightSequence | None" = None,
+    weights: WeightSequence | None = None,
 ) -> np.ndarray:
     """The (len(ns) x max(ns)) stack of the multipliers of checked orders ns, zero-padded.
 
@@ -130,7 +136,7 @@ def _order_stacks(
     f: GridFunction | None,
     ns: Iterable[int],
     spec: GroupSpec,
-    weights: "WeightSequence | None" = None,
+    weights: WeightSequence | None = None,
 ) -> Iterator[tuple[list[int], np.ndarray]]:
     """synthesize(fhat[:n] * lambda_n) on the M_s cells of its band, for each n in ns.
 
@@ -168,7 +174,7 @@ def fejer(n: int, spec: GroupSpec) -> GridFunction:
     return synthesize(spec, multiplier("fejer", n, spec))
 
 
-def t_kernel(w: "WeightSequence", n: int, spec: GroupSpec) -> GridFunction:
+def t_kernel(w: WeightSequence, n: int, spec: GroupSpec) -> GridFunction:
     """Forward-frame kernel (1/Q_n) sum_{k<n} q_k D_k.
 
     The psi_j coefficient is (Q_n - Q_{j+1})/Q_n, so the kernel integrates
@@ -178,12 +184,47 @@ def t_kernel(w: "WeightSequence", n: int, spec: GroupSpec) -> GridFunction:
     return synthesize(spec, multiplier("t", n, spec, w))
 
 
-def norlund_kernel(w: "WeightSequence", n: int, spec: GroupSpec) -> GridFunction:
+def norlund_kernel(w: WeightSequence, n: int, spec: GroupSpec) -> GridFunction:
     """Reversed-frame kernel (1/Q_n) sum_{k=1}^n q_{n-k} D_k.
 
     The psi_j coefficient is Q_{n-j}/Q_n; the kernel always integrates to 1.
     """
     return synthesize(spec, multiplier("norlund", n, spec, w))
+
+
+def t_mean(
+    f: GridFunction, w: WeightSequence, n: int, method: str = "multiplier"
+) -> GridFunction:
+    """Forward-frame mean T_n f = (1/Q_n) sum_{k<n} q_k S_k f.
+
+    The default 'multiplier' route is synthesize(fhat[:n] * lambda_n), as in
+    norlund_mean().  The oracle routes reach T_n another way: 'direct'
+    accumulates partial sums term by term, and 'abel' rebuilds T_n from
+    Fejer means via summation by parts, both computed by one order of the
+    vilenkin.oracles.t_mean_oracles() pass.  'convolution' convolves f with
+    the forward-frame kernel; it runs the multiplier route's butterfly and
+    multipliers, so it is no independent check, and it stays only for the
+    benchmark's row check.
+    """
+    _check_type("t_mean: f", f, GridFunction)
+    if method == "multiplier":
+        lam = multiplier("t", n, f.spec, w)  # checks n before the analysis reads it
+        return synthesize(f.spec, _analyse(f, n) * lam)
+    if method == "convolution":
+        return convolve(f, synthesize(f.spec, multiplier("t", n, f.spec, w)))
+    if method not in ("direct", "abel"):
+        raise ValueError(f"unknown method {method!r}")
+    from . import oracles
+
+    _, direct, abel = next(oracles.t_mean_oracles(f, w, [n]))
+    return GridFunction._own(f.spec, direct if method == "direct" else abel)
+
+
+def norlund_mean(f: GridFunction, w: WeightSequence, n: int) -> GridFunction:
+    """Reversed-frame mean t_n f = (1/Q_n) sum_{k=1}^{n} q_{n-k} S_k f."""
+    _check_type("norlund_mean: f", f, GridFunction)
+    lam = multiplier("norlund", n, f.spec, w)
+    return synthesize(f.spec, _analyse(f, n) * lam)
 
 
 class KernelProfileRow(NamedTuple):
@@ -200,7 +241,7 @@ def l1_profile(
     ns: Sequence[int],
     spec: GroupSpec,
     *,
-    weights: "WeightSequence | None" = None,
+    weights: WeightSequence | None = None,
     tail_rank: int = 1,
 ) -> list[KernelProfileRow]:
     """Profile ||k_n||_1, integral and the mass outside I_tail_rank(0).

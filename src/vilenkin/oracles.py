@@ -27,8 +27,8 @@ import numpy as np
 
 from .group import GroupSpec, _check_type
 from .kernels import _check_orders, _multipliers, _order_stacks
-from .means import WeightSequence
 from .transform import GridFunction, _band, _characters, _runs, _synthesize_bands, _tiled, forward
+from .weights import WeightSequence
 
 __all__ = [
     "identity_residual",

@@ -16,8 +16,8 @@ import numpy as np
 
 from .group import Element, _check_type, generator, interval_members
 from .kernels import _order_stacks
-from .means import WeightSequence
 from .transform import GridFunction, _lp_norms
+from .weights import WeightSequence
 
 __all__ = [
     "ConvergenceRow",

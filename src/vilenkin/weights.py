@@ -1,10 +1,8 @@
-"""Weight sequences, their classification, and summability means.
+"""Weight sequences and their classification.
 
-A weight sequence (q_k) with cumulative sums Q_n = q_0 + ... + q_{n-1} drives
-two matrix means of the Fourier partial sums S_k f (with S_0 f = 0):
-
-    forward frame    T_n f = (1/Q_n) * sum_{k=0}^{n-1} q_k S_k f
-    reversed frame   t_n f = (1/Q_n) * sum_{k=1}^{n}   q_{n-k} S_k f
+A weight sequence (q_k) has cumulative sums Q_n = q_0 + ... + q_{n-1}.  It
+drives the forward- and reversed-frame means t_mean and norlund_mean, which
+sit beside the multiplier core in vilenkin.kernels.
 
 Built-in families (alpha always in (0, 1)), each with the frame of the
 classical mean it gives:
@@ -35,12 +33,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .group import _Value, _check_type
-from .kernels import multiplier
-from .transform import GridFunction, _analyse, convolve, synthesize
 
 __all__ = [
-    "Classification", "WeightSequence", "binomial_sequence", "classify", "norlund_mean",
-    "parse_weights", "passes_gate", "t_mean",
+    "Classification", "WeightSequence", "binomial_sequence", "classify", "parse_weights",
+    "passes_gate",
 ]
 
 # canonical kind -> (CLI spelling, whether it takes an alpha)
@@ -64,7 +60,9 @@ def binomial_sequence(order: float, count: int) -> np.ndarray:
     """A_k^order = prod_{i=1..k} (order+i)/i for k < count, with A_0 = 0.
 
     The 0 at k = 0 reflects the truncated convention used throughout: the
-    k = 0 term never participates in a mean because S_0 f = 0.
+    k = 0 term never participates in a mean because S_0 f = 0.  An order
+    whose coefficients overflow, such as 1e308, raises ValueError; no weight
+    family reaches that, since each passes alpha - 1 in (-1, 0).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -75,9 +73,12 @@ def binomial_sequence(order: float, count: int) -> np.ndarray:
     # built in place: out and i are the only count-sized arrays
     out = np.zeros(count)
     i = np.arange(1, count, dtype=np.float64)
-    np.add(order, i, out=out[1:])
-    out[1:] /= i
-    np.cumprod(out[1:], out=out[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        np.add(order, i, out=out[1:])
+        out[1:] /= i
+        np.cumprod(out[1:], out=out[1:])
+    if not np.isfinite(out[-1]):  # an inf or nan of the product stays to its end
+        raise ValueError(f"order {order} overflows the binomial coefficients at count {count}")
     return out
 
 
@@ -264,41 +265,3 @@ def classify(w: WeightSequence, n_max: int = 10_000) -> Classification:
 def passes_gate(c: Classification) -> bool:
     _check_type("passes_gate: c", c, Classification)
     return c.gate != "none"
-
-
-# --- means -------------------------------------------------------------------
-
-
-def t_mean(
-    f: GridFunction, w: WeightSequence, n: int, method: str = "multiplier"
-) -> GridFunction:
-    """Forward-frame mean T_n f = (1/Q_n) sum_{k<n} q_k S_k f.
-
-    The default 'multiplier' route is synthesize(fhat[:n] * lambda_n), as in
-    norlund_mean().  The oracle routes reach T_n another way: 'direct'
-    accumulates partial sums term by term, and 'abel' rebuilds T_n from
-    Fejer means via summation by parts, both computed by one order of the
-    vilenkin.oracles.t_mean_oracles() pass.  'convolution' convolves f with
-    the forward-frame kernel; it runs the multiplier route's butterfly and
-    multipliers, so it is no independent check, and it stays only for the
-    benchmark's row check.
-    """
-    _check_type("t_mean: f", f, GridFunction)
-    if method == "multiplier":
-        lam = multiplier("t", n, f.spec, w)  # checks n before the analysis reads it
-        return synthesize(f.spec, _analyse(f, n) * lam)
-    if method == "convolution":
-        return convolve(f, synthesize(f.spec, multiplier("t", n, f.spec, w)))
-    if method not in ("direct", "abel"):
-        raise ValueError(f"unknown method {method!r}")
-    from . import oracles
-
-    _, direct, abel = next(oracles.t_mean_oracles(f, w, [n]))
-    return GridFunction._own(f.spec, direct if method == "direct" else abel)
-
-
-def norlund_mean(f: GridFunction, w: WeightSequence, n: int) -> GridFunction:
-    """Reversed-frame mean t_n f = (1/Q_n) sum_{k=1}^{n} q_{n-k} S_k f."""
-    _check_type("norlund_mean: f", f, GridFunction)
-    lam = multiplier("norlund", n, f.spec, w)
-    return synthesize(f.spec, _analyse(f, n) * lam)

@@ -13,6 +13,8 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import TracedPeak, child_env
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vilenkin
 import vilenkin.cli
@@ -20,7 +22,7 @@ import vilenkin.oracles
 import vilenkin.transform
 from vilenkin.cli import FAST_REPEATS, ExperimentConfig, load_config, main, run
 from vilenkin.group import make_group
-from vilenkin.means import Classification, parse_weights
+from vilenkin.weights import Classification, parse_weights
 
 
 def read_csv(path):
@@ -324,16 +326,17 @@ PUBLIC_NAMES = [
 ]
 # Deleted duplicates, with the route that replaces each: psi_n(x) is
 # character_row(spec, n)[x.index], r_k is character_row(spec, M_k), add and
-# subtract are x + y and x - y, weights() is WeightSequence(), a named
-# mean is t_mean or norlund_mean with the family the means module lists,
-# inverse(fhat) is synthesize(f.spec, fhat), and a Spectrum is forward(f),
+# subtract are x + y and x - y, weights() is WeightSequence() (the name
+# `weights` now reads the module vilenkin.weights), a named mean is t_mean
+# or norlund_mean with the family the weights module lists, inverse(fhat)
+# is synthesize(f.spec, fhat), and a Spectrum is forward(f),
 # the coefficient vector itself.  maximal_profile and weak_norm measured a
 # weak-type statistic that read 1.000 for every weight family: pointwise
 # convergence is convergence_profile(point=...), and why it converges is
 # ROADMAP item 12's certificates.
 DELETED_NAMES = [
     "Spectrum", "add", "inverse", "maximal_profile", "named_mean", "psi", "rademacher",
-    "subtract", "weak_norm", "weights",
+    "subtract", "weak_norm",
 ]
 ORACLE_NAMES = [
     "abel_kernel_residuals", "abel_weight_residual", "identity_residual",
@@ -351,6 +354,7 @@ def test_public_surface_is_pinned():
     for name in DELETED_NAMES:
         with pytest.raises(AttributeError):
             getattr(vilenkin, name)
+    assert isinstance(vilenkin.weights, types.ModuleType)
     for name in ORACLE_NAMES:
         assert getattr(vilenkin, name) is getattr(vilenkin.oracles, name)
 
@@ -686,7 +690,7 @@ def test_bad_arguments_exit_2_before_the_orders_or_the_function_are_built(
         raise AssertionError("built before the arguments were checked")
 
     monkeypatch.setattr(vilenkin.cli, "_orders", refused)
-    monkeypatch.setattr(vilenkin.cli, "_build_function", refused)
+    monkeypatch.setattr(vilenkin.cli, "_parse_function", refused)
     out = tmp_path / "x.csv"
     grid = ["--group", "2", "--levels", "4", "--weights", "riesz", "--out", str(out)]
     assert main([*argv.split(), *grid]) == 2
@@ -713,6 +717,56 @@ def test_bad_function_exits_2_before_the_orders_are_listed(tmp_path, capsys, com
     assert captured.out == ""
     assert not out.exists()
     assert traced.peak < 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "argv, cells",
+    [
+        ("converge", "1.76e+13"),
+        ("converge --point 1", "1.17e+13"),
+        ("kernel-profile --family t", "1.17e+13"),
+        ("identity-check", "8.5e+13"),
+    ],
+    ids=["converge-p", "converge-point", "kernel-profile", "identity-check"],
+)
+def test_run_over_the_work_budget_exits_2_before_f_or_any_transform(
+    tmp_path, capsys, butterflies, monkeypatch, argv, cells
+):
+    # each ran until a timeout killed it: a converge over the 4M orders of
+    # a 2^22 grid would take days
+    monkeypatch.setattr(vilenkin.cli, "forward", None)  # any transform would raise
+    monkeypatch.setattr(vilenkin.cli.GridFunction, "random", None)  # and so would a draw
+    out = tmp_path / "x.csv"
+    grid = ["--group", "2", "--levels", "22", "--weights", "riesz", "--out", str(out)]
+    with TracedPeak() as traced:
+        code = main([*argv.split(), *grid])
+    assert code == 2
+    command = argv.split()[0]
+    assert capsys.readouterr().err == (
+        f"config error: {command}: the run needs about {cells} cells of work; "
+        "the limit is 1e+09, about a minute\n"
+    )
+    assert butterflies == []
+    assert not out.exists()
+    assert traced.peak < 2**20
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pattern=st.lists(st.integers(2, 5), min_size=1, max_size=4),
+    levels=st.integers(1, 7),
+    data=st.data(),
+)
+def test_sweep_price_counts_each_order_on_its_band(pattern, levels, data):
+    # the price of a sweep follows the sweep's own rule, order by order:
+    # each row on the band _band() gives it, reduced on at least reduced cells
+    spec = make_group(pattern, levels)
+    start = data.draw(st.integers(1, spec.size))
+    stop = data.draw(st.integers(start, spec.size))
+    reduced = data.draw(st.sampled_from([0, *spec.M]))
+    for ns in (range(start, stop + 1), [b for b in spec.M if start <= b <= stop]):
+        want = sum(max(vilenkin.transform._band(spec, n), reduced) for n in ns)
+        assert vilenkin.cli._sweep_cells(spec, ns, reduced) == want
 
 
 COMMANDS = ["identity-check", "converge", "kernel-profile", "classify-weights", "bench-transform"]

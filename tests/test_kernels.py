@@ -19,8 +19,8 @@ from vilenkin.kernels import (
     l1_profile,
     norlund_kernel,
     t_kernel,
+    t_mean,
 )
-from vilenkin.means import parse_weights, t_mean
 from vilenkin.oracles import (
     abel_kernel_residuals,
     identity_residual,
@@ -28,6 +28,7 @@ from vilenkin.oracles import (
     t_mean_oracles,
 )
 from vilenkin.transform import _SYNTH_CHUNK_CELLS, GridFunction, character_row, norm
+from vilenkin.weights import parse_weights
 
 FAMILIES = ("constant", "cesaro:0.5", "icesaro:0.5", "power:0.5", "riesz", "nlog", "logpow:0.5")
 

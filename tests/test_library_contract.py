@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from vilenkin import group, kernels, means, oracles, points, transform
+from vilenkin import group, kernels, oracles, points, transform, weights
 from vilenkin.group import Element, GroupSpec, generator, interval_members, make_group
 from vilenkin.kernels import (
     KernelProfileRow,
@@ -23,16 +23,8 @@ from vilenkin.kernels import (
     l1_profile,
     multiplier,
     norlund_kernel,
-    t_kernel,
-)
-from vilenkin.means import (
-    Classification,
-    WeightSequence,
-    binomial_sequence,
-    classify,
     norlund_mean,
-    parse_weights,
-    passes_gate,
+    t_kernel,
     t_mean,
 )
 from vilenkin.oracles import (
@@ -52,12 +44,24 @@ from vilenkin.transform import (
     partial_sum,
     synthesize,
 )
+from vilenkin.weights import (
+    Classification,
+    WeightSequence,
+    binomial_sequence,
+    classify,
+    parse_weights,
+    passes_gate,
+)
 
 SPEC = make_group([2, 3], 3)
 W = WeightSequence("riesz-log")
 F = GridFunction.random(SPEC, seed=1)
 X = Element(SPEC, (1, 2, 1))
-POOL = (None, -1, 2.5, 10**30, math.nan, "x", True, X, F, make_group([3], 2), [1, 2])
+OTHER = make_group([3], 2)
+POOL = (
+    None, -1, 0, np.int64(3), 2.5, 10**30, 1e308, math.nan, math.inf, "x", True, X, F,
+    OTHER, Element(OTHER, (1, 2)), GridFunction.random(OTHER, seed=1), [1, 2],
+)
 
 # (callable, positional arguments, keyword arguments): one valid call each
 CALLS = [
@@ -117,7 +121,7 @@ def _called(call, args, kwargs):
 
 
 def test_every_public_name_has_a_valid_call():
-    modules = (group, transform, kernels, means, points, oracles)
+    modules = (group, transform, weights, kernels, points, oracles)
     public = {name for module in modules for name in module.__all__}
     covered = {call.__qualname__.split(".")[0] for call, _, _ in CALLS}
     assert public <= covered, f"no valid call in CALLS for {sorted(public - covered)}"

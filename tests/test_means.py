@@ -1,25 +1,24 @@
 """Weight families, classification gates, and the summability means."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from conftest import TracedPeak
 
 from vilenkin.group import make_group
-from vilenkin.kernels import norlund_kernel
-from vilenkin.means import (
+from vilenkin.kernels import norlund_kernel, norlund_mean, t_mean
+from vilenkin.oracles import abel_weight_residual
+from vilenkin.transform import GridFunction, convolve, norm, partial_sum
+from vilenkin.weights import (
     WeightSequence,
     _q_cache,
     binomial_sequence,
     classify,
-    norlund_mean,
     parse_weights,
     passes_gate,
-    t_mean,
 )
-from vilenkin.oracles import abel_weight_residual
-from vilenkin.transform import GridFunction, convolve, norm, partial_sum
 
 ALL_FAMILIES = (
     "constant",
@@ -41,6 +40,14 @@ def test_binomial_sequence_values():
     assert got[3] == pytest.approx(1.875 * 3.5 / 3)
     with pytest.raises(ValueError):
         binomial_sequence(0.5, 0)
+
+
+@pytest.mark.parametrize("order, count", [(1e308, 4), (-1e308, 4), (-2000.0, 3000)])
+def test_binomial_sequence_refuses_an_overflow(order, count):
+    # 1e308 overflows the product, and -2000 overflows before a zero factor
+    # at k = 2000 would turn inf into nan; neither warns
+    with pytest.raises(ValueError, match=re.escape(f"order {order} overflows the binomial coefficients at count {count}")):
+        binomial_sequence(order, count)
 
 
 def test_weight_values():

@@ -12,8 +12,7 @@ from conftest import TracedPeak
 import vilenkin.kernels
 import vilenkin.points
 from vilenkin.group import Element, GroupSpec, generator, make_group
-from vilenkin.kernels import l1_profile, multiplier
-from vilenkin.means import WeightSequence, parse_weights
+from vilenkin.kernels import l1_profile, multiplier, t_mean
 from vilenkin.points import (
     convergence_profile,
     lebesgue_modulus,
@@ -28,6 +27,7 @@ from vilenkin.transform import (
     partial_sum,
     synthesize,
 )
+from vilenkin.weights import WeightSequence, parse_weights
 
 
 def oracle_w_modulus(f, x, rank):
@@ -144,8 +144,6 @@ def test_convergence_profile_norm_matches_direct_norm():
     spec = make_group([2, 3, 2])
     f = GridFunction.random(spec, seed=34)
     w = parse_weights("riesz")
-    from vilenkin.means import t_mean
-
     rows = convergence_profile(f, w, [3, 7, 12], p=2)
     for r in rows:
         assert r.err == pytest.approx(norm(t_mean(f, w, r.n) - f, 2), abs=1e-14)

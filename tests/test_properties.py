@@ -49,9 +49,10 @@ from vilenkin.kernels import (
     l1_profile,
     multiplier,
     norlund_kernel,
+    norlund_mean,
     t_kernel,
+    t_mean,
 )
-from vilenkin.means import norlund_mean, parse_weights, t_mean
 from vilenkin.oracles import (
     abel_kernel_residuals,
     identity_residual,
@@ -71,6 +72,7 @@ from vilenkin.transform import (
     partial_sum,
     synthesize,
 )
+from vilenkin.weights import parse_weights
 
 FAMILIES = ("constant", "cesaro:0.5", "icesaro:0.5", "power:0.5", "riesz", "nlog", "logpow:0.5")
 MAX_POINTS = 2**10

@@ -19,15 +19,8 @@ from vilenkin.kernels import (
     l1_profile,
     multiplier,
     norlund_kernel,
-    t_kernel,
-)
-from vilenkin.means import (
-    WeightSequence,
-    binomial_sequence,
-    classify,
     norlund_mean,
-    parse_weights,
-    passes_gate,
+    t_kernel,
     t_mean,
 )
 from vilenkin.oracles import (
@@ -47,6 +40,13 @@ from vilenkin.transform import (
     norm,
     partial_sum,
     synthesize,
+)
+from vilenkin.weights import (
+    WeightSequence,
+    binomial_sequence,
+    classify,
+    parse_weights,
+    passes_gate,
 )
 
 
