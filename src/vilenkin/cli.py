@@ -25,7 +25,7 @@ import numpy as np
 from .group import GroupSpec, parse_element, parse_group
 from .kernels import _FAMILIES, _UNWEIGHTED, l1_profile
 from .points import _FORM_FAMILY, convergence_profile
-from .transform import GridFunction, _band, forward
+from .transform import GridFunction, _band, _check_exponent, forward
 from .weights import _KINDS, Classification, classify, parse_weights
 
 CHECK_TOL = 1e-12
@@ -366,8 +366,8 @@ def _run_converge(cfg: ExperimentConfig) -> Report:
     point = None if cfg.point is None else _checked(parse_element, cfg.point, spec)
     if cfg.form not in _FORM_FAMILY:
         raise ConfigError(f"unknown mean form {cfg.form!r}")
-    if point is None and not cfg.p >= 1:  # also refuses NaN
-        raise ConfigError(f"p must be >= 1, got {cfg.p}")
+    if point is None:
+        _checked(_check_exponent, "p", cfg.p)
     ns = _orders(cfg, spec, 1 if _FORM_FAMILY[cfg.form] in _UNWEIGHTED else w.n0)
     draw = _parse_function(cfg, spec)
     _check_work("converge", _sweep_cells(spec, ns, spec.size if point is None else 0))

@@ -9,14 +9,13 @@ quantity controlling a.e. convergence of the reversed-frame means.
 
 from __future__ import annotations
 
-from numbers import Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .group import Element, _check_type, generator, interval_members
 from .kernels import _order_stacks
-from .transform import GridFunction, _lp_norms
+from .transform import GridFunction, _check_exponent, _lp_norms
 from .weights import WeightSequence
 
 __all__ = [
@@ -94,9 +93,7 @@ def convergence_profile(
     if (point is None) == (p is None):
         raise ValueError("give exactly one of point= and p=")
     if p is not None:
-        _check_type("convergence_profile: p", p, Real)
-        if not p >= 1:  # also refuses NaN
-            raise ValueError(f"L_p error needs p >= 1, got {p}")
+        p = _check_exponent("convergence_profile: p", p)
     if form not in _FORM_FAMILY:
         raise ValueError(f"unknown mean form {form!r}; expected t, norlund or partial")
     if form != "partial":
@@ -112,6 +109,6 @@ def convergence_profile(
         if point is not None:
             errs = [abs(values[at % len(values)] - fx) for values in stack]
         else:
-            errs = _lp_norms(f, p, stack)  # one pass over f per stack
+            errs = _lp_norms(f, p, stack)  # one pass over f per row
         rows += (ConvergenceRow(n, float(err), mean_id) for n, err in zip(orders, errs))
     return rows

@@ -18,7 +18,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, groupby, islice
 from numbers import Number, Real
 from typing import Iterable, Iterator
 
@@ -42,7 +42,7 @@ __all__ = [
 # chunk of rows sharing a band.
 _SYNTH_CHUNK_CELLS = 2**12
 # Cells per buffer of a streamed pass over the grid: the bound on a leaf of
-# an L_p error or norm (_leaves()), whose tiled rows, difference and
+# an L_p error or norm (_leaves()), whose tiled row, difference and
 # |g - f|^p take about 0.6 MiB at any M_N, and on a draw of GridFunction.random.
 _STREAM_CELLS = 2**14
 
@@ -53,10 +53,7 @@ def _chunk_rows(cells: int) -> int:
 
 
 def _runs(stack, cells: int) -> Iterator:
-    """The rows of a stack in runs of _chunk_rows(cells): a run tiled to cells fills a chunk.
-
-    stack may also be a list or range of orders, cut the same way.
-    """
+    """The rows of a stack, or the orders of a list or range, in runs of _chunk_rows(cells): tiled, a run fills a chunk."""
     step = _chunk_rows(cells)
     return (stack[at : at + step] for at in range(0, len(stack), step))
 
@@ -139,7 +136,7 @@ class GridFunction(_Frozen):
         return self
 
     def _hold(self, spec: GroupSpec, values, copy: bool | None) -> None:
-        arr = np.array(values, dtype=np.complex128, copy=copy)
+        arr = _in_float_range("GridFunction: values", np.array, values, dtype=np.complex128, copy=copy)
         if arr.shape != (spec.size,):
             raise ValueError(f"values must have shape ({spec.size},), got {arr.shape}")
         arr.setflags(write=False)
@@ -154,7 +151,8 @@ class GridFunction(_Frozen):
     @classmethod
     def constant(cls, spec: GroupSpec, value: complex = 1.0) -> "GridFunction":
         _check_type("GridFunction.constant: spec", spec, GroupSpec)
-        return cls._own(spec, np.full(spec.size, value, dtype=np.complex128))
+        values = _in_float_range("GridFunction.constant: value", np.full, spec.size, value, dtype=np.complex128)
+        return cls._own(spec, values)
 
     @classmethod
     def character(cls, spec: GroupSpec, n: int) -> "GridFunction":
@@ -224,6 +222,22 @@ class GridFunction(_Frozen):
         return GridFunction._own(self.spec, self.values * other)
 
     __rmul__ = __mul__
+
+
+def _in_float_range(what: str, make, *args, **kwargs):
+    """make(*args, **kwargs), where an int beyond float range raises a ValueError naming what, not an OverflowError."""
+    try:
+        return make(*args, **kwargs)
+    except OverflowError:
+        raise ValueError(f"{what} must be within float range") from None
+
+
+def _check_exponent(what: str, p) -> float:
+    """An L_p exponent p (what names it), a Real >= 1 within float range or math.inf, as a float."""
+    _check_type(what, p, Real)
+    if not (p := _in_float_range(what, float, p)) >= 1:  # also refuses NaN
+        raise ValueError(f"{what} must be >= 1, got {p}")
+    return p
 
 
 def _tiled(rows: np.ndarray, cells: int) -> np.ndarray:
@@ -404,9 +418,7 @@ def norm(f: GridFunction, p: float) -> float:
     summed a leaf at a time, with no grid-sized temporary.
     """
     _check_type("norm: f", f, GridFunction)
-    _check_type("norm: p", p, Real)
-    if not p >= 1:  # also refuses NaN
-        raise ValueError(f"strong norm needs p >= 1, got {p}")
+    p = _check_exponent("norm: p", p)  # a float32 p would round 1 / p to float32
     return _lp_norms(f, p, np.zeros((1, 1)))[0]
 
 
@@ -415,14 +427,14 @@ def _lp_norms(f: GridFunction, p: float, g: np.ndarray) -> list[float]:
 
     g is a (rows x M_s) stack of M_s-periodic functions given on the cells
     x < M_s.  Each result is (S / M_N)^(1/p), S the row's sum from
-    _lp_sums() (its max |g_i - f| at p = inf).  The leaves do not depend on
-    g, so it is bitwise norm(tiled g_i - f, p), and on a grid of one leaf
-    np.mean(np.abs(g_i - f) ** p) ** (1 / p).  A row whose sum over- or
+    _lp_sums() (its max |g_i - f| at p = inf), so it is bitwise
+    norm(tiled g_i - f, p), and on a grid of one leaf
+    np.mean(np.abs(g_i - f) ** p) ** (1 / p).  A row whose S over- or
     underflows (not in [M_N * tiny, inf), as at p = 1000 or for |g - f| far
-    below 1) is rescaled by its peak, the largest |g - f|, found by the
-    p = inf leaves: peak * mean((|g - f| / peak) ** p) ** (1 / p), after
-    Blue (ACM TOMS 4, 1978).  The quotients lie in [0, 1] and the peak's
-    own is exactly 1, so that sum neither overflows nor vanishes.
+    below 1) is rescaled alone by its peak, the largest |g - f|:
+    peak * mean((|g - f| / peak) ** p) ** (1 / p), after Blue (ACM TOMS 4,
+    1978).  The quotients lie in [0, 1] and the peak's own is exactly 1, so
+    that sum neither overflows nor vanishes.
     """
     size = f.spec.size
     with np.errstate(over="ignore"):
@@ -431,13 +443,12 @@ def _lp_norms(f: GridFunction, p: float, g: np.ndarray) -> list[float]:
         return [float(t) for t in sums]
     norms = [float((t / size) ** (1.0 / p)) for t in sums]
     low = size * np.finfo(float).tiny
-    redo = [i for i, t in enumerate(sums) if not low <= t < math.inf]
-    if redo:  # in one batch: a pass per row is slower where every row rescales, as at p = 1000
-        peaks = np.array(_lp_sums(f, math.inf, g[redo]))
-        scaled = [k for k, peak in enumerate(peaks) if 0 < peak < math.inf]
-        rescaled = _lp_sums(f, p, g[[redo[k] for k in scaled]], peaks[scaled])
-        for k, t in zip(scaled, rescaled):
-            norms[redo[k]] = float(peaks[k] * (t / size) ** (1.0 / p))
+    for i, t in enumerate(sums):
+        if not low <= t < math.inf:
+            (peak,) = _lp_sums(f, math.inf, g[i : i + 1])
+            if 0 < peak < math.inf:  # a peak of 0 or inf leaves the norm as it is
+                (t,) = _lp_sums(f, p, g[i : i + 1], peak)
+                norms[i] = float(peak * (t / size) ** (1.0 / p))
     return norms
 
 
@@ -455,41 +466,32 @@ def _leaves(spec: GroupSpec) -> list[tuple[int, int]]:
     return [(at + i, min(leaf, block - i)) for at in starts for i in range(0, block, leaf)]
 
 
-def _lp_sums(f: GridFunction, p: float, g: np.ndarray, peaks: np.ndarray | None = None) -> list:
-    """Each row's sum of |g_i - f|^p, or of (|g_i - f| / peaks_i)^p; at p = inf, its max |g_i - f|.
+def _lp_sums(f: GridFunction, p: float, g: np.ndarray, peak: float | None = None) -> list:
+    """Each row's sum of |g_i - f|^p, or of (|g_i - f| / peak)^p; at p = inf, its max |g_i - f|.
 
-    np.add.reduce sums each of the _leaves() and math.fsum adds the leaf
-    sums.  The rows run in _runs() of M_N-cell rows.  A period M_s of g is
-    either at most M_t, so it divides every leaf start and a row tiled once
-    to a leaf is read from column 0, or at least M_{t+1}, so no leaf crosses
-    it and a bare row is read in one slice.
+    One row at a time, np.add.reduce sums each of the _leaves() and
+    math.fsum adds the leaf sums.  A period M_s of g is either at most M_t,
+    so it divides every leaf start and a row _tiled() to a leaf is read from
+    column 0, or at least M_{t+1}, so no leaf crosses it and a bare row is
+    read in one slice.
     """
     values, leaves, period = f.values, _leaves(f.spec), g.shape[1]
-    leaf, step = leaves[0][1], _chunk_rows(len(values))
-    tile = np.empty((step, leaf), dtype=np.complex128)  # three buffers serve every leaf
-    diff = np.empty(step * leaf, dtype=np.complex128)
-    mags = np.empty(step * leaf)
-    # the peaks' column runs in the same slices as the rows it divides
-    scales = _runs(peaks[:, None], len(values)) if peaks is not None else repeat(None)
-    sums: list = []
-    for rows, scale in zip(_runs(g, len(values)), scales):
-        tiled = rows
-        if period < leaf:  # so period divides leaf
-            tiled = tile[: len(rows)]
-            tiled.reshape(len(rows), -1, period)[...] = rows[:, None]
-        parts = np.empty((len(rows), len(leaves)))
-        for j, (start, n) in enumerate(leaves):
-            d = diff[: len(rows) * n].reshape(-1, n)
+    leaf = leaves[0][1]
+    diff, mags = np.empty(leaf, dtype=np.complex128), np.empty(leaf)  # they serve every leaf of every row
+    sums = []
+    for row in g:
+        row = _tiled(row, leaf) if period < leaf else row  # so period divides leaf
+        parts = []
+        for start, n in leaves:
             phase = start % period
-            np.subtract(tiled[:, phase : phase + n], values[start : start + n], out=d)
-            m = np.abs(d, out=mags[: d.size].reshape(d.shape))
-            if scale is not None:
-                m /= scale
+            d = np.subtract(row[phase : phase + n], values[start : start + n], out=diff[:n])
+            m = np.abs(d, out=mags[:n])
+            if peak is not None:
+                m /= peak
             if p not in (1, math.inf):  # x ** 1 is x
                 m **= p
-            parts[:, j] = m.max(axis=1) if p == math.inf else np.add.reduce(m, axis=1)
-        whole = p == math.inf or len(leaves) == 1  # the max of one leaf sum is that sum
-        sums.extend(parts.max(axis=1) if whole else map(_fsum, parts.tolist()))
+            parts.append(m.max() if p == math.inf else np.add.reduce(m))
+        sums.append(parts[0] if len(leaves) == 1 else np.max(parts) if p == math.inf else _fsum(parts))
     return sums
 
 

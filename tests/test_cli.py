@@ -977,6 +977,16 @@ def test_config_accepts_int_p_and_null_optionals(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_int_p_beyond_float_range_exits_2(tmp_path, capsys):
+    # JSON keeps an integer p exact; 10^400 ended in an OverflowError traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"p": 10**400}))
+    out = tmp_path / "x.csv"
+    assert main(["converge", "--group", "2,3", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: p must be within float range\n"
+    assert not out.exists()
+
+
 def test_unknown_command_and_flags_exit_2(capsys):
     assert main(["mystery-command"]) == 2
     assert main(["kernel-profile", "--mystery"]) == 2

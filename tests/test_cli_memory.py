@@ -3,8 +3,9 @@
 Each run is one ``python -m vilenkin`` child, and os.wait4 reads its peak
 resident set (ru_maxrss, KiB on Linux).  The bounds are stated above a bare
 import of what the CLI loads, measured the same way, so they hold whatever
-the interpreter and numpy take by themselves.  CI's memory workflow step
-runs this module, so each bound is stated here once.
+the interpreter and numpy take by themselves.  A run that draws no function
+must also end without numpy.random loaded.  CI's memory workflow step runs
+this module against the installed package, so each bound is stated here once.
 """
 
 import os
@@ -94,3 +95,29 @@ def test_refusal_on_a_huge_grid_comes_before_any_work(line, bare_import, tmp_pat
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: "), err
     assert peak < bare_import + 8, f"{peak:.1f} MiB against a {bare_import:.1f} MiB import"
+
+
+# A run that draws no function must not load numpy.random: on a 2-core Linux
+# box `import vilenkin.cli, numpy.random` peaks at 34.3 MiB against 28.9
+# without numpy.random, 3.4 MiB of that OpenSSL, which numpy.random loads
+# through secrets.  Each child runs main() in process and then reads
+# sys.modules.
+NO_DRAW = {
+    "kernel-profile": "kernel-profile --group 2,3 --levels 6 --family t --weights riesz",
+    "classify-weights": "classify-weights --weights logpow:0.5",
+    "bench-transform-constant": "bench-transform --group 2,3 --levels 6 --function constant",
+}
+_MAIN_THEN_MODULES = (
+    "import sys\n"
+    "from vilenkin.cli import main\n"
+    "status = main(sys.argv[1:])\n"
+    "assert 'numpy.random' not in sys.modules, 'the run loaded numpy.random'\n"
+    "raise SystemExit(status)\n"
+)
+
+
+@pytest.mark.parametrize("name", NO_DRAW)
+def test_a_run_that_draws_no_function_never_loads_numpy_random(name, tmp_path):
+    out = str(tmp_path / "out.csv")
+    code, err, _ = _run(sys.executable, "-c", _MAIN_THEN_MODULES, *NO_DRAW[name].split(), "--out", out)
+    assert code == 0, err

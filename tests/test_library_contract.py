@@ -59,7 +59,7 @@ F = GridFunction.random(SPEC, seed=1)
 X = Element(SPEC, (1, 2, 1))
 OTHER = make_group([3], 2)
 POOL = (
-    None, -1, 0, np.int64(3), 2.5, 10**30, 1e308, math.nan, math.inf, "x", True, X, F,
+    None, -1, 0, np.int64(3), 2.5, 10**30, 10**400, 1e308, math.nan, math.inf, "x", True, X, F,
     OTHER, Element(OTHER, (1, 2)), GridFunction.random(OTHER, seed=1), [1, 2],
 )
 

@@ -18,6 +18,7 @@ from vilenkin.transform import (
     GridFunction,
     _leaves,
     _lp_norms,
+    _lp_sums,
     character_row,
     convolve,
     forward,
@@ -416,6 +417,32 @@ def test_leaves_cut_blocks_of_the_next_place_value(monkeypatch):
             sums = [math.fsum(np.add.reduce(row[a : a + n] ** p) for a, n in leaves) for row in mags]
             assert _lp_norms(f, p, g) == [(t / spec.size) ** (1 / p) for t in sums]
 
+
+
+@pytest.mark.parametrize("period", [3, 450], ids=["tiled-to-a-leaf", "read-bare"])
+@pytest.mark.parametrize("p", [1, 2.5, 1000, math.inf])
+def test_rows_that_rescale_sit_beside_rows_that_do_not(monkeypatch, period, p):
+    # At 64 cells per leaf on 3, 50 x 4 a period of 3 is tiled to a leaf and
+    # one of 450 is read bare.  f is tiny and of period 3, so one stack holds
+    # an ordinary row, a row whose sum overflows (|g - f| near 1e305), one
+    # whose sum underflows (|g - f| near 1e-309, subnormal) and g = f, whose
+    # peak is 0.  Each row's norm is bitwise the norm of that row alone.
+    monkeypatch.setattr(vilenkin.transform, "_STREAM_CELLS", 64)
+    spec = make_group([3, 50], 4)
+    f = GridFunction.random(spec, seed=53, rank=1) * 1e-300
+    rng = np.random.default_rng(54)
+    turn = np.exp(2j * np.pi * rng.uniform(size=period))
+    same = np.tile(f.values[:3], period // 3)
+    g = np.stack([rng.uniform(0.5, 1, period) * turn, 1e305 * turn, same * (1 + 1e-9), same])
+    got = _lp_norms(f, p, g)
+    assert got == [_lp_norms(f, p, g[i : i + 1])[0] for i in range(len(g))]
+    assert got[3] == 0 and all(0 < err < math.inf for err in got[:3])
+    if p != math.inf:  # the stack's plain sums: in range, overflowed, underflowed, zero
+        with np.errstate(over="ignore"):
+            sums = _lp_sums(f, p, g)
+        low = spec.size * np.finfo(float).tiny
+        assert low <= sums[0] < math.inf and sums[1] == math.inf and sums[2] < low and sums[3] == 0
+        assert got[1] == pytest.approx(1e305, rel=1e-9)  # |g - f| is 1e305 up to f's 1e-300
 
 def test_parseval():
     spec = make_group([2, 3, 2, 3])

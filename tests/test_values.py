@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import pickle
 from decimal import Decimal
 from fractions import Fraction
@@ -188,6 +189,17 @@ OTHER = GridFunction.random(make_group([2, 3], 3), seed=5)
             lambda: identity_residual("block", SPEC, weights=RIESZ, rank=0),
             r"Q\(1\) not positive for riesz",
         ),
+        # an int beyond float range raised OverflowError: int too large to
+        # convert to float, from 1.0 / p, np.array or np.full
+        (lambda: norm(F, 10**400), "^norm: p must be within float range$"),
+        (lambda: norm(F, 0.5), "^norm: p must be >= 1, got 0.5$"),
+        (
+            lambda: convergence_profile(F, RIESZ, [2], p=10**400),
+            "^convergence_profile: p must be within float range$",
+        ),
+        (lambda: convergence_profile(F, RIESZ, [2], p=math.nan), "^convergence_profile: p must be >= 1, got nan$"),
+        (lambda: GridFunction(SPEC, 10**400), "^GridFunction: values must be within float range$"),
+        (lambda: GridFunction.constant(SPEC, 10**400), "^GridFunction.constant: value must be within float range$"),
     ],
     ids=[
         "subtract-across-groups",
@@ -207,6 +219,12 @@ OTHER = GridFunction.random(make_group([2, 3], 3), seed=5)
         "nan-binomial-order",
         "inf-binomial-order",
         "block-residual-flat-weights",
+        "norm-huge-p",
+        "norm-small-p",
+        "profile-huge-p",
+        "profile-nan-p",
+        "values-huge",
+        "constant-huge",
     ],
 )
 def test_refusals_name_their_cause(refused, message):
@@ -396,6 +414,18 @@ def test_a_wrong_argument_type_raises_type_error_naming_it(call, message):
     # p a TypeError from `>=` that did not name p
     with pytest.raises(TypeError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "p, same",
+    [(Fraction(5, 2), 2.5), (np.float32(2.5), 2.5), (np.int64(3), 3.0), (3, 3.0)],
+    ids=["fraction", "numpy-float32", "numpy-int64", "int"],
+)
+def test_an_exponent_of_any_real_type_takes_its_float_value(p, same):
+    # a Fraction p reached m **= p and raised numpy's UFuncTypeError, and a
+    # float32 p rounded 1 / p to float32, 1.3e-9 off the norm, relative
+    assert norm(F, p) == norm(F, same)
+    assert convergence_profile(F, RIESZ, [2, 3], p=p) == convergence_profile(F, RIESZ, [2, 3], p=same)
 
 
 @pytest.mark.parametrize(
