@@ -15,7 +15,6 @@ import gc
 import os
 import sys
 import time
-from bisect import bisect_right
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, get_args, get_type_hints
@@ -23,9 +22,9 @@ from typing import Callable, NamedTuple, Sequence, get_args, get_type_hints
 import numpy as np
 
 from .group import GroupSpec, parse_element, parse_group
-from .kernels import _FAMILIES, _UNWEIGHTED, l1_profile
+from .kernels import _FAMILIES, _UNWEIGHTED, _order_cells, l1_profile
 from .points import _FORM_FAMILY, convergence_profile
-from .transform import GridFunction, _band, _check_exponent, forward
+from .transform import GridFunction, _check_exponent, forward
 from .weights import _KINDS, Classification, classify, parse_weights
 
 CHECK_TOL = 1e-12
@@ -40,16 +39,14 @@ MAX_CLI_RADIX = 512
 # bench-transform reports the fast route as the median of this many runs (an
 # odd count); the O(M_N^2) naive route is timed once.
 FAST_REPEATS = 5
-# The naive route takes about 2.3 s at 2^13 points and grows as M_N^2 (about
-# 10 h at 2^20), so bench-transform refuses grids above this size.
-MAX_NAIVE_SIZE = 1 << 15
-# The work a run may take, in cells: each order's row on the cells it is
-# synthesized and reduced on, and each oracle sum's terms (_sweep_cells,
-# _identity_cells), priced before f is drawn or any transform runs.  On a
-# 2-core Linux box the order sweeps and the identity oracles run at 1.0e7 to
-# 2.4e7 cells/s (the weight sums at 1.3e8); `converge --group 2 --levels 14`
+# The work a run may take, in cells, priced before f is drawn or any
+# transform runs: an order sweep by kernels._order_cells, from the plan the
+# sweep runs, identity-check's oracle sums in vilenkin.oracles, next to them,
+# and the naive transform at its M_N rows of M_N cells.  On a 2-core Linux box the
+# sweeps and the oracles run at 1.0e7 to 2.4e7 cells/s (the weight sums at
+# 1.3e8, the naive transform at 2e7 to 3e7); `converge --group 2 --levels 14`
 # prices 2.7e8 cells and takes 16 s, 1.6e7 cells/s.  So this budget is about
-# a minute of work, and a run priced above it is refused.
+# a minute of work; above it a run is refused, the naive one above M_N = 31622.
 MAX_WORK = 10**9
 # classify-weights holds a few float arrays of n_max entries: at 2^20 it takes
 # about 0.2 s and 94 MB peak RSS, at 2^22 0.4 s and 289 MB, and 10^12 cannot
@@ -221,36 +218,6 @@ def _orders(cfg: ExperimentConfig, spec: GroupSpec, start: int) -> Sequence[int]
     return ns
 
 
-def _sweep_cells(spec: GroupSpec, ns: Sequence[int], reduced: int) -> int:
-    """Cells of an order sweep over ascending ns, as _order_stacks runs it.
-
-    Each order's row is synthesized on its band M_s (the _band() of the
-    order) and reduced on max(M_s, reduced) cells.  The orders are counted a
-    band at a time, so a range of M_N orders is priced without listing it.
-    """
-    below = [bisect_right(ns, band) for band in spec.M]  # the orders n <= M_s
-    return sum((hi - lo) * max(band, reduced) for lo, hi, band in zip([0, *below], below, spec.M))
-
-
-def _identity_cells(spec: GroupSpec, ns: Sequence[int]) -> int:
-    """Cells of identity-check's checks over ascending ns, up to top = max(ns).
-
-    Reflection: M_r kernels on M_r cells for each rank r.  Abel-kernel:
-    K_1 .. K_{top-1} and the t kernels, each met on a running sum of top's
-    band.  Abel-mean: top steps of M_N cells.  Weight-sum: n terms for order
-    n.  The block check, three kernels per rank, is linear in M_N.
-    """
-    top = ns[-1]
-    running = _band(spec, top)
-    return (
-        sum(block * block for block in spec.M)
-        + _sweep_cells(spec, range(1, top), running)
-        + _sweep_cells(spec, ns, running)
-        + top * spec.size
-        + sum(ns)
-    )
-
-
 def _check_work(command: str, cells: int) -> None:
     """Refuse a run priced above MAX_WORK cells, before any transform."""
     if cells > MAX_WORK:
@@ -280,7 +247,7 @@ def _run_kernel_profile(cfg: ExperimentConfig) -> Report:
     if not 0 <= cfg.tail_rank <= spec.levels:
         raise ConfigError(f"tail-rank {cfg.tail_rank} outside [0, {spec.levels}]")
     ns = _orders(cfg, spec, 1 if cfg.family in _UNWEIGHTED else w.n0)
-    _check_work("kernel-profile", _sweep_cells(spec, ns, spec.M[cfg.tail_rank]))
+    _check_work("kernel-profile", _order_cells(spec, ns, spec.M[cfg.tail_rank]))
     rows = l1_profile(cfg.family, ns, spec, weights=w, tail_rank=cfg.tail_rank)
     csv_rows = [
         [str(r.n), _fmt(r.l1), _fmt(r.integral.real), _fmt(r.integral.imag), _fmt(r.tail)]
@@ -301,7 +268,7 @@ def _run_identity_check(cfg: ExperimentConfig) -> Report:
     w = _checked(parse_weights, cfg.weights)
     ns = _orders(cfg, spec, w.n0)
     draw = _parse_function(cfg, spec)
-    _check_work("identity-check", _identity_cells(spec, ns))
+    _check_work("identity-check", oracles._identity_cells(spec, ns))
     f = draw()
     blocks = [rank for rank in range(spec.levels + 1) if w.Q(spec.M[rank]) > 0]
     # (check, scale of case n, rows of (n, j, residual)): a case passes when
@@ -370,7 +337,7 @@ def _run_converge(cfg: ExperimentConfig) -> Report:
         _checked(_check_exponent, "p", cfg.p)
     ns = _orders(cfg, spec, 1 if _FORM_FAMILY[cfg.form] in _UNWEIGHTED else w.n0)
     draw = _parse_function(cfg, spec)
-    _check_work("converge", _sweep_cells(spec, ns, spec.size if point is None else 0))
+    _check_work("converge", _order_cells(spec, ns, spec.size if point is None else 0))
     f = draw()
     rows = convergence_profile(
         f, w, ns, form=cfg.form, point=point, p=cfg.p if point is None else None
@@ -406,12 +373,7 @@ def _run_classify_weights(cfg: ExperimentConfig) -> Report:
 
 def _run_bench_transform(cfg: ExperimentConfig) -> Report:
     spec = _build_spec(cfg)
-    if spec.size > MAX_NAIVE_SIZE:
-        raise ConfigError(
-            f"bench-transform: the naive transform at M_N = {spec.size} needs "
-            f"M_N^2 = {spec.size**2:.3g} cell products; the limit is "
-            f"M_N <= {MAX_NAIVE_SIZE}"
-        )
+    _check_work("bench-transform", spec.size**2)  # the naive route: M_N rows of M_N cells
     f = _parse_function(cfg, spec)()
     from . import oracles  # noqa: F401  loaded now, so the naive run's time excludes its import
 

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from itertools import groupby, islice
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .group import GroupSpec, _check_type
-from .transform import GridFunction, _analyse, _band, _runs, _synthesize_bands, _tiled, convolve, synthesize
+from .transform import GridFunction, _analyse, _runs, _synthesize_bands, _tiled, convolve, synthesize
 from .weights import WeightSequence
 
 __all__ = [
@@ -74,7 +74,7 @@ def multiplier(
 def _check_orders(
     family: str, ns: Iterable[int], spec: GroupSpec, weights: WeightSequence | None
 ) -> list[int]:
-    """ns as a list of ints, once every order has a kernel of this family.
+    """ns as a list of ints, once they ascend and every order has a kernel of this family.
 
     numpy integers pass; a float order raises TypeError instead of being
     truncated, and a huge one ValueError before numpy could overflow on it.
@@ -87,6 +87,9 @@ def _check_orders(
     outside = next((n for n in ns if not lowest <= n <= spec.size), None)
     if outside is not None:
         raise ValueError(f"order {outside} outside [{lowest}, {spec.size}]")
+    for previous, n in zip(ns, ns[1:]):
+        if n < previous:
+            raise ValueError(f"orders must ascend, got {n} after {previous}")
     if lowest:  # the weighted families
         if weights is None:
             raise ValueError(f"kernel family {family!r} needs weights")
@@ -131,6 +134,24 @@ def _multipliers(
     return out
 
 
+def _bands(spec: GroupSpec, ns: Sequence[int]) -> list[tuple[int, Sequence[int]]]:
+    """The plan of a sweep over ascending ns: (M_s, the slice of ns on band M_s), per nonempty band.
+
+    The orders n with _band(n) = M_s, cut by one bisect per place value, so
+    a range of M_N orders is cut without being listed.
+    """
+    below = [bisect_right(ns, band) for band in spec.M]  # the orders n <= M_s
+    return [(band, ns[lo:hi]) for lo, hi, band in zip([0, *below], below, spec.M) if lo < hi]
+
+
+def _order_cells(spec: GroupSpec, ns: Sequence[int], reduced: int) -> int:
+    """Cells of the sweep _order_stacks runs over ascending ns: the plan _bands(), priced.
+
+    Each order's row is synthesized on its band M_s and reduced on max(M_s, reduced) cells.
+    """
+    return sum(len(orders) * max(band, reduced) for band, orders in _bands(spec, ns))
+
+
 def _order_stacks(
     family: str,
     f: GridFunction | None,
@@ -138,7 +159,7 @@ def _order_stacks(
     spec: GroupSpec,
     weights: WeightSequence | None = None,
 ) -> Iterator[tuple[list[int], np.ndarray]]:
-    """synthesize(fhat[:n] * lambda_n) on the M_s cells of its band, for each n in ns.
+    """synthesize(fhat[:n] * lambda_n) on the M_s cells of its band, for each n in ascending ns.
 
     The orders are checked once, before any work.  This is the order-n mean
     of f, analysed once up to the largest order, since the mean reads only
@@ -147,21 +168,21 @@ def _order_stacks(
     bitwise.  A row of band M_s is a function of x mod M_s, so the sweeps
     reduce it on those M_s cells (or on a larger band that nests it).  The
     multiplied coefficients are built a block at a time, each block a run
-    of at most _chunk_rows(M_s) consecutive orders of one band M_s, and
-    synthesized in stacked butterflies; the rows come as the
-    butterflies' (rows x M_s) stacks, in the order of ns, as (orders, stack)
+    of at most _chunk_rows(M_s) consecutive orders of one band M_s of the
+    plan _bands(), and synthesized in stacked butterflies; the rows come as
+    the butterflies' (rows x M_s) stacks, in the order of ns, as (orders, stack)
     pairs whose list of orders names the stack's rows.
     """
     ns = _check_orders(family, ns, spec, weights)
     coeffs = np.broadcast_to(1.0, spec.size) if f is None else _analyse(f, max(ns, default=0))
     blocks = (
         coeffs[: max(run)] * _multipliers(family, run, spec, weights)
-        for band, group in groupby(ns, key=lambda n: _band(spec, n))
-        for run in _runs(list(group), band)
+        for band, orders in _bands(spec, ns)
+        for run in _runs(orders, band)
     )
-    orders = iter(ns)
+    rest = iter(ns)
     stacks = _synthesize_bands(spec, blocks)
-    return ((list(islice(orders, len(stack))), stack) for stack in stacks)
+    return ((list(islice(rest, len(stack))), stack) for stack in stacks)
 
 
 def dirichlet(n: int, spec: GroupSpec) -> GridFunction:

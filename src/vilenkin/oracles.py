@@ -16,6 +16,7 @@ They live apart from the fast routes so that a job which needs none of them
 never loads or compiles them.  Only the identity check, bench-transform,
 forward(method="naive"), t_mean(method="direct"|"abel") and the package's
 lazy attributes import this module, each when first called.
+_identity_cells prices the identity check's routes for the CLI's work budget.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .group import GroupSpec, _check_type
-from .kernels import _check_orders, _multipliers, _order_stacks
+from .kernels import _check_orders, _multipliers, _order_cells, _order_stacks
 from .transform import GridFunction, _band, _characters, _runs, _synthesize_bands, _tiled, forward
 from .weights import WeightSequence
 
@@ -184,15 +185,6 @@ def reflection_residuals(spec: GroupSpec) -> Iterator[tuple[int, int, float]]:
                 yield rank, half, float(_reflection_gap(middle, full, row, middle))
 
 
-def _ascending(ns: Sequence[int], spec: GroupSpec, weights: WeightSequence) -> list[int]:
-    """The ascending t orders ns as a list, checked before any transform."""
-    ns = list(ns)
-    for previous, n in zip(ns, ns[1:]):
-        if n < previous:
-            raise ValueError(f"orders must ascend, got {n} after {previous}")
-    return _check_orders("t", ns, spec, weights)
-
-
 def abel_kernel_residuals(
     spec: GroupSpec, weights: WeightSequence, ns: Sequence[int]
 ) -> Iterator[tuple[int, float]]:
@@ -207,7 +199,7 @@ def abel_kernel_residuals(
     running sum is kept on that band's cells, a kernel of a lower band
     added over each of its periods.
     """
-    ns = _ascending(ns, spec, weights)
+    ns = _check_orders("t", ns, spec, weights)
     top = max(ns, default=0)
     q, Q = weights.q_array(top), weights.Q_array(top)
     total = np.zeros(_band(spec, top), dtype=np.complex128)  # the terms i < k
@@ -249,7 +241,7 @@ def t_mean_oracles(
     O(_SYNTH_CHUNK_CELLS + M_N) working memory.
     """
     _check_type("t_mean_oracles: f", f, GridFunction)
-    ns = _ascending(ns, f.spec, w)
+    ns = _check_orders("t", ns, f.spec, w)
     top = max(ns, default=0)
     q, Q = w.q_array(top), w.Q_array(top)
     terms = _partial_sum_terms(f, top - 1)
@@ -283,6 +275,25 @@ def _partial_sum_terms(f: GridFunction, count: int) -> Iterator[np.ndarray]:
         rows = _characters(spec, ks)
         np.multiply(fh[ks, None], rows, out=rows)
         yield from rows
+
+
+def _identity_cells(spec: GroupSpec, ns: Sequence[int]) -> int:
+    """Cells of identity-check's checks over ascending ns, up to top = max(ns).
+
+    Reflection: M_r kernels on M_r cells for each rank r.  Abel-kernel:
+    K_1 .. K_{top-1} and the t kernels, each met on a running sum of top's
+    band.  Abel-mean: top steps of M_N cells.  Weight-sum: n terms for order
+    n.  The block check, three kernels per rank, is linear in M_N.
+    """
+    top = ns[-1]
+    running = _band(spec, top)
+    return (
+        sum(block * block for block in spec.M)
+        + _order_cells(spec, range(1, top), running)
+        + _order_cells(spec, ns, running)
+        + top * spec.size
+        + sum(ns)
+    )
 
 
 def abel_weight_residual(w: WeightSequence, n: int) -> float:

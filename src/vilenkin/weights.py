@@ -93,8 +93,10 @@ class WeightSequence(_Value):
         if kind not in _KINDS:
             raise ValueError(f"unknown weight kind {kind!r}")
         if _KINDS[kind][1]:
-            if alpha is None or not 0 < alpha < 1:
+            # alpha's float value is taken, once in range: float(10**400) overflows
+            if alpha is None or not 0 < alpha < 1 or not 0 < float(alpha) < 1:
                 raise ValueError(f"{kind} needs alpha in (0, 1), got {alpha}")
+            alpha = float(alpha)
             if kind in ("cesaro", "inverse-cesaro") and alpha - 1.0 == -1.0:
                 raise ValueError(
                     f"{kind} alpha {alpha} too small: alpha - 1 rounds to -1, every q_k to 0"
@@ -139,7 +141,7 @@ class WeightSequence(_Value):
         short = _KINDS[self.kind][0]
         if self.alpha is None:
             return short
-        return f"{short}:{self.alpha:g}"
+        return f"{short}:{self.alpha!r}"  # repr round-trips through parse_weights
 
 
 def _capacity(count: int) -> int:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import vilenkin
 import vilenkin.cli
+import vilenkin.kernels
 import vilenkin.oracles
 import vilenkin.transform
 from vilenkin.cli import FAST_REPEATS, ExperimentConfig, load_config, main, run
@@ -561,20 +562,24 @@ def test_bench_transform_warms_up_and_repeats_fast_route(tmp_path, monkeypatch):
 
 
 def test_bench_transform_refuses_hour_long_naive_runs(tmp_path, monkeypatch, capsys):
-    # the naive route is O(M_N^2): refused with exit 2 before any transform
-    # runs, with the grid size and the cell-product estimate in the message
+    # the naive route computes M_N rows of M_N cells, priced against the one
+    # work budget: refused with exit 2 before any transform runs, from
+    # M_N^2 > 10^9 on (2^15 points, about 37 s of naive work, is refused)
     def refused(*args, **kwargs):
         raise AssertionError("no transform may run on a refused grid")
 
     monkeypatch.setattr(vilenkin.oracles, "_forward_naive", refused)
     monkeypatch.setattr(vilenkin.cli, "forward", refused)
     out = tmp_path / "bench.csv"
-    args = ["bench-transform", "--group", "2", "--levels", "16", "--out", str(out)]
-    assert vilenkin.cli.MAX_NAIVE_SIZE < 2**16
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert "M_N = 65536" in err and "4.29e+09" in err
-    assert not out.exists()
+    for levels, cells in (("16", "4.29e+09"), ("15", "1.07e+09")):
+        args = ["bench-transform", "--group", "2", "--levels", levels, "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"config error: bench-transform: the run needs about {cells} cells of work; "
+            "the limit is 1e+09, about a minute\n"
+        )
+        assert not out.exists()
 
 
 def test_json_config_with_flag_override(tmp_path):
@@ -766,7 +771,7 @@ def test_sweep_price_counts_each_order_on_its_band(pattern, levels, data):
     reduced = data.draw(st.sampled_from([0, *spec.M]))
     for ns in (range(start, stop + 1), [b for b in spec.M if start <= b <= stop]):
         want = sum(max(vilenkin.transform._band(spec, n), reduced) for n in ns)
-        assert vilenkin.cli._sweep_cells(spec, ns, reduced) == want
+        assert vilenkin.kernels._order_cells(spec, ns, reduced) == want
 
 
 COMMANDS = ["identity-check", "converge", "kernel-profile", "classify-weights", "bench-transform"]

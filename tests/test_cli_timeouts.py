@@ -3,7 +3,9 @@
 Each test runs one ``python -m vilenkin`` child under its bound; a run that
 outlives it fails with ``subprocess.TimeoutExpired``.  Most runs must exit
 0; a run priced above the CLI's work budget must exit 2 with one config
-error line, before any transform.  CI's timeout workflow step runs this
+error line, before any transform.  Every subcommand that the budget prices
+has such a refusal here: converge, kernel-profile, identity-check and the
+naive route of bench-transform.  CI's timeout workflow step runs this
 module, so each bound and status is stated here once.
 """
 
@@ -52,6 +54,9 @@ RUNS = {
         10, 2, "kernel-profile --group 2 --levels 22 --family t --weights riesz"
     ),
     "identity_2_22": (10, 2, "identity-check --group 2 --levels 22 --weights riesz"),
+    # the naive transform's M_N rows of M_N cells, 1.1e12 at 2^20, about 10 h
+    # of work: refused on the same budget before f is drawn
+    "bench_transform_2_20": (10, 2, "bench-transform --group 2 --levels 20"),
 }
 
 

@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 from conftest import TracedPeak
 
+import vilenkin.kernels
 import vilenkin.oracles
 import vilenkin.transform
 from vilenkin.group import Element, interval_members, make_group
 from vilenkin.kernels import (
+    _FAMILIES,
+    _order_stacks,
     dirichlet,
     domination_constant,
     fejer,
@@ -327,6 +330,26 @@ def test_abel_sweeps_check_their_orders_before_any_transform(monkeypatch):
         with pytest.raises(ValueError, match="outside"):
             next(sweep([2, spec.size + 1]))
         assert list(sweep([])) == [], name
+
+
+def test_order_sweep_refuses_descending_orders_before_any_transform(monkeypatch):
+    # a sweep runs the plan of its ascending orders, band by band; orders
+    # that descend have no such plan and are refused at the call, before the
+    # analysis of f or any butterfly
+    spec, w = make_group([2, 3], 3), parse_weights("riesz")
+    f = GridFunction.random(spec, seed=4)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a transform ran before the orders were checked")
+
+    monkeypatch.setattr(vilenkin.kernels, "_analyse", refused)
+    monkeypatch.setattr(vilenkin.transform, "_apply_stages", refused)
+    for family in _FAMILIES:
+        for g in (None, f):
+            with pytest.raises(ValueError, match="orders must ascend, got 3 after 5"):
+                _order_stacks(family, g, [2, 5, 3], spec, w)
+            with pytest.raises(ValueError, match="orders must ascend, got 11 after 12"):
+                _order_stacks(family, g, range(spec.size, 1, -1), spec, w)
 
 
 def test_t_mean_oracles_yield_fresh_arrays():

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,10 +101,24 @@ def test_cesaro_alpha_whose_order_rounds_to_minus_one_is_refused(kind):
 
 
 def test_parse_weights_labels_round_trip():
-    for text in ALL_FAMILIES:
+    # an alpha of at most 6 significant digits is labelled as "%g" writes
+    # it, and a longer one is not rounded into the label of another sequence
+    # (cesaro:0.5) or of none (cesaro:1)
+    short = ("0.5", "0.123456", "0.0001", "1e-05", "1.5e-05", "0.999999", "0.3")
+    long = ("0.5000001", "0.999999999999", "0.30000001192092896")
+    alphas = [f"{kind}:{alpha}" for kind in ("cesaro", "logpow") for alpha in short + long]
+    for text in [*ALL_FAMILIES, *alphas]:
         w = parse_weights(text)
         assert w.label() == text
         assert parse_weights(w.label()) == w
+    assert [f"{float(alpha):g}" for alpha in short] == list(short)
+    # a Fraction alpha is taken at its float value: the same sequence, label
+    # and float64 weights as that float
+    for kind in ("cesaro", "power", "log-power"):
+        w, plain = WeightSequence(kind, Fraction(3, 10)), WeightSequence(kind, 0.3)
+        assert w == plain and type(w.alpha) is float and w.label() == plain.label()
+        got = w.q_array(64)
+        assert got.dtype == np.float64 and np.array_equal(got, plain.q_array(64))
 
 
 def test_n0():

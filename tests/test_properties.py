@@ -12,7 +12,8 @@ synthesis returns every row bitwise equal to its one-row synthesis, whatever
 the batch size and the row's place in it, and the rows share butterflies by
 their bands and the chunk size alone, whatever blocks they arrive in; the
 order sweep hands each stack over with its rows' orders, which concatenate
-to the checked orders.  The
+to the checked orders, and runs the plan that prices it: its blocks cost
+exactly what _order_cells() predicts.  The
 sweeps that reduce a mean or a kernel on its band M_s instead of the whole
 grid return the very errors, maxima and residuals of the tiled full-grid
 route (the L1 profile, a sum in another order, to 1e-12); the kernel
@@ -30,7 +31,7 @@ import math
 from bisect import bisect_left
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import vilenkin.kernels
@@ -40,8 +41,10 @@ from vilenkin.kernels import (
     _FAMILIES,
     _UNWEIGHTED,
     KernelProfileRow,
+    _bands,
     _check_orders,
     _leading_position,
+    _order_cells,
     _order_stacks,
     dirichlet,
     domination_constant,
@@ -318,11 +321,11 @@ def test_batched_kernels_and_means_equal_single_syntheses(case, more):
 @given(cases(), st.sampled_from(_FAMILIES), st.data())
 def test_order_stacks_carry_their_rows_orders(case, family, data):
     # each stack comes with the orders of its rows: in sweep order they are
-    # the checked ns, whatever their order, repeats or integer type, for the
-    # kernels (f None) and the means alike
+    # the checked ascending ns, whatever their repeats or integer type, for
+    # the kernels (f None) and the means alike
     spec, w, _, f, _ = case
     lowest = 0 if family in _UNWEIGHTED else w.n0
-    ns = data.draw(st.lists(st.integers(lowest, spec.size), min_size=1, max_size=60))
+    ns = sorted(data.draw(st.lists(st.integers(lowest, spec.size), min_size=1, max_size=60)))
     ns = [np.int64(n) if i % 2 else n for i, n in enumerate(ns)]
     checked = _check_orders(family, ns, spec, w)
     for g in (None, f):
@@ -332,15 +335,21 @@ def test_order_stacks_carry_their_rows_orders(case, family, data):
         assert got == checked and all(type(n) is int for n in got)
 
 
-@settings(max_examples=40, deadline=None)
-@given(cases(), st.sampled_from(_FAMILIES), st.data())
-def test_order_blocks_are_runs_of_one_band(case, family, data):
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=cases(), family=st.sampled_from(_FAMILIES), data=st.data())
+def test_order_blocks_are_runs_of_one_band(butterflies, case, family, data):
     # a sweep builds its coefficients a block of orders at a time: a run of
-    # consecutive orders of one band M_s, cut after every max(1, cells // M_s)
-    # of them, so that each block is one butterfly's worth
+    # consecutive orders of one band M_s of its plan _bands(), cut after
+    # every max(1, cells // M_s) of them, so that each block is one
+    # butterfly's worth.  The work budget prices that plan: the blocks cost
+    # exactly _order_cells(), and the inverse butterflies at most
+    # _order_cells(reduced=0), since a row whose trailing coefficients vanish
+    # is synthesized on a lower band than its order's
     spec, w, _, f, _ = case
     lowest = 0 if family in _UNWEIGHTED else w.n0
-    ns = data.draw(st.lists(st.integers(lowest, spec.size), min_size=1, max_size=60))
+    ns = sorted(data.draw(st.lists(st.integers(lowest, spec.size), min_size=1, max_size=60)))
+    reduced = data.draw(st.sampled_from([0, *spec.M]))
+    assert [n for _, orders in _bands(spec, ns) for n in orders] == ns
     blocks = []
     multipliers = vilenkin.kernels._multipliers
 
@@ -355,6 +364,7 @@ def test_order_blocks_are_runs_of_one_band(case, family, data):
             vilenkin.transform._SYNTH_CHUNK_CELLS = cells
             for g in (None, f):
                 blocks.clear()
+                butterflies.clear()
                 list(_order_stacks(family, g, ns, spec, w))
                 assert [n for block in blocks for n in block] == ns
                 bands = [_band(spec, block[0]) for block in blocks]
@@ -363,6 +373,10 @@ def test_order_blocks_are_runs_of_one_band(case, family, data):
                     assert len(block) <= max(1, cells // band)
                 for block, band, after in zip(blocks, bands, bands[1:]):
                     assert after != band or len(block) == max(1, cells // band)
+                priced = sum(len(block) * max(band, reduced) for block, band in zip(blocks, bands))
+                assert priced == _order_cells(spec, ns, reduced)
+                synthesized = sum(rows * band for inverse, rows, band in butterflies if inverse)
+                assert synthesized <= _order_cells(spec, ns, 0)
     finally:
         vilenkin.kernels._multipliers = multipliers
         vilenkin.transform._SYNTH_CHUNK_CELLS = default

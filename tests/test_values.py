@@ -200,6 +200,11 @@ OTHER = GridFunction.random(make_group([2, 3], 3), seed=5)
         (lambda: convergence_profile(F, RIESZ, [2], p=math.nan), "^convergence_profile: p must be >= 1, got nan$"),
         (lambda: GridFunction(SPEC, 10**400), "^GridFunction: values must be within float range$"),
         (lambda: GridFunction.constant(SPEC, 10**400), "^GridFunction.constant: value must be within float range$"),
+        # an alpha is taken at its float value: one in (0, 1) whose float is
+        # 0.0 or 1.0 would give a sequence of zero or constant weights
+        (lambda: WeightSequence("power", 10**400), r"^power needs alpha in \(0, 1\)"),
+        (lambda: WeightSequence("power", Fraction(1, 10**400)), r"^power needs alpha in \(0, 1\)"),
+        (lambda: WeightSequence("power", 1 - Fraction(1, 10**400)), r"^power needs alpha in \(0, 1\)"),
     ],
     ids=[
         "subtract-across-groups",
@@ -225,6 +230,9 @@ OTHER = GridFunction.random(make_group([2, 3], 3), seed=5)
         "profile-nan-p",
         "values-huge",
         "constant-huge",
+        "alpha-huge",
+        "alpha-float-0",
+        "alpha-float-1",
     ],
 )
 def test_refusals_name_their_cause(refused, message):
