@@ -375,16 +375,16 @@ def _run_bench_transform(cfg: ExperimentConfig) -> Report:
     spec = _build_spec(cfg)
     _check_work("bench-transform", spec.size**2)  # the naive route: M_N rows of M_N cells
     f = _parse_function(cfg, spec)()
-    from . import oracles  # noqa: F401  loaded now, so the naive run's time excludes its import
+    from . import oracles  # before the naive run, so its time excludes the import
 
-    forward(f, method="fast")  # fills the per-spec root and stage-matrix caches
+    forward(f)  # fills the per-spec root and stage-matrix caches
     t0 = time.perf_counter()
-    naive = forward(f, method="naive")
+    naive = oracles.forward_naive(f)
     naive_s = time.perf_counter() - t0
     fast_times = []
     for _ in range(FAST_REPEATS):
         t0 = time.perf_counter()
-        fast = forward(f, method="fast")
+        fast = forward(f)
         fast_times.append(time.perf_counter() - t0)
     fast_s = sorted(fast_times)[FAST_REPEATS // 2]
     diff = float(np.max(np.abs(naive - fast)))

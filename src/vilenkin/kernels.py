@@ -18,8 +18,9 @@ matrix means of the Fourier partial sums S_k f (with S_0 f = 0) that match them:
 Collecting the coefficient of psi_j gives closed forms (e.g. (n-j)/n for the
 Fejer kernel), returned by multiplier(), so each kernel is one synthesis pass
 and each matching mean is the same pass over the multiplied spectrum of f.
-The identity checks that rebuild kernels from other kernels, so that the
-two sides travel different numerical paths, live in vilenkin.oracles.
+The identity checks that rebuild kernels from other kernels, and the means
+accumulated from partial sums, travel other numerical paths; they live in
+vilenkin.oracles, which this module does not import.
 """
 
 from __future__ import annotations
@@ -219,13 +220,11 @@ def t_mean(
     """Forward-frame mean T_n f = (1/Q_n) sum_{k<n} q_k S_k f.
 
     The default 'multiplier' route is synthesize(fhat[:n] * lambda_n), as in
-    norlund_mean().  The oracle routes reach T_n another way: 'direct'
-    accumulates partial sums term by term, and 'abel' rebuilds T_n from
-    Fejer means via summation by parts, both computed by one order of the
-    vilenkin.oracles.t_mean_oracles() pass.  'convolution' convolves f with
-    the forward-frame kernel; it runs the multiplier route's butterfly and
-    multipliers, so it is no independent check, and it stays only for the
-    benchmark's row check.
+    norlund_mean().  'convolution' convolves f with the forward-frame kernel;
+    it runs the multiplier route's butterfly and multipliers, so it is no
+    independent check, and it stays only for the benchmark's row check.  The
+    independent routes, direct and Abel accumulation, are
+    vilenkin.oracles.t_mean_oracles().
     """
     _check_type("t_mean: f", f, GridFunction)
     if method == "multiplier":
@@ -233,12 +232,7 @@ def t_mean(
         return synthesize(f.spec, _analyse(f, n) * lam)
     if method == "convolution":
         return convolve(f, synthesize(f.spec, multiplier("t", n, f.spec, w)))
-    if method not in ("direct", "abel"):
-        raise ValueError(f"unknown method {method!r}")
-    from . import oracles
-
-    _, direct, abel = next(oracles.t_mean_oracles(f, w, [n]))
-    return GridFunction._own(f.spec, direct if method == "direct" else abel)
+    raise ValueError(f"unknown method {method!r}; expected 'multiplier' or 'convolution'")
 
 
 def norlund_mean(f: GridFunction, w: WeightSequence, n: int) -> GridFunction:

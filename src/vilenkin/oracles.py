@@ -3,25 +3,26 @@
 Each oracle reaches a known result by another numerical path than the
 library's fast route, so that the two can be compared:
 
-    _forward_naive          forward(method="naive"): the defining sums,
-                            one conjugated character row per coefficient
-    identity_residual       one case of the reflection, abel-kernel or
-                            block kernel identity
+    forward_naive           the defining sums of the analysis, one
+                            conjugated character row per coefficient
+    identity_residual       one case of the reflection or block kernel identity
     reflection_residuals    every reflection case, each kernel synthesized once
-    abel_kernel_residuals   every abel-kernel order, each K_i synthesized once
-    t_mean_oracles          t_mean(method="direct"|"abel") for many orders
+    abel_kernel_residuals   the abel-kernel identity for many orders,
+                            each K_i synthesized once
+    t_mean_oracles          T_n f by direct and by Abel accumulation for many orders
     abel_weight_residual    summation by parts on the weights alone
 
 They live apart from the fast routes so that a job which needs none of them
-never loads or compiles them.  Only the identity check, bench-transform,
-forward(method="naive"), t_mean(method="direct"|"abel") and the package's
-lazy attributes import this module, each when first called.
-_identity_cells prices the identity check's routes for the CLI's work budget.
+never loads or compiles them.  No module of the package imports this one
+but the CLI, inside the identity check and bench-transform; the tests
+import it directly.  _identity_cells prices the identity check's routes for
+the CLI's work budget.
 """
 
 from __future__ import annotations
 
 import operator
+from numbers import Integral
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from .transform import GridFunction, _band, _characters, _runs, _synthesize_band
 from .weights import WeightSequence
 
 __all__ = [
+    "forward_naive",
     "identity_residual",
     "reflection_residuals",
     "abel_kernel_residuals",
@@ -44,20 +46,24 @@ __all__ = [
 _NAIVE_CHUNK_CELLS = 2**18
 
 
-def _forward_naive(f: GridFunction) -> np.ndarray:
-    """Direct quadratic-cost analysis: one conjugated character row per n.
+def forward_naive(f: GridFunction) -> np.ndarray:
+    """forward(f) by its defining sums: a fresh read-only vector, one conjugated character row per n.
 
-    Each chunk holds its phases, rows and their conjugate, about 40 bytes
-    per row and cell, so the rows per chunk shrink as M_N grows to keep a
-    chunk near _NAIVE_CHUNK_CELLS cells.
+    fhat(n) = (1/M_N) * sum_x f(x) * conj(psi_n(x)) at quadratic cost.  Each
+    chunk holds its phases, rows and their conjugate, about 40 bytes per row
+    and cell, so the rows per chunk shrink as M_N grows to keep a chunk near
+    _NAIVE_CHUNK_CELLS cells.
     """
+    _check_type("forward_naive: f", f, GridFunction)
     spec = f.spec
     out = np.empty(spec.size, dtype=np.complex128)
     chunk = max(1, _NAIVE_CHUNK_CELLS // spec.size)
     for start in range(0, spec.size, chunk):
         ns = range(spec.size)[start : start + chunk]
         out[ns] = _characters(spec, ns).conj() @ f.values
-    return out / spec.size
+    out /= spec.size
+    out.setflags(write=False)
+    return out
 
 
 def identity_residual(
@@ -66,31 +72,23 @@ def identity_residual(
     *,
     rank: int | None = None,
     j: int | None = None,
-    n: int | None = None,
     weights: WeightSequence | None = None,
 ) -> float:
     """Max-abs residual of one algebraic kernel identity over the grid.
 
     kind='reflection' (takes rank and j < M_rank):
         D_{M_r - j} = D_{M_r} - psi_{M_r - 1} * conj(D_j)
-    kind='abel-kernel' (takes weights and n):
-        Q_n * t_kernel_n = sum_{j=1}^{n-2} (q_j - q_{j+1}) j K_j
-                           + q_{n-1} (n-1) K_{n-1}
     kind='block' (takes weights and rank, with Q(M_rank) > 0):
         t_kernel_{M_r} = D_{M_r} - psi_{M_r - 1} * conj(norlund_kernel_{M_r})
 
-    The sweeps reflection_residuals() and abel_kernel_residuals() evaluate
-    the first two identities with these same formulas, in the same
-    floating-point order, over every case at once.  Every term of the
-    reflection and block identities is a function of x mod M_r, so their
+    The sweep reflection_residuals() evaluates the first identity with this
+    same formula, in the same floating-point order, over every case at once.
+    Every term of both identities is a function of x mod M_r, so their
     residuals are taken on the M_r cells x < M_r, the three kernels of one
-    case synthesized as one block.
+    case synthesized as one block.  The abel-kernel identity of one order n
+    is next(abel_kernel_residuals(spec, weights, [n]))[1].
     """
     _check_type("identity_residual: spec", spec, GroupSpec)
-    if kind == "abel-kernel":
-        if weights is None or n is None:
-            raise ValueError("abel-kernel residual needs weights and n")
-        return next(abel_kernel_residuals(spec, weights, [n]))[1]
     if kind == "reflection":
         if rank is None or j is None:
             raise ValueError("reflection residual needs rank and j")
@@ -99,9 +97,11 @@ def identity_residual(
             raise ValueError("block residual needs weights and rank")
     else:
         raise ValueError(f"unknown identity kind {kind!r}")
+    _check_type("identity_residual: rank", rank, Integral)
     block = spec._place(rank)
     if kind == "reflection":
-        if not 0 <= operator.index(j) < block:
+        _check_type("identity_residual: j", j, Integral)
+        if not 0 <= j < block:
             raise ValueError(f"offset {j} outside [0, {block})")
         # D_0 = 0 makes the gap at j = 0 the plain |D_{M_r} - D_{M_r}| = 0
         coeffs = _multipliers("dirichlet", [block - j, block, j], spec)
@@ -303,6 +303,8 @@ def abel_weight_residual(w: WeightSequence, n: int) -> float:
     the residual should be at machine-noise level for every family.
     """
     _check_type("abel_weight_residual: w", w, WeightSequence)
+    _check_type("abel_weight_residual: n", n, Integral)
+    n = operator.index(n)  # a bool or numpy integer as a plain int
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     q = w.q_array(n)

@@ -4,7 +4,9 @@ The character indexed by n is psi_n(x) = prod_k exp(2*pi*i * n_k * x_k / m_k),
 a product of generalized Rademacher functions.  At resolution N the characters
 psi_0 .. psi_{M_N - 1} form an orthonormal basis of the M_N-cell grid under the
 normalized counting measure, and the Fourier coefficient of a grid function is
-fhat(n) = (1/M_N) * sum_x f(x) * conj(psi_n(x)).
+fhat(n) = (1/M_N) * sum_x f(x) * conj(psi_n(x)).  forward() computes them by
+the mixed-radix butterfly; their defining sums, the quadratic cross-check,
+are vilenkin.oracles.forward_naive(), which this module does not import.
 
 Every character value is a root of unity of order dividing L = lcm(m_k).  All
 character evaluations here go through one shared table of the L-th roots, so
@@ -316,23 +318,16 @@ def _analyse(f: GridFunction, count: int) -> np.ndarray:
     return _apply_stages(spec, values, inverse=False)[:count] / spec.size
 
 
-def forward(f: GridFunction, method: str = "fast") -> np.ndarray:
+def forward(f: GridFunction) -> np.ndarray:
     """Analysis transform: fhat, a fresh read-only complex128 vector of length M_N.
 
-    ``method="fast"`` runs the separable mixed-radix butterfly;
-    ``method="naive"`` evaluates the defining sums directly, an oracle of
-    ``vilenkin.oracles``.  Both compute the coefficients in Paley order,
-    fhat(n) = (1/M_N) * sum_x f(x) * conj(psi_n(x)); synthesize(f.spec, fhat) gives f back.
+    The separable mixed-radix butterfly computes the coefficients in Paley
+    order, fhat(n) = (1/M_N) * sum_x f(x) * conj(psi_n(x));
+    synthesize(f.spec, fhat) gives f back.  vilenkin.oracles.forward_naive()
+    evaluates the same sums directly, as the cross-check.
     """
     _check_type("forward: f", f, GridFunction)
-    if method == "fast":
-        fhat = _analyse(f, f.spec.size)
-    elif method == "naive":
-        from . import oracles
-
-        fhat = oracles._forward_naive(f)
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'fast' or 'naive'")
+    fhat = _analyse(f, f.spec.size)
     fhat.setflags(write=False)
     return fhat
 

@@ -13,14 +13,12 @@ from vilenkin import (
     Element,
     GridFunction,
     WeightSequence,
-    abel_weight_residual,
     character_row,
     classify,
     dirichlet,
     domination_constant,
     fejer,
     forward,
-    identity_residual,
     l1_profile,
     lebesgue_modulus,
     make_group,
@@ -33,6 +31,13 @@ from vilenkin import (
     w_modulus,
 )
 from vilenkin.cli import main
+from vilenkin.oracles import (
+    abel_kernel_residuals,
+    abel_weight_residual,
+    forward_naive,
+    identity_residual,
+    t_mean_oracles,
+)
 
 G1 = make_group((2, 3, 2, 3))
 G2 = make_group((2,), levels=6)
@@ -74,7 +79,7 @@ def test_criterion_2_fast_transform_matches_naive(criterion_log, tmp_path):
     for spec in GROUPS:
         for seed in range(50):
             f = GridFunction.random(spec, seed)
-            diff = forward(f, method="fast") - forward(f, method="naive")
+            diff = forward(f) - forward_naive(f)
             worst = max(worst, float(np.abs(diff).max()))
     out = tmp_path / "bench.csv"
     code = main(["bench-transform", "--group", "2,3", "--levels", "10", "--out", str(out)])
@@ -103,9 +108,9 @@ def test_criterion_3_identity_suite(criterion_log):
             for n in (5, 12, 36):
                 worst = max(worst, abel_weight_residual(w, n))
                 if n <= spec.size:
-                    worst = max(worst, identity_residual("abel-kernel", spec, n=n, weights=w))
-                    gap = t_mean(probe, w, n, "direct") - t_mean(probe, w, n, "abel")
-                    worst = max(worst, float(np.abs(gap.values).max()))
+                    worst = max(worst, next(abel_kernel_residuals(spec, w, [n]))[1])
+                    _, direct, abel = next(t_mean_oracles(probe, w, [n]))
+                    worst = max(worst, float(np.abs(direct - abel).max()))
             for rank in range(spec.levels + 1):
                 if w.Q(spec.M[rank]) > 0:
                     worst = max(worst, identity_residual("block", spec, rank=rank, weights=w))

@@ -302,15 +302,13 @@ def test_import_loads_no_oracle_dataclasses_or_json():
     # the package is asked for a submodule's name before it is imported
     assert lazy_modules_after("import vilenkin\nassert not hasattr(vilenkin, 'cli')") == set()
     assert lazy_modules_after("from vilenkin import cli") == set()
-    # the five oracle names stay reachable from the package, loaded on first use
+    # a missing name is refused without loading the oracles
+    assert lazy_modules_after("import vilenkin\nassert not hasattr(vilenkin, 'mystery')") == set()
+    # the oracle names are read from vilenkin.oracles, and only an import of it loads it
     code = (
-        "from vilenkin import abel_kernel_residuals, abel_weight_residual, identity_residual,"
-        " reflection_residuals, t_mean_oracles\n"
-        "import vilenkin, vilenkin.oracles\n"
-        "assert vilenkin.identity_residual is vilenkin.oracles.identity_residual\n"
-        "assert t_mean_oracles is vilenkin.oracles.t_mean_oracles\n"
-        "assert not hasattr(vilenkin, 'mystery')\n"
-        "assert not hasattr(vilenkin, 'no.such')  # no submodule lookup of a dotted name\n"
+        f"import vilenkin\nassert not any(hasattr(vilenkin, n) for n in {ORACLE_NAMES!r})\n"
+        "from vilenkin.oracles import forward_naive, t_mean_oracles\n"
+        f"assert not any(hasattr(vilenkin, n) for n in {ORACLE_NAMES!r})\n"
     )
     assert lazy_modules_after(code) == {"vilenkin.oracles"}
 
@@ -339,8 +337,9 @@ DELETED_NAMES = [
     "Spectrum", "add", "inverse", "maximal_profile", "named_mean", "psi", "rademacher",
     "subtract", "weak_norm",
 ]
+# The public names of vilenkin.oracles, which the package does not export.
 ORACLE_NAMES = [
-    "abel_kernel_residuals", "abel_weight_residual", "identity_residual",
+    "abel_kernel_residuals", "abel_weight_residual", "forward_naive", "identity_residual",
     "reflection_residuals", "t_mean_oracles",
 ]
 
@@ -356,8 +355,10 @@ def test_public_surface_is_pinned():
         with pytest.raises(AttributeError):
             getattr(vilenkin, name)
     assert isinstance(vilenkin.weights, types.ModuleType)
+    assert sorted(vilenkin.oracles.__all__) == ORACLE_NAMES
     for name in ORACLE_NAMES:
-        assert getattr(vilenkin, name) is getattr(vilenkin.oracles, name)
+        with pytest.raises(AttributeError):
+            getattr(vilenkin, name)
 
 
 @pytest.mark.parametrize(
@@ -549,13 +550,18 @@ def test_bench_transform_warms_up_and_repeats_fast_route(tmp_path, monkeypatch):
     # the first call fills the root and stage-matrix caches, so the timed
     # runs measure the transform alone; the fast time is a median
     methods = []
-    real = vilenkin.cli.forward
 
-    def counted(f, method="fast"):
-        methods.append(method)
-        return real(f, method)
+    def counted(method, real):
+        def route(f):
+            methods.append(method)
+            return real(f)
 
-    monkeypatch.setattr(vilenkin.cli, "forward", counted)
+        return route
+
+    monkeypatch.setattr(vilenkin.cli, "forward", counted("fast", vilenkin.cli.forward))
+    monkeypatch.setattr(
+        vilenkin.oracles, "forward_naive", counted("naive", vilenkin.oracles.forward_naive)
+    )
     out = tmp_path / "bench.csv"
     assert main(["bench-transform", "--group", "2,3", "--levels", "3", "--out", str(out)]) == 0
     assert methods == ["fast", "naive"] + ["fast"] * FAST_REPEATS
@@ -568,7 +574,7 @@ def test_bench_transform_refuses_hour_long_naive_runs(tmp_path, monkeypatch, cap
     def refused(*args, **kwargs):
         raise AssertionError("no transform may run on a refused grid")
 
-    monkeypatch.setattr(vilenkin.oracles, "_forward_naive", refused)
+    monkeypatch.setattr(vilenkin.oracles, "forward_naive", refused)
     monkeypatch.setattr(vilenkin.cli, "forward", refused)
     out = tmp_path / "bench.csv"
     for levels, cells in (("16", "4.29e+09"), ("15", "1.07e+09")):

@@ -22,7 +22,6 @@ from vilenkin.kernels import (
     l1_profile,
     norlund_kernel,
     t_kernel,
-    t_mean,
 )
 from vilenkin.oracles import (
     abel_kernel_residuals,
@@ -178,7 +177,7 @@ def test_abel_kernel_identity():
     for family in FAMILIES:
         w = parse_weights(family)
         for n in range(w.n0, spec.size + 1):
-            assert identity_residual("abel-kernel", spec, weights=w, n=n) < 1e-12
+            assert next(abel_kernel_residuals(spec, w, [n]))[1] < 1e-12
 
 
 def test_block_identity():
@@ -201,8 +200,10 @@ def test_identity_residual_validation():
         identity_residual("reflection", spec, rank=1)
     with pytest.raises(ValueError):
         identity_residual("reflection", spec, rank=1, j=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown identity kind 'abel-kernel'"):
         identity_residual("abel-kernel", spec, weights=w)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'n'"):
+        identity_residual("reflection", spec, rank=1, j=0, n=2)
     with pytest.raises(ValueError):
         identity_residual("block", spec, weights=w)
 
@@ -355,15 +356,17 @@ def test_order_sweep_refuses_descending_orders_before_any_transform(monkeypatch)
 def test_t_mean_oracles_yield_fresh_arrays():
     # every item is kept before any is compared, so a row that views a
     # running sum would read a later step; one grid builds many character
-    # rows per chunk, the other one (_chunk_rows(M_N) = 341 and 1)
+    # rows per chunk, the other one (_chunk_rows(M_N) = 341 and 1).  Each
+    # order equals its one-order pass bitwise
     w = parse_weights("riesz")
     for spec, ns in ((make_group([2, 3], 3), range(2, 13)), (make_group([2], 12), [2, 3, 3, 40])):
         f = GridFunction.random(spec, seed=6)
         items = list(t_mean_oracles(f, w, ns))
         assert [n for n, _, _ in items] == list(ns)
         for n, direct, abel in items:
-            assert np.array_equal(direct, t_mean(f, w, n, method="direct").values)
-            assert np.array_equal(abel, t_mean(f, w, n, method="abel").values)
+            _, alone_direct, alone_abel = next(t_mean_oracles(f, w, [n]))
+            assert np.array_equal(direct, alone_direct)
+            assert np.array_equal(abel, alone_abel)
 
 
 def test_l1_profile_t_family_tails_shrink():

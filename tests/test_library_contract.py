@@ -30,6 +30,7 @@ from vilenkin.kernels import (
 from vilenkin.oracles import (
     abel_kernel_residuals,
     abel_weight_residual,
+    forward_naive,
     identity_residual,
     reflection_residuals,
     t_mean_oracles,
@@ -78,7 +79,7 @@ CALLS = [
     (GridFunction.indicator, (SPEC, 1, 0), {}),
     (GridFunction.random, (SPEC, 1), {"rank": 2}),
     (character_row, (SPEC, 1), {}),
-    (forward, (F,), {"method": "fast"}),
+    (forward, (F,), {}),
     (synthesize, (SPEC, [1, 2]), {}),
     (partial_sum, (F, 3), {}),
     (convolve, (F, F), {}),
@@ -104,8 +105,8 @@ CALLS = [
     (ConvergenceRow, (2, 0.5, "riesz|t"), {}),
     (convergence_profile, (F, W, [2, 3]), {"form": "t", "p": 1}),
     (convergence_profile, (F, W, [2, 3]), {"form": "norlund", "point": X}),
+    (forward_naive, (F,), {}),
     (identity_residual, ("reflection", SPEC), {"rank": 2, "j": 1}),
-    (identity_residual, ("abel-kernel", SPEC), {"weights": W, "n": 3}),
     (identity_residual, ("block", SPEC), {"weights": W, "rank": 1}),
     (reflection_residuals, (SPEC,), {}),
     (abel_kernel_residuals, (SPEC, W, [2, 3]), {}),

@@ -10,7 +10,7 @@ from conftest import TracedPeak
 
 from vilenkin.group import make_group
 from vilenkin.kernels import norlund_kernel, norlund_mean, t_mean
-from vilenkin.oracles import abel_weight_residual
+from vilenkin.oracles import abel_weight_residual, t_mean_oracles
 from vilenkin.transform import GridFunction, convolve, norm, partial_sum
 from vilenkin.weights import (
     WeightSequence,
@@ -168,10 +168,8 @@ def test_t_mean_route_agreement():
     f = GridFunction.random(spec, seed=21)
     for fam in T_FAMILIES:
         w = parse_weights(fam)
-        for n in (w.n0, 5, 12, 36):
-            base = t_mean(f, w, n, method="direct").values
-            for method in ("multiplier", "abel", "convolution"):
-                got = t_mean(f, w, n, method=method).values
+        for n, base, abel in t_mean_oracles(f, w, (w.n0, 5, 12, 36)):
+            for got in (t_mean(f, w, n).values, abel, t_mean(f, w, n, "convolution").values):
                 assert np.max(np.abs(got - base)) < 1e-10
 
 
@@ -268,8 +266,9 @@ def test_mean_order_validation():
         t_mean(f, w, 1)  # Q(1) = 0
     with pytest.raises(ValueError):
         t_mean(f, w, spec.size + 1)
-    with pytest.raises(ValueError):
-        t_mean(f, w, 5, method="mystery")
+    for method in ("mystery", "direct", "abel"):  # the oracle routes are t_mean_oracles
+        with pytest.raises(ValueError, match="expected 'multiplier' or 'convolution'"):
+            t_mean(f, w, 5, method=method)
     with pytest.raises(ValueError):
         norlund_mean(f, w, spec.size + 1)
 

@@ -3,11 +3,12 @@ band-limited transforms over random radix sequences.
 
 Each mean computed as one synthesis of fhat * lambda_n must agree to 1e-12
 with routes that never touch the multiplier: the direct and Abel
-accumulations of t_mean, and the q-weighted expansion in partial sums.  The
-kernel identities hold to 1e-12, and every sweep returns, order by order, the
-very value of the single-case call.  A spectrum below M_s synthesizes, and
-an analysis up to M_s runs, on M_s cells only; both must agree with the
-definitions (character rows, the naive transform) to 1e-12.  A batched
+accumulations of t_mean_oracles, and the q-weighted expansion in partial
+sums.  The kernel identities hold to 1e-12, and every sweep returns, order
+by order, the very value of the single-case call.  A spectrum below M_s
+synthesizes, and an analysis up to M_s runs, on M_s cells only; both must
+agree with the definitions (character rows, the naive transform) to 1e-12.
+A batched
 synthesis returns every row bitwise equal to its one-row synthesis, whatever
 the batch size and the row's place in it, and the rows share butterflies by
 their bands and the chunk size alone, whatever blocks they arrive in; the
@@ -54,10 +55,10 @@ from vilenkin.kernels import (
     norlund_kernel,
     norlund_mean,
     t_kernel,
-    t_mean,
 )
 from vilenkin.oracles import (
     abel_kernel_residuals,
+    forward_naive,
     identity_residual,
     reflection_residuals,
     t_mean_oracles,
@@ -119,7 +120,7 @@ def _assert_profile_matches(f, w, ns, x, form, oracles):
 @given(cases())
 def test_t_profile_matches_direct_and_abel_routes(case):
     spec, w, ns, f, x = case
-    oracles = {n: [t_mean(f, w, n, method=m).values for m in ("direct", "abel")] for n in ns}
+    oracles = {n: [direct, abel] for n, direct, abel in t_mean_oracles(f, w, ns)}
     _assert_profile_matches(f, w, ns, x, "t", oracles)
 
 
@@ -152,7 +153,7 @@ def test_identity_sweeps_hold_and_equal_single_cases(case):
     assert [n for n, _ in swept] == ns
     for n, r in swept:
         assert r < TOL
-        assert r == identity_residual("abel-kernel", spec, weights=w, n=n)
+        assert r == next(abel_kernel_residuals(spec, w, [n]))[1]
     for rank in range(spec.levels + 1):
         # the block kernels reach sup |D_{M_r}| = M_r, and at M_r = 960 the
         # residual is already 1.8e-12, so this one is relative to that scale
@@ -160,8 +161,9 @@ def test_identity_sweeps_hold_and_equal_single_cases(case):
             assert identity_residual("block", spec, weights=w, rank=rank) < TOL * spec.M[rank]
     for n, direct, abel in t_mean_oracles(f, w, ns):
         assert np.max(np.abs(direct - abel)) < TOL
-        assert np.array_equal(direct, t_mean(f, w, n, method="direct").values)
-        assert np.array_equal(abel, t_mean(f, w, n, method="abel").values)
+        _, alone_direct, alone_abel = next(t_mean_oracles(f, w, [n]))
+        assert np.array_equal(direct, alone_direct)
+        assert np.array_equal(abel, alone_abel)
 
 
 @st.composite
@@ -193,7 +195,7 @@ def test_truncated_analysis_matches_naive_transform(case):
     f = GridFunction.random(spec, seed)
     got = _analyse(f, count)
     assert got.shape == (count,)
-    assert np.max(np.abs(got - forward(f, method="naive")[:count]), initial=0.0) < TOL
+    assert np.max(np.abs(got - forward_naive(f)[:count]), initial=0.0) < TOL
 
 
 @st.composite

@@ -14,6 +14,7 @@ from conftest import TracedPeak
 
 import vilenkin.transform
 from vilenkin.group import Element, make_group
+from vilenkin.oracles import forward_naive
 from vilenkin.transform import (
     GridFunction,
     _leaves,
@@ -200,7 +201,7 @@ def test_orthonormality_gram():
 def test_forward_naive_matches_oracle():
     spec = make_group([2, 3, 2])
     f = GridFunction.random(spec, seed=42)
-    got = forward(f, method="naive")
+    got = forward_naive(f)
     want = oracle_forward(spec, f.values)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -212,7 +213,7 @@ def test_naive_transform_works_in_bounded_chunks():
     spec = make_group([2], 12)
     f = GridFunction.random(spec, seed=43)
     with TracedPeak() as traced:
-        naive = forward(f, method="naive")
+        naive = forward_naive(f)
     assert traced.peak < 16 * 2**20
     assert np.max(np.abs(naive - forward(f))) < 1e-12
 
@@ -233,15 +234,18 @@ def test_fast_matches_naive_on_seeded_functions():
     spec = make_group([2, 3, 2, 3, 2])
     for seed in range(10):
         f = GridFunction.random(spec, seed=seed)
-        a = forward(f, method="naive")
-        b = forward(f, method="fast")
+        a = forward_naive(f)
+        b = forward(f)
         assert np.max(np.abs(a - b)) < 1e-10
 
 
-def test_forward_unknown_method():
+def test_forward_takes_only_f():
+    # the naive route is vilenkin.oracles.forward_naive, not a method of forward
     spec = make_group([2, 2])
-    with pytest.raises(ValueError):
-        forward(GridFunction.constant(spec), method="fft")
+    with pytest.raises(TypeError):
+        forward(GridFunction.constant(spec), method="naive")
+    with pytest.raises(TypeError):
+        forward(GridFunction.constant(spec), "fast")
 
 
 def test_inverse_round_trip_and_synthesis():

@@ -27,6 +27,7 @@ from vilenkin.kernels import (
 from vilenkin.oracles import (
     abel_kernel_residuals,
     abel_weight_residual,
+    forward_naive,
     identity_residual,
     reflection_residuals,
     t_mean_oracles,
@@ -343,6 +344,7 @@ def test_a_number_of_any_type_multiplies_as_its_complex_value(factor):
             "convergence_profile: point must be an Element, got int",
         ),
         (lambda: forward(None), "forward: f must be a GridFunction, got NoneType"),
+        (lambda: forward_naive(None), "forward_naive: f must be a GridFunction, got NoneType"),
         (lambda: synthesize(None, [1]), "synthesize: spec must be a GroupSpec, got NoneType"),
         (lambda: partial_sum(None, 3), "partial_sum: f must be a GridFunction, got NoneType"),
         (
@@ -395,6 +397,20 @@ def test_a_number_of_any_type_multiplies_as_its_complex_value(factor):
             "identity_residual: spec must be a GroupSpec, got NoneType",
         ),
         (lambda: next(reflection_residuals(None)), "reflection_residuals: spec must be a GroupSpec"),
+        (
+            lambda: identity_residual("reflection", SPEC, rank=1.0, j=0),
+            "identity_residual: rank must be an Integral, got float",
+        ),
+        (
+            lambda: identity_residual("block", SPEC, weights=RIESZ, rank="2"),
+            "identity_residual: rank must be an Integral, got str",
+        ),
+        (
+            lambda: identity_residual("reflection", SPEC, rank=1, j=0.5),
+            "identity_residual: j must be an Integral, got float",
+        ),
+        (lambda: abel_weight_residual(RIESZ, None), "abel_weight_residual: n must be an Integral, got NoneType"),
+        (lambda: abel_weight_residual(RIESZ, 2.5), "abel_weight_residual: n must be an Integral, got float"),
         (lambda: interval_members(None, 1), "interval_members: x must be an Element, got NoneType"),
         (lambda: next(t_mean_oracles(None, RIESZ, [2])), "t_mean_oracles: f must be a GridFunction"),
         (lambda: parse_weights(None), "parse_weights: text must be a str, got NoneType"),
@@ -402,7 +418,8 @@ def test_a_number_of_any_type_multiplies_as_its_complex_value(factor):
     ],
     ids=[
         "norm-f", "lebesgue-f", "lebesgue-x", "w-modulus-f", "w-modulus-x", "convolve-f",
-        "t-mean-f", "profile-f", "profile-p", "profile-point", "forward-f", "synthesize-spec",
+        "t-mean-f", "profile-f", "profile-p", "profile-point", "forward-f", "forward-naive-f",
+        "synthesize-spec",
         "partial-sum-f", "norlund-mean-f", "norm-p", "dirichlet-spec", "fejer-spec",
         "t-kernel-spec", "norlund-kernel-spec", "multiplier-spec", "l1-profile-spec",
         "domination-spec", "character-row-spec", "t-kernel-weights", "norlund-kernel-weights",
@@ -411,15 +428,20 @@ def test_a_number_of_any_type_multiplies_as_its_complex_value(factor):
         "profile-weights", "classify-weights", "abel-weight-weights", "generator-spec",
         "element-spec", "element-from-index-spec", "element-zero-spec", "grid-function-spec",
         "constant-spec", "indicator-spec", "random-spec", "identity-residual-spec",
-        "reflection-spec", "interval-members-x", "t-mean-oracles-f", "parse-weights-text",
+        "reflection-spec", "identity-residual-rank", "block-residual-rank",
+        "identity-residual-j", "abel-weight-n-none", "abel-weight-n-float",
+        "interval-members-x", "t-mean-oracles-f", "parse-weights-text",
         "passes-gate-c",
     ],
 )
 def test_a_wrong_argument_type_raises_type_error_naming_it(call, message):
     # each used to raise AttributeError: '...' object has no attribute
     # 'spec' (or 'size', 'M', '_place', 'levels', 'index_of', 'digits',
-    # 'Q_array', 'q_array', 'label', 'n0', 'partition' or 'gate'), and a str
-    # p a TypeError from `>=` that did not name p
+    # 'Q_array', 'q_array', 'label', 'n0', 'partition' or 'gate'), a str
+    # p a TypeError from `>=` that did not name p, and the oracles' rank, j
+    # and n a TypeError that named no argument: "'float' object cannot be
+    # interpreted as an integer" or "'<' not supported between instances of
+    # 'NoneType' and 'int'"
     with pytest.raises(TypeError, match=message):
         call()
 
@@ -496,7 +518,7 @@ def test_grid_functions_and_spectra_are_read_only_and_equal_only_to_themselves()
     assert fhat.shape == (spec.size,) and fhat.flags.owndata
     assert not np.shares_memory(fhat, f.values) and not np.shares_memory(fhat, forward(f))
     assert np.max(np.abs(synthesize(spec, fhat).values - f.values)) < 1e-12
-    for array in (f.values, GridFunction.random(spec, seed=2).values, fhat, forward(f, "naive")):
+    for array in (f.values, GridFunction.random(spec, seed=2).values, fhat, forward_naive(f)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     g = GridFunction(spec, f.values)
